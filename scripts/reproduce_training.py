@@ -9,7 +9,6 @@ roughly ten minutes on one CPU core.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -61,14 +60,17 @@ def main() -> int:
     noisy_mse = float(np.mean(pr.wrap_angle(noisy - truth) ** 2))
     refined_mse = float(np.mean(pr.wrap_angle(pred - truth) ** 2))
 
-    tau = math.radians(10.0)
+    # correction rate per (test window, corrupted frame) event, at tau = 10 deg
     n_events = n_corrected = 0
     for i in range(len(noisy)):
         events = pr.record_events(manifest, "test", i)
-        diff = np.abs(pr.wrap_angle(pred[i] - truth[i]))
-        for frame in events.all_frames():
-            n_events += 1
-            n_corrected += bool(diff[frame] <= tau)
+        report = pr.evaluate_metrics(
+            pred[i][:, None],
+            truth[i][:, None],
+            {int(f): None for f in events.all_frames()},
+        )
+        n_events += report.n_erroneous
+        n_corrected += report.n_corrected
 
     summary = {
         "seed": args.seed,

@@ -16,11 +16,8 @@ from .dataset import (
     DatasetManifest,
     NoiseEvents,
     NoiseSpec,
-    SamplePair,
     generate_dataset,
-    inject_noise,
     inject_noise_events,
-    iter_records,
     load_split,
     read_shard,
     record_coords,
@@ -48,7 +45,6 @@ from .fourier import (
     fit_fourier,
     randomize_template,
     reference_templates,
-    segment_windows,
     synthesize_truth,
 )
 from .pipeline import (
@@ -65,16 +61,11 @@ from .pipeline import (
 )
 from .refiner import (
     RefinerModel,
-    attention_head,
     batch_gradients,
-    bigru_layer_forward,
-    gru_cell_forward,
     load_model,
     mse_loss,
-    param_gradients,
     parameter_shapes,
     refine_batch,
-    refine_window,
     save_model,
 )
 from .skeleton import (
@@ -84,13 +75,8 @@ from .skeleton import (
     N_KEYPOINTS,
     N_LIMBS,
     PoseSequence,
-    angles_from_pose,
-    limb_length,
-    limb_lengths_from_pose,
-    limb_orientation,
     pose_to_angles,
     pose_to_limb_lengths,
-    reconstruct_pose,
     reconstruct_sequence,
     unwrap_joint_angles,
     velocity_series,
@@ -109,7 +95,6 @@ from .windows import (
     MergeConfig,
     WindowPlan,
     merge_plan,
-    merge_windows,
     plan_windows,
     refine_sequence,
 )

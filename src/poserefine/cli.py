@@ -1,4 +1,4 @@
-"""Command-line entry point: synth, train, refine, eval, angles, export."""
+"""Command-line entry point: synth, train, refine, eval, export."""
 
 from __future__ import annotations
 
@@ -27,38 +27,60 @@ def _load(args) -> dict:
     return load_config(args.config) if args.config else {}
 
 
+def _given(args, cfg: dict, **options) -> dict:
+    """Keyword arguments for the options that a flag or a config key sets.
+
+    Each option maps a keyword to (config key, cast); the flag's dest is the
+    config key.  An option set by neither is left out, so the default of
+    the dataclass or function that receives it applies.
+    """
+    out = {}
+    for name, (key, cast) in options.items():
+        value = resolve(getattr(args, key), cfg, key, cast)
+        if value is not None:
+            out[name] = value
+    return out
+
+
 def _cmd_synth(args) -> int:
     cfg = _load(args)
-    seed = resolve(args.seed, cfg, "seed", 0, int)
-    rad = math.radians
-    noise = ds.NoiseSpec(
-        jitter_sigma_range=(
-            rad(resolve(args.jitter_min_deg, cfg, "jitter_min_deg", 0.0, float)),
-            rad(resolve(args.jitter_max_deg, cfg, "jitter_max_deg", 15.0, float)),
-        ),
-        outlier_fraction=resolve(
-            args.outlier_fraction, cfg, "outlier_fraction", 0.05, float
-        ),
-        outlier_sigma_max=rad(
-            resolve(args.outlier_max_deg, cfg, "outlier_max_deg", 45.0, float)
-        ),
-        secondary_sigma=resolve(args.secondary_sigma, cfg, "secondary_sigma", 2.0, float),
-        secondary_max=resolve(args.secondary_max, cfg, "secondary_max", 5, int),
-        seed=seed,
+    noise = _given(
+        args,
+        cfg,
+        outlier_fraction=("outlier_fraction", float),
+        secondary_sigma=("secondary_sigma", float),
+        secondary_max=("secondary_max", int),
+        seed=("seed", int),
     )
-    manifest = ds.generate_dataset(
-        args.out,
-        train_count=resolve(args.train_count, cfg, "train_count", 20000, int),
-        test_count=resolve(args.test_count, cfg, "test_count", 4000, int),
-        noise=noise,
-        window=resolve(args.window, cfg, "window", 100, int),
-        stride=resolve(args.stride, cfg, "stride", 1, int),
-        frames_per_cycle=resolve(args.frames_per_cycle, cfg, "frames_per_cycle", 100, int),
-        cycles=resolve(args.cycles, cfg, "cycles", 2, int),
-        records_per_shard=resolve(
-            args.records_per_shard, cfg, "records_per_shard", 65536, int
-        ),
+    deg = _given(
+        args,
+        cfg,
+        lo=("jitter_min_deg", float),
+        hi=("jitter_max_deg", float),
+        outlier=("outlier_max_deg", float),
     )
+    rad = {name: math.radians(value) for name, value in deg.items()}
+    if "outlier" in rad:
+        noise["outlier_sigma_max"] = rad["outlier"]
+    if "lo" in rad or "hi" in rad:
+        lo, hi = ds.NoiseSpec.jitter_sigma_range
+        noise["jitter_sigma_range"] = (rad.get("lo", lo), rad.get("hi", hi))
+    # generate_dataset has no default corpus size, so the command sets one
+    corpus = {"train_count": 20000, "test_count": 4000}
+    corpus.update(
+        _given(
+            args,
+            cfg,
+            train_count=("train_count", int),
+            test_count=("test_count", int),
+            window=("window", int),
+            stride=("stride", int),
+            frames_per_cycle=("frames_per_cycle", int),
+            cycles=("cycles", int),
+            records_per_shard=("records_per_shard", int),
+        )
+    )
+    manifest = ds.generate_dataset(args.out, noise=ds.NoiseSpec(**noise), **corpus)
     total = sum(manifest.counts.values())
     print(f"wrote {total} records under {args.out}")
     return 0
@@ -68,14 +90,18 @@ def _cmd_train(args) -> int:
     cfg = _load(args)
     manifest = ds.DatasetManifest.load(args.manifest)
     train_cfg = TrainConfig(
-        batch_size=resolve(args.batch, cfg, "batch", 256, int),
-        learning_rate=resolve(args.lr, cfg, "lr", 1e-3, float),
-        max_epochs=resolve(args.epochs, cfg, "epochs", 20, int),
-        patience=resolve(args.patience, cfg, "patience", 5, int),
-        validation_fraction=resolve(args.val_fraction, cfg, "val_fraction", 0.1, float),
-        hidden=resolve(args.hidden, cfg, "hidden", 64, int),
-        d_att=resolve(args.d_att, cfg, "d_att", 32, int),
-        seed=resolve(args.seed, cfg, "seed", 0, int),
+        **_given(
+            args,
+            cfg,
+            batch_size=("batch", int),
+            learning_rate=("lr", float),
+            max_epochs=("epochs", int),
+            patience=("patience", int),
+            validation_fraction=("val_fraction", float),
+            hidden=("hidden", int),
+            d_att=("d_att", int),
+            seed=("seed", int),
+        )
     )
 
     def progress(stats):
@@ -95,14 +121,12 @@ def _cmd_train(args) -> int:
 
 def _pipeline_config(args, cfg) -> pl.PipelineConfig:
     return pl.PipelineConfig(
-        savgol=SavGolConfig(
-            half_width=resolve(args.sg_halfwidth, cfg, "sg_halfwidth", 50, int)
-        ),
+        savgol=SavGolConfig(**_given(args, cfg, half_width=("sg_halfwidth", int))),
         trust=TrustRegionConfig(
-            smoothness_weight=resolve(args.lam, cfg, "lambda", 1.0, float)
+            **_given(args, cfg, smoothness_weight=("lambda", float))
         ),
-        stride=resolve(args.stride, cfg, "stride", 5, int),
-        merge=MergeConfig(epsilon=resolve(args.epsilon, cfg, "epsilon", 1e-3, float)),
+        merge=MergeConfig(**_given(args, cfg, epsilon=("epsilon", float))),
+        **_given(args, cfg, stride=("stride", int)),
     )
 
 
@@ -120,12 +144,12 @@ def _cmd_eval(args) -> int:
     refined = pl.parse_keypoints(args.refined)
     truth = pl.parse_keypoints(args.truth)
     erroneous = pl.load_erroneous_frames(args.errors) if args.errors else {}
-    tau_deg = resolve(args.tau_deg, cfg, "tau_deg", 10.0, float)
+    tau = _given(args, cfg, tau=("tau_deg", float))
     report = pl.evaluate_metrics(
         pose_to_angles(refined),
         pose_to_angles(truth),
         erroneous,
-        tau=math.radians(tau_deg),
+        **{name: math.radians(deg) for name, deg in tau.items()},
     )
     doc = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -133,19 +157,6 @@ def _cmd_eval(args) -> int:
             fh.write(doc)
             fh.write("\n")
     print(doc)
-    return 0
-
-
-def _cmd_angles(args) -> int:
-    seq = pl.parse_keypoints(args.input)
-    motion = pl.RefinedMotion(
-        base=seq.xy[:, 0, :],
-        theta=pose_to_angles(seq),
-        lengths=pl.pose_to_limb_lengths(seq),
-        fps=seq.fps,
-    )
-    pl.export_series(motion, "angles", args.output)
-    print(f"wrote angle series to {args.output}")
     return 0
 
 
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--sg-halfwidth", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", type=float, default=None)
     _common(p)
     p.set_defaults(func=_cmd_refine)
 
@@ -221,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="metrics JSON to write")
     _common(p)
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("angles", help="export limb angles from keypoints")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("export", help="export series from a keypoint file")
     p.add_argument("--input", required=True)

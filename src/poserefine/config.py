@@ -24,18 +24,14 @@ def load_config(path) -> dict:
     return out
 
 
-def resolve(flag_value, config: dict, key: str, default, cast=None):
-    """Flag beats config file beats default; casts config strings."""
+def resolve(flag_value, config: dict, key: str, cast):
+    """Flag beats config file; casts config strings; None when neither is set."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        raw = config[key]
-        if cast is None:
-            return raw
-        try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError:
-            raise SchemaError(f"config key {key!r}: cannot parse {raw!r}")
-    return default
+    if key not in config:
+        return None
+    raw = config[key]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise SchemaError(f"config key {key!r}: cannot parse {raw!r}")

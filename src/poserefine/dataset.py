@@ -117,21 +117,6 @@ def inject_noise_events(truth: np.ndarray, spec: NoiseSpec, rng: np.random.Gener
     return noisy, events
 
 
-def inject_noise(truth: np.ndarray, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    noisy, _ = inject_noise_events(truth, spec, rng)
-    return noisy
-
-
-@dataclass
-class SamplePair:
-    """One training record: a noisy window, its clean source, and provenance."""
-
-    noisy: np.ndarray
-    truth: np.ndarray
-    joint_index: int
-    provenance: tuple  # (split, subject index, window offset)
-
-
 # ---------------------------------------------------------------------------
 # shard files
 
@@ -242,6 +227,8 @@ class DatasetManifest:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"manifest {path}: invalid JSON at line {exc.lineno}")
+        if not isinstance(doc, dict):
+            raise SchemaError(f"manifest {path}: top level must be an object")
         try:
             nd = doc["noise_deg"]
             rad = math.radians
@@ -272,6 +259,8 @@ class DatasetManifest:
             )
         except KeyError as exc:
             raise SchemaError(f"manifest {path}: missing key {exc}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"manifest {path}: {exc}")
         manifest.root = os.path.dirname(os.path.abspath(path))
         return manifest
 
@@ -458,15 +447,3 @@ def load_split(manifest: DatasetManifest, split: str, root=None):
         )
     return joints, truth, noisy
 
-
-def iter_records(manifest: DatasetManifest, split: str, root=None):
-    """Yield SamplePair records of one split in storage order."""
-    joints, truth, noisy = load_split(manifest, split, root)
-    for index in range(joints.size):
-        subject, joint, offset = record_coords(manifest, index)
-        yield SamplePair(
-            noisy=noisy[index],
-            truth=truth[index],
-            joint_index=int(joints[index]),
-            provenance=(split, subject, offset),
-        )

@@ -186,21 +186,6 @@ def synthesize_truth(
     return out
 
 
-def segment_windows(series: np.ndarray, window: int = 100, stride: int = 1) -> np.ndarray:
-    """All full windows of a 1-D series, shape (n_windows, window)."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ShapeError(f"series must be 1-D, got shape {series.shape}")
-    if window < 1 or stride < 1:
-        raise InvalidRangeError("window and stride must be >= 1")
-    if series.size < window:
-        raise InsufficientDataError(
-            f"series of length {series.size} has no window of length {window}"
-        )
-    view = np.lib.stride_tricks.sliding_window_view(series, window)
-    return view[::stride].copy()
-
-
 def _series(a0, *harmonics, T=100.0):
     """Build FourierCoeffs from (k, a_k, b_k) triples; unlisted orders are 0."""
     a = [0.0] * ORDER

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,9 @@ def parse_keypoints(path) -> PoseSequence:
         if key not in doc:
             raise SchemaError(f"{path}: missing key {key!r}")
     names = doc["keypoints"]
-    if list(names) != list(KEYPOINT_NAMES):
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{path}: keypoints must be a list of names")
+    if names != list(KEYPOINT_NAMES):
         missing = sorted(set(KEYPOINT_NAMES) - set(names))
         extra = sorted(set(names) - set(KEYPOINT_NAMES))
         raise SchemaError(
@@ -113,30 +116,30 @@ def parse_keypoints(path) -> PoseSequence:
         if not isinstance(frame, dict) or "xy" not in frame:
             raise SchemaError(f"{path}: frame {f} lacks an 'xy' entry")
         pts = frame["xy"]
+        if not isinstance(pts, list):
+            raise SchemaError(f"{path}: frame {f}: 'xy' must be a list of points")
         if len(pts) != N_KEYPOINTS:
             raise SchemaError(
                 f"{path}: frame {f} has {len(pts)} points, expected {N_KEYPOINTS}"
             )
         for j, pt in enumerate(pts):
-            if len(pt) != 2:
+            try:
+                if not isinstance(pt, list) or len(pt) != 2:
+                    raise TypeError
+                xy[f, j] = (float(pt[0]), float(pt[1]))
+            except (TypeError, ValueError, OverflowError):
                 raise SchemaError(
-                    f"{path}: frame {f}, keypoint {KEYPOINT_NAMES[j]} is not an (x, y) pair"
+                    f"{path}: frame {f}, keypoint {KEYPOINT_NAMES[j]} is not an (x, y) "
+                    "pair of numbers"
                 )
-            x, y = float(pt[0]), float(pt[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SchemaError(
-                    f"{path}: non-finite coordinate at frame {f}, "
-                    f"keypoint {KEYPOINT_NAMES[j]}"
-                )
-            xy[f, j] = (x, y)
-    fps = doc["fps"]
     try:
-        fps = float(fps)
-    except (TypeError, ValueError):
+        fps = float(doc["fps"])
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: fps must be a number")
-    if not (fps > 0):
-        raise SchemaError(f"{path}: fps must be positive, got {fps}")
-    return PoseSequence(xy=xy, fps=fps)
+    try:
+        return PoseSequence(xy=xy, fps=fps)
+    except ShapeError as exc:
+        raise SchemaError(f"{path}: {exc}")
 
 
 def write_keypoints(seq: PoseSequence, path) -> None:
@@ -277,16 +280,19 @@ def load_erroneous_frames(path) -> dict:
     out: dict[int, list | None] = {}
     for entry in entries:
         if isinstance(entry, int):
-            out[entry] = None
+            frame, joints = entry, None
         elif isinstance(entry, dict) and "frame" in entry:
-            joints = entry.get("joints")
-            if joints is not None:
-                joints = [int(j) for j in joints]
-                if any(not (0 <= j < N_LIMBS) for j in joints):
-                    raise SchemaError(f"{path}: joint index out of range in {entry}")
-            out[int(entry["frame"])] = joints
+            frame, joints = entry["frame"], entry.get("joints")
         else:
             raise SchemaError(f"{path}: unrecognized erroneous-frame entry {entry!r}")
+        try:
+            frame = operator.index(frame)
+            joints = None if joints is None else [operator.index(j) for j in joints]
+        except TypeError:
+            raise SchemaError(f"{path}: frame and joints must be integers in {entry!r}")
+        if joints is not None and any(not (0 <= j < N_LIMBS) for j in joints):
+            raise SchemaError(f"{path}: joint index out of range in {entry}")
+        out[frame] = joints
     return out
 
 

@@ -82,7 +82,7 @@ class RefinerModel:
 
     @classmethod
     def identity(cls, hidden: int = 64, d_att: int = 32, window: int = 100):
-        """All-zero weights: refine_window returns its input unchanged."""
+        """All-zero weights: refine_batch returns its input unchanged."""
         params = {
             name: np.zeros(shape)
             for name, shape in parameter_shapes(hidden, d_att, window).items()
@@ -98,27 +98,12 @@ class RefinerModel:
         }
 
 
-def _sigmoid(x):
-    # tanh form avoids overflow for large |x|
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
-
-
 def _sigmoid_inplace(x: np.ndarray) -> None:
+    # tanh form avoids overflow for large |x|
     x *= 0.5
     np.tanh(x, out=x)
     x += 1.0
     x *= 0.5
-
-
-def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, cell: dict) -> np.ndarray:
-    """One GRU step: update/reset gates, candidate, then the blended state."""
-    az = x @ cell["W_z"] + h_prev @ cell["U_z"] + cell["b_z"]
-    ar = x @ cell["W_r"] + h_prev @ cell["U_r"] + cell["b_r"]
-    z = _sigmoid(az)
-    r = _sigmoid(ar)
-    ah = x @ cell["W_h"] + (r * h_prev) @ cell["U_h"] + cell["b_h"]
-    h_cand = np.tanh(ah)
-    return (1.0 - z) * h_prev + z * h_cand
 
 
 def _direction_forward(x: np.ndarray, cell: dict):
@@ -268,16 +253,6 @@ def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
     return dxf + dxb[:, ::-1], grads
 
 
-def bigru_layer_forward(seq: np.ndarray, model: RefinerModel, layer: str = "l1") -> np.ndarray:
-    """Run one bidirectional layer; (L, d_in) or (B, L, d_in) -> (..., L, 2H)."""
-    seq = np.asarray(seq, dtype=float)
-    squeeze = seq.ndim == 2
-    if squeeze:
-        seq = seq[None]
-    out, _ = _bigru_forward(seq, model, layer)
-    return out[0] if squeeze else out
-
-
 def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):
     scale = 1.0 / np.sqrt(wq.shape[1])
     hbar = h2.mean(axis=1)
@@ -313,23 +288,6 @@ def _attention_backward(h2, att, wq, wk, dh2, dalpha_extra, dcontext):
     dhbar = dq @ wq.T
     dh2 += dhbar[:, None, :] / h2.shape[1]
     return dwq, dwk
-
-
-def attention_head(hidden_seq: np.ndarray, model: RefinerModel) -> np.ndarray:
-    """Append the shared attention context to every timestep.
-
-    (L, 2H) or (B, L, 2H) -> (..., L, 4H): each row is [h_t ; c] where c is
-    the attention-weighted sum of states and the query is the projected
-    window-mean state.
-    """
-    h2 = np.asarray(hidden_seq, dtype=float)
-    squeeze = h2.ndim == 2
-    if squeeze:
-        h2 = h2[None]
-    att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
-    tiled = np.broadcast_to(att["context"][:, None, :], h2.shape)
-    out = np.concatenate([h2, tiled], axis=2)
-    return out[0] if squeeze else out
 
 
 def _forward(x: np.ndarray, model: RefinerModel):
@@ -395,14 +353,6 @@ def refine_batch(noisy: np.ndarray, model: RefinerModel) -> np.ndarray:
     return out
 
 
-def refine_window(noisy: np.ndarray, model: RefinerModel) -> np.ndarray:
-    """Refine one window, shape (L,) -> (L,)."""
-    noisy = np.asarray(noisy, dtype=float)
-    if noisy.shape != (model.window,):
-        raise ShapeError(f"window must be ({model.window},), got {noisy.shape}")
-    return refine_batch(noisy[None], model)[0]
-
-
 def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared error over every element."""
     pred = np.asarray(pred, dtype=float)
@@ -424,10 +374,6 @@ def batch_gradients(noisy: np.ndarray, truth: np.ndarray, model: RefinerModel):
     loss = float(np.mean(diff * diff))
     dout = (2.0 / diff.size) * diff
     return loss, _backward(dout, cache, model)
-
-
-def param_gradients(noisy: np.ndarray, truth: np.ndarray, model: RefinerModel) -> dict:
-    return batch_gradients(noisy, truth, model)[1]
 
 
 # ---------------------------------------------------------------------------

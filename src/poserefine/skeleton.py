@@ -92,8 +92,8 @@ class PoseSequence:
                 f"keypoint {KEYPOINT_NAMES[joint]}"
             )
         self.fps = float(self.fps)
-        if not (self.fps > 0):
-            raise ShapeError(f"fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ShapeError(f"fps must be positive and finite, got {self.fps}")
 
     @property
     def n_frames(self) -> int:
@@ -109,65 +109,16 @@ def wrap_angle(theta):
     return out if out.ndim else float(out)
 
 
-def limb_orientation(parent, child) -> float:
-    """Orientation of the child keypoint seen from its parent, in (-pi, pi].
-
-    Equivalent to the piecewise arctangent over the four quadrants with the
-    two degenerate verticals mapped to +-pi/2 and the negative x axis to +pi.
-    """
-    px, py = float(parent[0]), float(parent[1])
-    cx, cy = float(child[0]), float(child[1])
-    dx, dy = cx - px, cy - py
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateLimbError("coincident parent and child keypoints")
-    ang = math.atan2(dy, dx)
-    return math.pi if ang == -math.pi else ang
-
-
-def limb_length(parent, child) -> float:
-    dx = float(child[0]) - float(parent[0])
-    dy = float(child[1]) - float(parent[1])
-    return math.hypot(dx, dy)
-
-
 def _deltas(xy: np.ndarray) -> np.ndarray:
     return xy[..., _CHILDREN, :] - xy[..., _PARENTS, :]
 
 
 def _raise_degenerate(mask: np.ndarray):
-    """mask is (n, 12) or (12,); raise naming the first offending edge."""
-    idx = np.argwhere(mask)
-    if mask.ndim == 1:
-        edge = int(idx[0][0])
-        raise DegenerateLimbError(
-            f"coincident keypoints on limb {EDGE_NAMES[edge]}"
-        )
-    frame, edge = idx[0]
+    """mask is (n, 12); raise naming the first offending edge and frame."""
+    frame, edge = np.argwhere(mask)[0]
     raise DegenerateLimbError(
         f"coincident keypoints on limb {EDGE_NAMES[int(edge)]} at frame {int(frame)}"
     )
-
-
-def angles_from_pose(xy: np.ndarray) -> np.ndarray:
-    """Convert one (13, 2) pose into the 12 limb orientations."""
-    xy = np.asarray(xy, dtype=float)
-    if xy.shape != (N_KEYPOINTS, 2):
-        raise ShapeError(f"pose must be ({N_KEYPOINTS}, 2), got {xy.shape}")
-    d = _deltas(xy)
-    zero = (d[:, 0] == 0.0) & (d[:, 1] == 0.0)
-    if zero.any():
-        _raise_degenerate(zero)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    return np.where(ang == -np.pi, np.pi, ang)
-
-
-def limb_lengths_from_pose(xy: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the 12 limbs of one (13, 2) pose."""
-    xy = np.asarray(xy, dtype=float)
-    if xy.shape != (N_KEYPOINTS, 2):
-        raise ShapeError(f"pose must be ({N_KEYPOINTS}, 2), got {xy.shape}")
-    d = _deltas(xy)
-    return np.hypot(d[:, 0], d[:, 1])
 
 
 def pose_to_angles(seq: PoseSequence) -> np.ndarray:
@@ -184,25 +135,6 @@ def pose_to_limb_lengths(seq: PoseSequence) -> np.ndarray:
     """All limb lengths of a sequence, shape (n_frames, 12)."""
     d = _deltas(seq.xy)
     return np.hypot(d[..., 0], d[..., 1])
-
-
-def reconstruct_pose(base, theta, lengths) -> np.ndarray:
-    """Rebuild a (13, 2) pose from root position, limb angles, and lengths."""
-    theta = np.asarray(theta, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    if theta.shape != (N_LIMBS,) or lengths.shape != (N_LIMBS,):
-        raise ShapeError("theta and lengths must both have shape (12,)")
-    if not (lengths > 0).all():
-        edge = int(np.argmin(lengths > 0))
-        raise DegenerateLimbError(
-            f"non-positive length for limb {EDGE_NAMES[edge]}"
-        )
-    xy = np.empty((N_KEYPOINTS, 2))
-    xy[ROOT] = np.asarray(base, dtype=float)
-    for e, (p, c) in enumerate(EDGES):
-        xy[c, 0] = xy[p, 0] + lengths[e] * math.cos(theta[e])
-        xy[c, 1] = xy[p, 1] + lengths[e] * math.sin(theta[e])
-    return xy
 
 
 def reconstruct_sequence(base, theta, lengths, fps: float = 30.0) -> PoseSequence:

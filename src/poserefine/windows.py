@@ -48,16 +48,6 @@ class WindowPlan:
     def n_windows(self) -> int:
         return len(self.starts)
 
-    def covering(self, frame: int) -> list[int]:
-        """Indices of the windows that contain the given frame."""
-        if not (0 <= frame < self.n_frames):
-            raise ShapeError(f"frame {frame} outside 0..{self.n_frames - 1}")
-        if self.pad_map is not None:
-            return [0]
-        return [
-            k for k, s in enumerate(self.starts) if s <= frame < s + self.length
-        ]
-
 
 def _reflect_indices(n: int, length: int) -> tuple:
     """Source index for each of `length` positions over an n-frame series."""
@@ -101,38 +91,6 @@ def _center_weights(length: int, epsilon: float) -> np.ndarray:
     return 1.0 / (distance + epsilon)
 
 
-def merge_windows(
-    refined: np.ndarray,
-    plan: WindowPlan,
-    frame: int,
-    config: MergeConfig | None = None,
-) -> float:
-    """Merged estimate for one frame from the covering refined windows."""
-    if config is None:
-        config = MergeConfig()
-    refined = np.asarray(refined, dtype=float)
-    if refined.shape != (plan.n_windows, plan.length):
-        raise ShapeError(
-            f"refined windows must be ({plan.n_windows}, {plan.length}), got {refined.shape}"
-        )
-    covering = plan.covering(frame)
-    weights = _center_weights(plan.length, config.epsilon)
-    num = 0.0
-    den = 0.0
-    lo = np.inf
-    hi = -np.inf
-    for k in covering:
-        pos = frame - plan.starts[k]
-        value = refined[k, pos]
-        w = weights[pos]
-        num += w * value
-        den += w
-        lo = min(lo, value)
-        hi = max(hi, value)
-    # the weighted mean cannot leave [lo, hi]; clip away rounding residue
-    return float(min(max(num / den, lo), hi))
-
-
 def merge_plan(
     refined: np.ndarray,
     plan: WindowPlan,
@@ -165,7 +123,7 @@ def merge_plan(
 def refine_sequence(
     theta: np.ndarray,
     model: RefinerModel,
-    stride: int = 5,
+    stride: int,
     config: MergeConfig | None = None,
 ) -> np.ndarray:
     """Refine a (n_frames, 12) angle sequence joint by joint.

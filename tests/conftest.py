@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, settings
 from poserefine import (
     N_LIMBS,
     PoseSequence,
-    reconstruct_pose,
+    pose_to_angles,
+    pose_to_limb_lengths,
     reconstruct_sequence,
 )
 
@@ -24,12 +25,31 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def pose_angles(xy) -> np.ndarray:
+    """The 12 limb orientations of one (13, 2) pose, via the sequence route."""
+    return pose_to_angles(PoseSequence(np.asarray(xy, dtype=float)[None], 30.0))[0]
+
+
+def pose_lengths(xy) -> np.ndarray:
+    """The 12 limb lengths of one (13, 2) pose, via the sequence route."""
+    return pose_to_limb_lengths(PoseSequence(np.asarray(xy, dtype=float)[None], 30.0))[0]
+
+
+def rebuild_pose(base, theta, lengths) -> np.ndarray:
+    """One (13, 2) pose from root position, limb angles and lengths."""
+    return reconstruct_sequence(
+        np.asarray(base, dtype=float)[None],
+        np.asarray(theta, dtype=float)[None],
+        np.asarray(lengths, dtype=float)[None],
+    ).xy[0]
+
+
 def random_pose(rng: np.random.Generator) -> np.ndarray:
     """A (13, 2) pose that is non-degenerate by construction."""
     base = rng.uniform(-200.0, 200.0, size=2)
     theta = rng.uniform(-np.pi, np.pi, size=N_LIMBS)
     lengths = rng.uniform(20.0, 80.0, size=N_LIMBS)
-    return reconstruct_pose(base, theta, lengths)
+    return rebuild_pose(base, theta, lengths)
 
 
 def random_sequence(rng: np.random.Generator, n_frames: int, fps: float = 30.0) -> PoseSequence:

@@ -19,10 +19,9 @@ from poserefine import (
     RefinerModel,
     TrainConfig,
     TrustRegionConfig,
-    angles_from_pose,
     batch_gradients,
+    evaluate_metrics,
     generate_dataset,
-    limb_lengths_from_pose,
     limb_loss_gradient,
     limb_objective,
     load_split,
@@ -31,7 +30,6 @@ from poserefine import (
     parse_keypoints,
     plan_windows,
     pose_to_angles,
-    reconstruct_pose,
     record_events,
     refine_batch,
     refine_keypoint_file,
@@ -46,7 +44,14 @@ from poserefine.fourier import FourierCoeffs, eval_fourier, fit_fourier
 from poserefine.conditioning import RatioTable, SavGolConfig, savgol_smooth
 from poserefine.refiner import parameter_shapes
 
-from conftest import make_rng, random_pose, smooth_sequence
+from conftest import (
+    make_rng,
+    pose_angles,
+    pose_lengths,
+    random_pose,
+    rebuild_pose,
+    smooth_sequence,
+)
 
 
 def test_roundtrip_kinematics_1000_poses():
@@ -55,9 +60,9 @@ def test_roundtrip_kinematics_1000_poses():
     worst = 0.0
     for _ in range(1000):
         xy = random_pose(rng)
-        theta = angles_from_pose(xy)
-        lengths = limb_lengths_from_pose(xy)
-        rebuilt = reconstruct_pose(xy[0], theta, lengths)
+        theta = pose_angles(xy)
+        lengths = pose_lengths(xy)
+        rebuilt = rebuild_pose(xy[0], theta, lengths)
         worst = max(worst, float(np.max(np.abs(rebuilt - xy))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
@@ -68,20 +73,20 @@ def test_similarity_transform_suite():
     rng = make_rng(1002)
     for _ in range(100):
         xy = np.round(random_pose(rng) * 8.0) / 8.0  # eighth-pixel grid
-        theta = angles_from_pose(xy)
-        lengths = limb_lengths_from_pose(xy)
+        theta = pose_angles(xy)
+        lengths = pose_lengths(xy)
         for _ in range(10):
             shift = rng.integers(-500, 500, size=2).astype(float)
-            assert np.array_equal(angles_from_pose(xy + shift), theta)
+            assert np.array_equal(pose_angles(xy + shift), theta)
 
             phi = rng.uniform(-math.pi, math.pi)
             c, s = math.cos(phi), math.sin(phi)
             rot = xy @ np.array([[c, s], [-s, c]])  # row-vector rotation by phi
-            diff = wrap_angle(angles_from_pose(rot) - theta - phi)
+            diff = wrap_angle(pose_angles(rot) - theta - phi)
             assert np.max(np.abs(diff)) <= 1e-12
 
             scale = rng.uniform(0.5, 2.0)
-            got = limb_lengths_from_pose(xy * scale)
+            got = pose_lengths(xy * scale)
             assert got == pytest.approx(lengths * scale, rel=1e-12)
 
 
@@ -271,14 +276,17 @@ def test_desk_scale_end_to_end(desk_scale):
     refined_mse = float(np.mean(wrap_angle(pred - truth) ** 2))
     ratio = refined_mse / noisy_mse
 
-    tau = math.radians(10.0)
+    # correction rate per (test window, corrupted frame) event, at tau = 10 deg
     n_events = n_corrected = 0
     for i in range(len(noisy)):
         events = record_events(manifest, "test", i)
-        diff = np.abs(wrap_angle(pred[i] - truth[i]))
-        for frame in events.all_frames():
-            n_events += 1
-            n_corrected += bool(diff[frame] <= tau)
+        report = evaluate_metrics(
+            pred[i][:, None],
+            truth[i][:, None],
+            {int(f): None for f in events.all_frames()},
+        )
+        n_events += report.n_erroneous
+        n_corrected += report.n_corrected
     rate = n_corrected / n_events
 
     # regression bounds frozen after the first successful run with this

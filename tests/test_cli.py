@@ -9,12 +9,18 @@ import pytest
 
 from poserefine import (
     EDGE_NAMES,
+    KEYPOINT_NAMES,
+    NoiseSpec,
+    PipelineConfig,
     RefinerModel,
+    TrainConfig,
+    TrainLog,
     load_model,
     parse_keypoints,
     save_model,
     write_keypoints,
 )
+from poserefine import cli
 from poserefine.cli import main
 from poserefine.config import load_config, resolve
 from poserefine.errors import SchemaError
@@ -118,7 +124,7 @@ def test_config_parser_rules(tmp_path):
     with pytest.raises(SchemaError, match="empty key"):
         load_config(path)
     with pytest.raises(SchemaError, match="cannot parse"):
-        resolve(None, {"k": "abc"}, "k", 0, int)
+        resolve(None, {"k": "abc"}, "k", int)
 
 
 def test_train_saves_model_and_log(trained):
@@ -221,7 +227,10 @@ def test_eval_writes_metrics_json(tmp_path, keypoint_file):
 
 def test_angles_command_writes_csv(tmp_path, keypoint_file):
     out = tmp_path / "angles.csv"
-    assert main(["angles", "--input", str(keypoint_file), "--output", str(out)]) == 0
+    rc = main(
+        ["export", "--input", str(keypoint_file), "--output", str(out), "--what", "angles"]
+    )
+    assert rc == 0
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][2:] == [f"angle_{name}" for name in EDGE_NAMES]
@@ -282,5 +291,79 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    for name in ("synth", "train", "refine", "eval", "angles", "export"):
+    for name in ("synth", "train", "refine", "eval", "export"):
         assert name in proc.stdout
+
+
+GOOD_FRAME = {"xy": [[float(i), 0.5 * i] for i in range(1, 14)]}
+
+
+def keypoint_text(**fields) -> str:
+    doc = {"fps": 30, "keypoints": list(KEYPOINT_NAMES), "frames": [GOOD_FRAME]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "xy-int": ("export", keypoint_text(frames=[{"xy": 5}])),
+    "point-int": ("export", keypoint_text(frames=[{"xy": [1] + GOOD_FRAME["xy"][1:]}])),
+    "coordinate-str": (
+        "export",
+        keypoint_text(frames=[{"xy": [["a", 1.0]] + GOOD_FRAME["xy"][1:]}]),
+    ),
+    "keypoints-int": ("export", keypoint_text(keypoints=5)),
+    "fps-inf": ("export", keypoint_text().replace('"fps": 30', '"fps": 1e400')),
+    "frame-str": ("eval", json.dumps({"frames": [{"frame": "x"}]})),
+    "joints-int": ("eval", json.dumps({"frames": [{"frame": 1, "joints": 5}]})),
+    "manifest-list": ("train", "[]"),
+}
+
+
+@pytest.mark.parametrize("command, text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "export": ["--input", str(bad), "--output", str(out)],
+        "eval": ["--refined", str(keypoint_file), "--truth", str(keypoint_file),
+                 "--errors", str(bad)],
+        "train": ["--manifest", str(bad), "--out", str(out)],
+    }[command]
+    assert main([command] + argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_commands_without_flags_use_the_dataclass_defaults(
+    tmp_path, monkeypatch, corpus, keypoint_file
+):
+    seen = {}
+
+    def fake_generate(out_dir, noise, **corpus_kw):
+        seen["noise"], seen["corpus"] = noise, corpus_kw
+        return cli.ds.DatasetManifest(
+            window=100, stride=1, frames_per_cycle=100, cycles=2, base_seed=0,
+            noise=noise, templates=[],
+        )
+
+    def fake_train(manifest, config, progress=None):
+        seen["train"] = config
+        return RefinerModel.identity(hidden=2, d_att=2, window=20), TrainLog()
+
+    def fake_refine(input_path, model_path, output_path, config):
+        seen["refine"] = config
+
+    monkeypatch.setattr(cli.ds, "generate_dataset", fake_generate)
+    monkeypatch.setattr(cli, "train_model", fake_train)
+    monkeypatch.setattr(cli.pl, "refine_keypoint_file", fake_refine)
+    manifest = str(corpus / "manifest.json")
+    assert main(["synth", "--out", str(tmp_path / "c")]) == 0
+    assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "m.jarm")]) == 0
+    assert main(
+        ["refine", "--input", str(keypoint_file), "--model", "m", "--output", "o"]
+    ) == 0
+    assert seen["noise"] == NoiseSpec()
+    assert seen["corpus"] == {"train_count": 20000, "test_count": 4000}
+    assert seen["train"] == TrainConfig()
+    assert seen["refine"] == PipelineConfig()

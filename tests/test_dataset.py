@@ -16,9 +16,7 @@ from poserefine import (
     SchemaError,
     ShapeError,
     generate_dataset,
-    inject_noise,
     inject_noise_events,
-    iter_records,
     load_split,
     read_shard,
     record_coords,
@@ -118,7 +116,7 @@ def test_jitter_sigma_statistics():
     total = 0.0
     count = 0
     for _ in range(2000):
-        noisy = inject_noise(np.zeros(50), spec, rng)
+        noisy = inject_noise_events(np.zeros(50), spec, rng)[0]
         total += float(noisy @ noisy)
         count += 50
     sigma = math.sqrt(total / count)
@@ -223,6 +221,16 @@ def test_manifest_degrees_in_file(tiny_corpus):
     assert doc["noise_deg"]["outlier_sigma_max"] == pytest.approx(45.0)
 
 
+def test_manifest_load_rejects_malformed_documents(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(SchemaError, match="top level"):
+        DatasetManifest.load(path)
+    path.write_text(json.dumps({"noise_deg": 5}))
+    with pytest.raises(SchemaError):
+        DatasetManifest.load(path)
+
+
 def test_record_coords_enumeration(tiny_corpus):
     _, manifest = tiny_corpus
     # 25 * 2 = 50 frames, window 20, stride 5 -> 7 offsets per joint
@@ -234,26 +242,24 @@ def test_record_coords_enumeration(tiny_corpus):
 
 def test_iter_records_provenance(tiny_corpus):
     _, manifest = tiny_corpus
-    pairs = list(iter_records(manifest, "test"))
-    assert len(pairs) == 30
-    for index, pair in enumerate(pairs):
-        subject, joint, offset = record_coords(manifest, index)
-        assert pair.provenance == ("test", subject, offset)
-        assert pair.joint_index == joint
-        assert pair.noisy.shape == pair.truth.shape == (20,)
+    joints, truth, noisy = load_split(manifest, "test")
+    assert len(joints) == 30
+    for index in range(len(joints)):
+        _, joint, _ = record_coords(manifest, index)
+        assert joints[index] == joint
+        assert noisy[index].shape == truth[index].shape == (20,)
 
 
 def test_record_events_replays_stored_noise(tiny_corpus):
     _, manifest = tiny_corpus
-    pairs = list(iter_records(manifest, "train"))
+    _, truth, noisy = load_split(manifest, "train")
     for index in (0, 13, 41, 69):
-        pair = pairs[index]
         subject, joint, offset = record_coords(manifest, index)
         rng = _window_rng(manifest.base_seed, "train", subject, joint, offset)
-        replay, events = inject_noise_events(pair.truth, manifest.noise, rng)
+        replay, events = inject_noise_events(truth[index], manifest.noise, rng)
         # shards hold float32, and generation adds noise before the cast,
         # so the replayed values agree to storage precision only
-        assert np.max(np.abs(replay - pair.noisy)) <= 1e-6
+        assert np.max(np.abs(replay - noisy[index])) <= 1e-6
         recorded = record_events(manifest, "train", index)
         assert np.array_equal(recorded.primary, events.primary)
         assert np.array_equal(recorded.secondary, events.secondary)

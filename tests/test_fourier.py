@@ -4,8 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from poserefine import (
     DegenerateSamplingError,
@@ -20,7 +18,6 @@ from poserefine import (
     fit_fourier,
     randomize_template,
     reference_templates,
-    segment_windows,
     synthesize_truth,
 )
 
@@ -223,34 +220,3 @@ def test_synthesize_truth_validation():
         synthesize_truth(base, frames_per_cycle=0)
     with pytest.raises(ShapeError):
         FourierMotionTemplate(name="bad", joints=base.joints[:5])
-
-
-def test_segment_windows_hand_case():
-    out = segment_windows(np.arange(10.0), window=4, stride=2)
-    want = np.array([[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7], [6, 7, 8, 9]], dtype=float)
-    assert np.array_equal(out, want)
-
-
-def test_segment_windows_owns_its_data():
-    series = np.arange(8.0)
-    out = segment_windows(series, window=3, stride=1)
-    out[0, 0] = 99.0
-    assert series[0] == 0.0
-
-
-def test_segment_windows_errors():
-    with pytest.raises(InsufficientDataError):
-        segment_windows(np.arange(5.0), window=6)
-    with pytest.raises(InvalidRangeError):
-        segment_windows(np.arange(5.0), window=2, stride=0)
-    with pytest.raises(ShapeError):
-        segment_windows(np.zeros((3, 3)), window=2)
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10))
-def test_segment_windows_counts(n_extra, stride):
-    window = 5
-    n = window + n_extra
-    out = segment_windows(np.arange(float(n)), window=window, stride=stride)
-    assert out.shape == ((n - window) // stride + 1, window)
-    assert np.array_equal(out[0], np.arange(float(window)))

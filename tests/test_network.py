@@ -10,20 +10,31 @@ from poserefine import (
     ModelFormatError,
     RefinerModel,
     ShapeError,
-    attention_head,
+    TrainConfig,
+    TrainingDivergedError,
     batch_gradients,
-    bigru_layer_forward,
-    gru_cell_forward,
     load_model,
     mse_loss,
-    param_gradients,
     parameter_shapes,
     refine_batch,
-    refine_window,
     save_model,
+    train_on_arrays,
 )
+from poserefine.refiner import _attention_forward, _bigru_forward
 
 from conftest import make_rng
+
+
+def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, cell: dict) -> np.ndarray:
+    """Oracle: one plain GRU step with update/reset gates, then the blend."""
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    z = sigmoid(x @ cell["W_z"] + h_prev @ cell["U_z"] + cell["b_z"])
+    r = sigmoid(x @ cell["W_r"] + h_prev @ cell["U_r"] + cell["b_r"])
+    h_cand = np.tanh(x @ cell["W_h"] + (r * h_prev) @ cell["U_h"] + cell["b_h"])
+    return (1.0 - z) * h_prev + z * h_cand
 
 
 def small_model(seed=0, hidden=4, d_att=3, window=12):
@@ -62,7 +73,7 @@ def test_identity_model_is_exact_identity():
     model = RefinerModel.identity(hidden=6, d_att=4, window=15)
     x = rng.uniform(-3.0, 3.0, size=(4, 15))
     assert np.array_equal(refine_batch(x, model), x)
-    assert np.array_equal(refine_window(x[0], model), x[0])
+    assert np.array_equal(refine_batch(x[0][None], model)[0], x[0])
 
 
 def test_gru_cell_scalar_hand_oracle():
@@ -109,12 +120,12 @@ def test_bigru_layer_matches_stepwise_oracle():
     fwd = run_direction(x, model.cell("l1.fwd"))
     bwd = run_direction(x[:, ::-1], model.cell("l1.bwd"))[:, ::-1]
     want = np.concatenate([fwd, bwd], axis=2)
-    got = bigru_layer_forward(x, model, "l1")
+    got = _bigru_forward(x, model, "l1")[0]
     assert got.shape == (2, 12, 2 * model.hidden)
     assert np.max(np.abs(got - want)) <= 1e-12
 
     # second layer consumes the first layer's features
-    got2 = bigru_layer_forward(got, model, "l2")
+    got2 = _bigru_forward(got, model, "l2")[0]
     fwd2 = run_direction(got, model.cell("l2.fwd"))
     bwd2 = run_direction(got[:, ::-1], model.cell("l2.bwd"))[:, ::-1]
     assert np.max(np.abs(got2 - np.concatenate([fwd2, bwd2], axis=2))) <= 1e-12
@@ -124,12 +135,9 @@ def test_attention_matches_softmax_oracle():
     rng = make_rng(53)
     model = small_model(seed=4)
     h2 = rng.normal(size=(3, 12, 2 * model.hidden))
-    out = attention_head(h2, model)
-    assert out.shape == (3, 12, 4 * model.hidden)
-    assert np.array_equal(out[:, :, : 2 * model.hidden], h2)
-
     wq = model.params["att.W_q"]
     wk = model.params["att.W_k"]
+    att = _attention_forward(h2, wq, wk)
     q = h2.mean(axis=1) @ wq
     scores = (h2 @ wk) @ q[..., None]
     scores = scores[..., 0] / math.sqrt(model.d_att)
@@ -139,9 +147,8 @@ def test_attention_matches_softmax_oracle():
 
     assert np.all(alpha >= 0)
     assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-12
-    tiled = out[:, :, 2 * model.hidden :]
-    for t in range(12):
-        assert np.max(np.abs(tiled[:, t] - context)) <= 1e-12
+    assert np.max(np.abs(att["alpha"] - alpha)) <= 1e-12
+    assert np.max(np.abs(att["context"] - context)) <= 1e-12
 
 
 def test_full_forward_matches_public_composition():
@@ -150,9 +157,11 @@ def test_full_forward_matches_public_composition():
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1 = bigru_layer_forward(u[:, :, None], model, "l1")
-    h2 = bigru_layer_forward(h1, model, "l2")
-    feats = attention_head(h2, model)
+    h1 = _bigru_forward(u[:, :, None], model, "l1")[0]
+    h2 = _bigru_forward(h1, model, "l2")[0]
+    att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
+    context = att["context"]
+    feats = np.concatenate([h2, np.broadcast_to(context[:, None, :], h2.shape)], axis=2)
     head = feats @ model.params["head.W_o"][:, 0] + model.params["head.b_o"][0]
     want = x + np.pi * head
     assert np.max(np.abs(refine_batch(x, model) - want)) <= 1e-12
@@ -179,7 +188,7 @@ def test_additive_shift_equivariance():
 def test_refine_window_shape_contract():
     model = small_model()
     with pytest.raises(ShapeError):
-        refine_window(np.zeros(11), model)
+        refine_batch(np.zeros(11)[None], model)
     with pytest.raises(ShapeError):
         refine_batch(np.zeros((2, 13)), model)
 
@@ -212,7 +221,7 @@ def test_every_parameter_gradient_matches_finite_differences():
     model = small_model(seed=9)
     noisy = rng.normal(0.0, 1.0, size=(3, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=(3, 12))
-    grads = param_gradients(noisy, truth, model)
+    grads = batch_gradients(noisy, truth, model)[1]
     h = 1e-6
     worst = 0.0
     for name, tensor in model.params.items():
@@ -238,7 +247,7 @@ def test_directional_derivative_matches_finite_differences():
     model = small_model(seed=9)
     noisy = rng.normal(0.0, 1.0, size=(3, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=(3, 12))
-    grads = param_gradients(noisy, truth, model)
+    grads = batch_gradients(noisy, truth, model)[1]
     direction = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     analytic = sum(float(np.sum(grads[k] * direction[k])) for k in grads)
     h = 1e-6
@@ -259,9 +268,18 @@ def test_gradients_nonzero_where_expected():
     model = small_model(seed=10)
     noisy = rng.normal(size=(4, 12))
     truth = rng.normal(size=(4, 12))
-    grads = param_gradients(noisy, truth, model)
+    grads = batch_gradients(noisy, truth, model)[1]
     assert any(np.abs(g).max() > 1e-8 for g in grads.values())
     assert np.abs(grads["head.b_o"]).max() > 0
+
+
+def test_non_finite_windows_diverge_in_epoch_zero():
+    rng = make_rng(61)
+    noisy = rng.normal(size=(8, 12))
+    noisy[3, 5] = np.nan
+    with pytest.raises(TrainingDivergedError) as info:
+        train_on_arrays(noisy, np.zeros((8, 12)), TrainConfig(hidden=3, d_att=2, batch_size=4))
+    assert info.value.epoch == 0
 
 
 # ---------------------------------------------------------------------------

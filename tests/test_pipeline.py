@@ -211,6 +211,15 @@ def test_load_erroneous_frames_forms(tmp_path):
     path.write_text(json.dumps({"frames": ["x"]}))
     with pytest.raises(SchemaError):
         load_erroneous_frames(path)
+    path.write_text(json.dumps({"frames": [{"frame": "x"}]}))
+    with pytest.raises(SchemaError, match="integers"):
+        load_erroneous_frames(path)
+    path.write_text(json.dumps({"frames": [{"frame": 1, "joints": 5}]}))
+    with pytest.raises(SchemaError, match="integers"):
+        load_erroneous_frames(path)
+    path.write_text(json.dumps({"frames": [{"frame": 2.5}]}))
+    with pytest.raises(SchemaError, match="integers"):
+        load_erroneous_frames(path)
     path.write_text("{bad")
     with pytest.raises(SchemaError, match="invalid JSON"):
         load_erroneous_frames(path)

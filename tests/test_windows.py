@@ -12,7 +12,6 @@ from poserefine import (
     RefinerModel,
     ShapeError,
     merge_plan,
-    merge_windows,
     plan_windows,
     refine_sequence,
     unwrap_joint_angles,
@@ -22,17 +21,42 @@ from poserefine import (
 from conftest import make_rng
 
 
+def covering(plan, frame: int) -> list[int]:
+    """Indices of the windows of a plan that contain the given frame."""
+    if plan.pad_map is not None:
+        return [0]
+    return [k for k, s in enumerate(plan.starts) if s <= frame < s + plan.length]
+
+
+def merge_windows(refined, plan, frame: int, config=None) -> float:
+    """Per-frame oracle for merge_plan: the inverse-distance weighted mean
+    of the covering windows' values, clipped to their range."""
+    epsilon = (config or MergeConfig()).epsilon
+    center = (plan.length - 1) / 2.0
+    num = den = 0.0
+    lo, hi = np.inf, -np.inf
+    for k in covering(plan, frame):
+        pos = frame - plan.starts[k]
+        value = refined[k, pos]
+        w = 1.0 / (abs(pos - center) + epsilon)
+        num += w * value
+        den += w
+        lo = min(lo, value)
+        hi = max(hi, value)
+    return float(min(max(num / den, lo), hi))
+
+
 def test_plan_windows_strided_with_flush():
     plan = plan_windows(12, 5, 3)
     assert plan.starts == (0, 3, 6, 7)
     assert plan.pad_map is None
     assert plan.n_windows == 4
-    assert plan.covering(0) == [0]
-    assert plan.covering(6) == [1, 2]
-    assert plan.covering(11) == [3]
+    assert covering(plan, 0) == [0]
+    assert covering(plan, 6) == [1, 2]
+    assert covering(plan, 11) == [3]
     # every frame is covered by at least one window
     for frame in range(12):
-        assert plan.covering(frame)
+        assert covering(plan, frame)
 
 
 def test_plan_windows_exact_fit():
@@ -46,7 +70,7 @@ def test_plan_windows_reflect_padding():
     plan = plan_windows(3, 7, 5)
     assert plan.starts == (0,)
     assert plan.pad_map == (0, 1, 2, 1, 0, 1, 2)
-    assert plan.covering(1) == [0]
+    assert covering(plan, 1) == [0]
     single = plan_windows(1, 4, 1)
     assert single.pad_map == (0, 0, 0, 0)
 
@@ -72,7 +96,7 @@ def test_merge_two_window_hand_example():
     refined = np.zeros((2, 11))
     refined[0, 5] = 0.2
     refined[1, 0] = 0.3
-    got = merge_windows(refined, plan, 5, MergeConfig(epsilon=1e-3))
+    got = merge_plan(refined, plan, MergeConfig(epsilon=1e-3))[5]
     assert abs(got - 0.20001999200319873) <= 1e-9
 
 
@@ -110,9 +134,7 @@ def test_merge_padded_plan_copies_the_window():
 def test_merge_validation():
     plan = plan_windows(12, 5, 3)
     with pytest.raises(ShapeError):
-        merge_windows(np.zeros((2, 5)), plan, 0)
-    with pytest.raises(ShapeError):
-        merge_windows(np.zeros((4, 5)), plan, 12)
+        merge_plan(np.zeros((2, 5)), plan)
     with pytest.raises(ShapeError):
         MergeConfig(epsilon=0.0)
 
@@ -125,7 +147,7 @@ def test_merged_value_within_covering_bounds(seed):
     refined = rng.normal(0.0, 2.0, size=(plan.n_windows, length))
     merged = merge_plan(refined, plan)
     for frame in range(n):
-        vals = [refined[k, frame - plan.starts[k]] for k in plan.covering(frame)]
+        vals = [refined[k, frame - plan.starts[k]] for k in covering(plan, frame)]
         assert min(vals) <= merged[frame] <= max(vals)
 
 
@@ -143,15 +165,15 @@ def test_refine_sequence_identity_model_short_input():
     rng = make_rng(64)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
     theta = rng.uniform(-1.0, 1.0, size=(4, N_LIMBS))
-    out = refine_sequence(theta, model)
+    out = refine_sequence(theta, model, stride=5)
     assert np.array_equal(out, unwrap_joint_angles(theta))
 
 
 def test_refine_sequence_shapes_and_validation():
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
     with pytest.raises(ShapeError):
-        refine_sequence(np.zeros(30), model)
-    out = refine_sequence(np.zeros((30, 5)), model)  # joint count is free
+        refine_sequence(np.zeros(30), model, stride=5)
+    out = refine_sequence(np.zeros((30, 5)), model, stride=5)  # joint count is free
     assert out.shape == (30, 5)
 
 
