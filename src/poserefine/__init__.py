@@ -3,8 +3,6 @@
 from .conditioning import (
     LimbSolveResult,
     RatioTable,
-    SavGolConfig,
-    TrustRegionConfig,
     estimate_ratios,
     limb_loss_gradient,
     limb_objective,
@@ -92,7 +90,6 @@ from .training import (
     train_on_arrays,
 )
 from .windows import (
-    MergeConfig,
     WindowPlan,
     merge_plan,
     plan_windows,

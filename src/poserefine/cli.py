@@ -9,17 +9,14 @@ import sys
 
 from . import dataset as ds
 from . import pipeline as pl
-from .conditioning import SavGolConfig, TrustRegionConfig
 from .config import load_config, resolve
-from .errors import PoseRefineError
+from .errors import PoseRefineError, SchemaError
 from .refiner import save_model
 from .skeleton import pose_to_angles
 from .training import TrainConfig, save_train_log, train_model
-from .windows import MergeConfig
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--config", default=None, help="flat key = value config file")
 
 
@@ -32,14 +29,22 @@ def _given(args, cfg: dict, **options) -> dict:
 
     Each option maps a keyword to (config key, cast); the flag's dest is the
     config key.  An option set by neither is left out, so the default of
-    the dataclass or function that receives it applies.
+    the dataclass or function that receives it applies.  The keys read are
+    removed from cfg, so what is left after a command's last call is unknown.
     """
     out = {}
     for name, (key, cast) in options.items():
         value = resolve(getattr(args, key), cfg, key, cast)
+        cfg.pop(key, None)
         if value is not None:
             out[name] = value
     return out
+
+
+def _reject_unknown(cfg: dict) -> None:
+    """Refuse config keys that no `_given` call of the command has read."""
+    if cfg:
+        raise SchemaError(f"config key {min(cfg)!r} names no option of this command")
 
 
 def _cmd_synth(args) -> int:
@@ -80,6 +85,7 @@ def _cmd_synth(args) -> int:
             records_per_shard=("records_per_shard", int),
         )
     )
+    _reject_unknown(cfg)
     manifest = ds.generate_dataset(args.out, noise=ds.NoiseSpec(**noise), **corpus)
     total = sum(manifest.counts.values())
     print(f"wrote {total} records under {args.out}")
@@ -88,7 +94,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load(args)
-    manifest = ds.DatasetManifest.load(args.manifest)
     train_cfg = TrainConfig(
         **_given(
             args,
@@ -103,6 +108,8 @@ def _cmd_train(args) -> int:
             seed=("seed", int),
         )
     )
+    _reject_unknown(cfg)
+    manifest = ds.DatasetManifest.load(args.manifest)
 
     def progress(stats):
         print(
@@ -119,32 +126,31 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _pipeline_config(args, cfg) -> pl.PipelineConfig:
-    return pl.PipelineConfig(
-        savgol=SavGolConfig(**_given(args, cfg, half_width=("sg_halfwidth", int))),
-        trust=TrustRegionConfig(
-            **_given(args, cfg, smoothness_weight=("lambda", float))
-        ),
-        merge=MergeConfig(**_given(args, cfg, epsilon=("epsilon", float))),
-        **_given(args, cfg, stride=("stride", int)),
-    )
-
-
 def _cmd_refine(args) -> int:
     cfg = _load(args)
-    pl.refine_keypoint_file(
-        args.input, args.model, args.output, _pipeline_config(args, cfg)
+    config = pl.PipelineConfig(
+        **_given(
+            args,
+            cfg,
+            stride=("stride", int),
+            half_width=("sg_halfwidth", int),
+            smoothness_weight=("lambda", float),
+            epsilon=("epsilon", float),
+        )
     )
+    _reject_unknown(cfg)
+    pl.refine_keypoint_file(args.input, args.model, args.output, config)
     print(f"refined {args.input} -> {args.output}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     cfg = _load(args)
+    tau = _given(args, cfg, tau=("tau_deg", float))
+    _reject_unknown(cfg)
     refined = pl.parse_keypoints(args.refined)
     truth = pl.parse_keypoints(args.truth)
     erroneous = pl.load_erroneous_frames(args.errors) if args.errors else {}
-    tau = _given(args, cfg, tau=("tau_deg", float))
     report = pl.evaluate_metrics(
         pose_to_angles(refined),
         pose_to_angles(truth),
@@ -161,6 +167,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _reject_unknown(_load(args))
     seq = pl.parse_keypoints(args.input)
     motion = pl.RefinedMotion(
         base=seq.xy[:, 0, :],
@@ -195,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secondary-sigma", type=float, default=None)
     p.add_argument("--secondary-max", type=int, default=None)
     p.add_argument("--records-per-shard", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     _common(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -210,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=None)
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--d-att", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     _common(p)
     p.set_defaults(func=_cmd_train)
 

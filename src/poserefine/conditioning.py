@@ -17,38 +17,29 @@ from scipy.sparse.linalg import splu
 from .errors import DegenerateLimbError, InsufficientDataError, ShapeError
 from .skeleton import PoseSequence
 
-
-@dataclass
-class SavGolConfig:
-    """Quadratic smoother: window is [i - half_width, i + half_width], clamped."""
-
-    half_width: int = 50
-    degree: int = 2
-
-    def __post_init__(self):
-        if int(self.half_width) < 1:
-            raise ShapeError(f"half_width must be >= 1, got {self.half_width}")
-        self.half_width = int(self.half_width)
-        if self.degree != 2:
-            raise ShapeError("only the quadratic smoother is supported")
+# limb solver: converged once no gradient entry exceeds the tolerance,
+# given up after this many damped Gauss-Newton iterations
+_GRADIENT_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 200
 
 
-def savgol_smooth(series: np.ndarray, config: SavGolConfig | None = None) -> np.ndarray:
+def savgol_smooth(series: np.ndarray, half_width: int) -> np.ndarray:
     """Smooth a 1-D series by refitting a quadratic around every index.
 
-    Each output value is the fitted polynomial evaluated at its own index.
-    Windows are clamped at the series bounds, so the output has the same
-    length as the input and degree <= 2 polynomials pass through unchanged.
+    The window is [i - half_width, i + half_width], clamped at the series
+    bounds.  Each output value is the fitted polynomial evaluated at its own
+    index, so the output has the same length as the input and degree <= 2
+    polynomials pass through unchanged.
     """
-    if config is None:
-        config = SavGolConfig()
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ShapeError(f"series must be 1-D, got shape {y.shape}")
+    w = int(half_width)
+    if w < 1:
+        raise ShapeError(f"half_width must be >= 1, got {half_width}")
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"smoothing needs >= 3 frames, got {n}")
-    w = config.half_width
     out = np.empty(n)
 
     edge_idx: list[int]
@@ -66,18 +57,18 @@ def savgol_smooth(series: np.ndarray, config: SavGolConfig | None = None) -> np.
         lo = max(0, i - w)
         hi = min(n - 1, i + w)
         t = np.arange(lo, hi + 1, dtype=float) - i
-        deg = min(config.degree, t.size - 1)
+        deg = min(2, t.size - 1)
         cols = np.vander(t, deg + 1, increasing=True)
         coef, *_ = np.linalg.lstsq(cols, y[lo : hi + 1], rcond=None)
         out[i] = coef[0]
     return out
 
 
-def smooth_base_trajectory(seq: PoseSequence, config: SavGolConfig | None = None) -> np.ndarray:
+def smooth_base_trajectory(seq: PoseSequence, half_width: int) -> np.ndarray:
     """Smooth the root keypoint trajectory; returns (n_frames, 2)."""
     nose = seq.xy[:, 0, :]
     return np.stack(
-        [savgol_smooth(nose[:, 0], config), savgol_smooth(nose[:, 1], config)],
+        [savgol_smooth(nose[:, 0], half_width), savgol_smooth(nose[:, 1], half_width)],
         axis=1,
     )
 
@@ -128,24 +119,6 @@ def estimate_ratios(raw_lengths: np.ndarray) -> RatioTable:
             table[i, j] = r
             table[j, i] = 1.0 / r
     return RatioTable(table=table)
-
-
-@dataclass
-class TrustRegionConfig:
-    max_iterations: int = 200
-    initial_radius: float = 1.0
-    gradient_tolerance: float = 1e-8
-    smoothness_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ShapeError("max_iterations must be >= 1")
-        if not (self.initial_radius > 0):
-            raise ShapeError("initial_radius must be positive")
-        if not (self.gradient_tolerance > 0):
-            raise ShapeError("gradient_tolerance must be positive")
-        if self.smoothness_weight < 0:
-            raise ShapeError("smoothness_weight must be >= 0")
 
 
 @dataclass
@@ -227,7 +200,7 @@ def limb_loss_gradient(u: np.ndarray, ratios: RatioTable, smoothness_weight: flo
 def optimize_limb_lengths(
     raw_lengths: np.ndarray,
     ratios: RatioTable,
-    config: TrustRegionConfig | None = None,
+    smoothness_weight: float,
 ) -> LimbSolveResult:
     """Fit per-frame lengths that match the ratio table and vary smoothly.
 
@@ -238,8 +211,8 @@ def optimize_limb_lengths(
     the raw lengths, so input that is already constant and exactly
     ratio-consistent is a fixed point.
     """
-    if config is None:
-        config = TrustRegionConfig()
+    if smoothness_weight < 0:
+        raise ShapeError("smoothness_weight must be >= 0")
     raw = np.asarray(raw_lengths, dtype=float)
     if raw.ndim != 2:
         raise ShapeError(f"raw lengths must be 2-D, got shape {raw.shape}")
@@ -255,7 +228,7 @@ def optimize_limb_lengths(
 
     init = np.array([np.median(raw[alive[:, i], i]) for i in range(m)])
     u = np.log(np.broadcast_to(init, (n, m)).copy())
-    sqrt_w = float(np.sqrt(config.smoothness_weight))
+    sqrt_w = float(np.sqrt(smoothness_weight))
     table = ratios.table
 
     r, ratio_vals, lengths = _residuals(u, table, sqrt_w)
@@ -264,14 +237,14 @@ def optimize_limb_lengths(
     loss = float(r @ r)
     history = [loss]
     eye = sp.identity(n * m, format="csr")
-    mu = 1.0 / config.initial_radius
+    mu = 1.0
     growth = 2.0
     converged = False
 
-    for _outer in range(config.max_iterations):
+    for _outer in range(_MAX_ITERATIONS):
         jac = _jacobian(u, ratio_vals, lengths, sqrt_w)
         grad = 2.0 * (jac.T @ r)
-        if np.max(np.abs(grad)) <= config.gradient_tolerance:
+        if np.max(np.abs(grad)) <= _GRADIENT_TOLERANCE:
             converged = True
             break
         jtj = (jac.T @ jac).tocsr()
@@ -283,22 +256,23 @@ def optimize_limb_lengths(
             try:
                 delta = splu(system).solve(-jtr)
             except RuntimeError:
-                mu *= growth
-                growth *= 2.0
-                continue
-            u_new = u + delta.reshape(n, m)
-            r_new, rv_new, len_new = _residuals(u_new, table, sqrt_w)
-            loss_new = float(r_new @ r_new)
-            # quadratic model: loss + 2 r.J d + d.JtJ d
-            predicted = -(2.0 * (jtr @ delta) + delta @ (jtj @ delta))
-            if predicted > 0 and np.isfinite(loss_new) and loss_new < loss:
-                rho = (loss - loss_new) / predicted
-                u, r, ratio_vals, lengths, loss = u_new, r_new, rv_new, len_new, loss_new
-                history.append(loss)
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                growth = 2.0
-                accepted = True
-                break
+                pass  # singular: retry with more damping
+            else:
+                u_new = u + delta.reshape(n, m)
+                r_new, rv_new, len_new = _residuals(u_new, table, sqrt_w)
+                loss_new = float(r_new @ r_new)
+                # quadratic model: loss + 2 r.J d + d.JtJ d
+                predicted = -(2.0 * (jtr @ delta) + delta @ (jtj @ delta))
+                if predicted > 0 and np.isfinite(loss_new) and loss_new < loss:
+                    rho = (loss - loss_new) / predicted
+                    u, r, ratio_vals, lengths, loss = u_new, r_new, rv_new, len_new, loss_new
+                    history.append(loss)
+                    mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                    growth = 2.0
+                    accepted = True
+                    break
+            if mu > np.finfo(float).max / growth:
+                break  # no finite damping is left to try
             mu *= growth
             growth *= 2.0
         if not accepted:
@@ -307,7 +281,7 @@ def optimize_limb_lengths(
     if not converged:
         # the budget may have run out right at a stationary point
         jac = _jacobian(u, ratio_vals, lengths, sqrt_w)
-        if np.max(np.abs(2.0 * (jac.T @ r))) <= config.gradient_tolerance:
+        if np.max(np.abs(2.0 * (jac.T @ r))) <= _GRADIENT_TOLERANCE:
             converged = True
 
     return LimbSolveResult(

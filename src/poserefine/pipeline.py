@@ -13,17 +13,11 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import (
-    SavGolConfig,
-    TrustRegionConfig,
-    estimate_ratios,
-    optimize_limb_lengths,
-    smooth_base_trajectory,
-)
+from .conditioning import estimate_ratios, optimize_limb_lengths, smooth_base_trajectory
 from .errors import SchemaError, ShapeError
 from .refiner import RefinerModel, load_model
 from .skeleton import (
@@ -38,19 +32,22 @@ from .skeleton import (
     velocity_series,
     wrap_angle,
 )
-from .windows import MergeConfig, refine_sequence
+from .windows import refine_sequence
 
 
 @dataclass
 class PipelineConfig:
-    savgol: SavGolConfig = field(default_factory=SavGolConfig)
-    trust: TrustRegionConfig = field(default_factory=TrustRegionConfig)
-    stride: int = 5
-    merge: MergeConfig = field(default_factory=MergeConfig)
+    """Refine settings; the stage that uses a value also checks it.
 
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ShapeError("stride must be >= 1")
+    stride steps the refiner's windows, half_width sizes the root
+    smoother's window, smoothness_weight weighs temporal smoothness in the
+    limb-length fit, and epsilon keeps the merge weights finite.
+    """
+
+    stride: int = 5
+    half_width: int = 50
+    smoothness_weight: float = 1.0
+    epsilon: float = 1e-3
 
 
 @dataclass
@@ -167,10 +164,10 @@ def refine_pose_sequence(
         config = PipelineConfig()
     theta = pose_to_angles(seq)
     raw_lengths = pose_to_limb_lengths(seq)
-    base = smooth_base_trajectory(seq, config.savgol)
+    base = smooth_base_trajectory(seq, config.half_width)
     ratios = estimate_ratios(raw_lengths)
-    solve = optimize_limb_lengths(raw_lengths, ratios, config.trust)
-    refined = refine_sequence(theta, model, stride=config.stride, config=config.merge)
+    solve = optimize_limb_lengths(raw_lengths, ratios, config.smoothness_weight)
+    refined = refine_sequence(theta, model, config.stride, config.epsilon)
     return RefinedMotion(base=base, theta=refined, lengths=solve.lengths, fps=seq.fps)
 
 

@@ -27,7 +27,7 @@ _MAGIC = b"JARM"
 _VERSION = 1
 
 
-def parameter_shapes(hidden: int, d_att: int, window: int) -> dict:
+def parameter_shapes(hidden: int, d_att: int) -> dict:
     """Name -> shape table for every trainable tensor."""
     shapes: dict[str, tuple] = {}
     for layer, d_in in (("l1", 1), ("l2", 2 * hidden)):
@@ -56,7 +56,7 @@ class RefinerModel:
     def __post_init__(self):
         if self.hidden < 1 or self.d_att < 1 or self.window < 2:
             raise ShapeError("hidden and d_att must be >= 1, window >= 2")
-        expected = parameter_shapes(self.hidden, self.d_att, self.window)
+        expected = parameter_shapes(self.hidden, self.d_att)
         if set(self.params) != set(expected):
             missing = sorted(set(expected) - set(self.params))
             extra = sorted(set(self.params) - set(expected))
@@ -72,7 +72,7 @@ class RefinerModel:
         """Uniform fan-in init for weights, zero biases."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         params = {}
-        for name, shape in parameter_shapes(hidden, d_att, window).items():
+        for name, shape in parameter_shapes(hidden, d_att).items():
             if name.split(".")[-1].startswith("b"):
                 params[name] = np.zeros(shape)
             else:
@@ -85,7 +85,7 @@ class RefinerModel:
         """All-zero weights: refine_batch returns its input unchanged."""
         params = {
             name: np.zeros(shape)
-            for name, shape in parameter_shapes(hidden, d_att, window).items()
+            for name, shape in parameter_shapes(hidden, d_att).items()
         }
         return cls(hidden=hidden, d_att=d_att, window=window, params=params)
 
@@ -273,10 +273,10 @@ def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):
     }
 
 
-def _attention_backward(h2, att, wq, wk, dh2, dalpha_extra, dcontext):
+def _attention_backward(h2, att, wq, wk, dh2, dcontext):
     """Fold attention gradients into dh2 (modified in place) and weight grads."""
     alpha = att["alpha"]
-    dalpha = np.einsum("bh,blh->bl", dcontext, h2) + dalpha_extra
+    dalpha = np.einsum("bh,blh->bl", dcontext, h2)
     dh2 += alpha[:, :, None] * dcontext[:, None, :]
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     dscores = dscores * att["scale"]
@@ -321,13 +321,7 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     dcontext = dhead_sum[:, None] * wo_c
 
     dwq, dwk = _attention_backward(
-        h2,
-        att,
-        model.params["att.W_q"],
-        model.params["att.W_k"],
-        dh2,
-        np.zeros_like(dhead),
-        dcontext,
+        h2, att, model.params["att.W_q"], model.params["att.W_k"], dh2, dcontext
     )
     dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2)
     _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1)
@@ -424,7 +418,7 @@ def load_model(path) -> RefinerModel:
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     (count,) = reader.unpack("<I")
-    expected = parameter_shapes(hidden, d_att, window)
+    expected = parameter_shapes(hidden, d_att)
     if count != len(expected):
         raise CorruptModelError(
             f"model lists {count} tensors, expected {len(expected)}"

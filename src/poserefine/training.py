@@ -17,9 +17,6 @@ from .refiner import RefinerModel, batch_gradients, mse_loss, refine_batch
 class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 20
     patience: int = 5
     validation_fraction: float = 0.1
@@ -53,6 +50,12 @@ class TrainLog:
     best_val_mse: float = float("inf")
 
 
+# Adam's moment decay rates and denominator offset
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction, one slot pair per tensor."""
 
@@ -63,20 +66,19 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
-        cfg = self.config
         self.step_count += 1
         t = self.step_count
-        correct1 = 1.0 - cfg.beta1**t
-        correct2 = 1.0 - cfg.beta2**t
+        correct1 = 1.0 - _BETA1**t
+        correct2 = 1.0 - _BETA2**t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            params[name] -= cfg.learning_rate * (m / correct1) / (
-                np.sqrt(v / correct2) + cfg.epsilon
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            params[name] -= self.config.learning_rate * (m / correct1) / (
+                np.sqrt(v / correct2) + _EPSILON
             )
 
 

@@ -19,15 +19,6 @@ from .refiner import RefinerModel, refine_batch
 from .skeleton import unwrap_joint_angles
 
 
-@dataclass
-class MergeConfig:
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ShapeError(f"epsilon must be positive, got {self.epsilon}")
-
-
 @dataclass(frozen=True)
 class WindowPlan:
     """Window starts over a series, plus the reflect-padding map if any.
@@ -40,7 +31,6 @@ class WindowPlan:
 
     n_frames: int
     length: int
-    stride: int
     starts: tuple
     pad_map: tuple | None = None
 
@@ -73,16 +63,13 @@ def plan_windows(n_frames: int, length: int, stride: int) -> WindowPlan:
         return WindowPlan(
             n_frames=n_frames,
             length=length,
-            stride=stride,
             starts=(0,),
             pad_map=_reflect_indices(n_frames, length),
         )
     starts = list(range(0, n_frames - length + 1, stride))
     if starts[-1] != n_frames - length:
         starts.append(n_frames - length)
-    return WindowPlan(
-        n_frames=n_frames, length=length, stride=stride, starts=tuple(starts)
-    )
+    return WindowPlan(n_frames=n_frames, length=length, starts=tuple(starts))
 
 
 def _center_weights(length: int, epsilon: float) -> np.ndarray:
@@ -91,14 +78,10 @@ def _center_weights(length: int, epsilon: float) -> np.ndarray:
     return 1.0 / (distance + epsilon)
 
 
-def merge_plan(
-    refined: np.ndarray,
-    plan: WindowPlan,
-    config: MergeConfig | None = None,
-) -> np.ndarray:
+def merge_plan(refined: np.ndarray, plan: WindowPlan, epsilon: float) -> np.ndarray:
     """Merge all frames at once; returns the (n_frames,) series."""
-    if config is None:
-        config = MergeConfig()
+    if not (epsilon > 0):
+        raise ShapeError(f"epsilon must be positive, got {epsilon}")
     refined = np.asarray(refined, dtype=float)
     if refined.shape != (plan.n_windows, plan.length):
         raise ShapeError(
@@ -106,7 +89,7 @@ def merge_plan(
         )
     if plan.pad_map is not None:
         return refined[0, : plan.n_frames].copy()
-    weights = _center_weights(plan.length, config.epsilon)
+    weights = _center_weights(plan.length, epsilon)
     num = np.zeros(plan.n_frames)
     den = np.zeros(plan.n_frames)
     lo = np.full(plan.n_frames, np.inf)
@@ -124,7 +107,7 @@ def refine_sequence(
     theta: np.ndarray,
     model: RefinerModel,
     stride: int,
-    config: MergeConfig | None = None,
+    epsilon: float,
 ) -> np.ndarray:
     """Refine a (n_frames, 12) angle sequence joint by joint.
 
@@ -145,5 +128,5 @@ def refine_sequence(
         else:
             batch = np.stack([series[s : s + plan.length] for s in plan.starts])
         refined = refine_batch(batch, model)
-        out[:, j] = merge_plan(refined, plan, config)
+        out[:, j] = merge_plan(refined, plan, epsilon)
     return out

@@ -202,6 +202,25 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
     assert np.max(np.abs(got.xy - want.xy)) <= 1e-6
 
 
+BAD_REFINE_VALUES = {
+    "stride": ["--stride", "0"],
+    "half_width": ["--sg-halfwidth", "0"],
+    "smoothness_weight": ["--lambda", "-1"],
+    "epsilon": ["--epsilon", "0"],
+}
+
+
+@pytest.mark.parametrize("flag", BAD_REFINE_VALUES.values(), ids=BAD_REFINE_VALUES.keys())
+def test_refine_rejects_out_of_range_settings(tmp_path, capsys, keypoint_file, flag):
+    model_path = tmp_path / "ident.jarm"
+    save_model(RefinerModel.identity(hidden=4, d_att=3, window=25), model_path)
+    out = tmp_path / "out.json"
+    argv = ["refine", "--input", str(keypoint_file), "--model", str(model_path)]
+    assert main(argv + ["--output", str(out)] + flag) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_writes_metrics_json(tmp_path, keypoint_file):
     errors = tmp_path / "errors.json"
     errors.write_text(json.dumps({"frames": [0, {"frame": 3, "joints": [2]}]}))
@@ -367,3 +386,33 @@ def test_commands_without_flags_use_the_dataclass_defaults(
     assert seen["corpus"] == {"train_count": 20000, "test_count": 4000}
     assert seen["train"] == TrainConfig()
     assert seen["refine"] == PipelineConfig()
+
+
+UNKNOWN_KEYS = {
+    "synth": ("train_cont = 5", ["--out", "corpus"]),
+    "train": ("learning_rate = 0.1", ["--manifest", "m.json", "--out", "m.jarm"]),
+    "refine": ("seed = 3", ["--input", "i.json", "--model", "m.jarm", "--output", "o.json"]),
+    "eval": ("tau = 5", ["--refined", "r.json", "--truth", "t.json"]),
+    "export": ("what = angles", ["--input", "i.json", "--output", "o.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", UNKNOWN_KEYS)
+def test_unknown_config_key_exits_two(tmp_path, capsys, monkeypatch, command):
+    line, argv = UNKNOWN_KEYS[command]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(cfg)] + argv) == 2
+    key = line.split(" = ")[0]
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["refine", "eval", "export"])
+def test_seed_is_only_a_synth_and_train_flag(capsys, command):
+    _, argv = UNKNOWN_KEYS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"] + argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -42,7 +42,7 @@ def small_model(seed=0, hidden=4, d_att=3, window=12):
 
 
 def test_parameter_shapes_inventory():
-    shapes = parameter_shapes(hidden=8, d_att=4, window=20)
+    shapes = parameter_shapes(hidden=8, d_att=4)
     assert len(shapes) == 2 * 2 * 9 + 4
     assert shapes["l1.fwd.W_z"] == (1, 8)
     assert shapes["l2.bwd.W_h"] == (16, 8)
@@ -55,7 +55,7 @@ def test_parameter_shapes_inventory():
 
 
 def test_model_validation():
-    shapes = parameter_shapes(4, 3, 12)
+    shapes = parameter_shapes(4, 3)
     params = {k: np.zeros(v) for k, v in shapes.items()}
     del params["head.b_o"]
     with pytest.raises(ShapeError, match="head.b_o"):

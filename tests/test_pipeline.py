@@ -10,16 +10,13 @@ import pytest
 from poserefine import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
-    MergeConfig,
     N_LIMBS,
     PipelineConfig,
     PoseSequence,
     RefinedMotion,
     RefinerModel,
-    SavGolConfig,
     SchemaError,
     ShapeError,
-    TrustRegionConfig,
     evaluate_metrics,
     export_series,
     load_erroneous_frames,
@@ -91,13 +88,7 @@ def test_identity_refinement_reproduces_self_consistent_input():
     rng = make_rng(72)
     seq = smooth_sequence(rng, 90)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    config = PipelineConfig(
-        savgol=SavGolConfig(half_width=10),
-        trust=TrustRegionConfig(),
-        stride=7,
-        merge=MergeConfig(),
-    )
-    motion = refine_pose_sequence(seq, model, config)
+    motion = refine_pose_sequence(seq, model, PipelineConfig(stride=7, half_width=10))
     assert motion.n_frames == 90
     rebuilt = motion.positions()
     assert rebuilt.fps == seq.fps
@@ -278,7 +269,7 @@ def test_export_velocities_of_linear_motion(tmp_path):
     theta = np.zeros((6, N_LIMBS))
     lengths = np.full((6, N_LIMBS), 10.0)
     motion = RefinedMotion(base=base, theta=theta, lengths=lengths, fps=10.0)
-    path = "/tmp/v.csv"
+    path = tmp_path / "v.csv"
     export_series(motion, "velocities", path)
     header, rows = read_csv(path)
     assert header[2:4] == ["nose_vx", "nose_vy"]
