@@ -261,6 +261,8 @@ class DatasetManifest:
             raise SchemaError(f"manifest {path}: missing key {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"manifest {path}: {exc}")
+        if manifest.window < 2 or manifest.stride < 1:
+            raise SchemaError(f"manifest {path}: window must be >= 2 and stride >= 1")
         manifest.root = os.path.dirname(os.path.abspath(path))
         return manifest
 
@@ -348,6 +350,8 @@ def generate_dataset(
     if ranges is None:
         ranges = RandomizeRanges()
     total = frames_per_cycle * cycles
+    if window < 2 or stride < 1:
+        raise GenerationError("window must be >= 2 and stride >= 1")
     if window > total:
         raise GenerationError(
             f"window {window} exceeds the {total}-frame synthesized sequence"

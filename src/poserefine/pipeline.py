@@ -260,6 +260,13 @@ def evaluate_metrics(
     )
 
 
+def _json_index(value) -> int:
+    """operator.index, refusing JSON true/false (bool is an int subclass)."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not an index")
+    return operator.index(value)
+
+
 def load_erroneous_frames(path) -> dict:
     """Read an erroneous-set JSON file into {frame: joints-or-None}.
 
@@ -283,8 +290,8 @@ def load_erroneous_frames(path) -> dict:
         else:
             raise SchemaError(f"{path}: unrecognized erroneous-frame entry {entry!r}")
         try:
-            frame = operator.index(frame)
-            joints = None if joints is None else [operator.index(j) for j in joints]
+            frame = _json_index(frame)
+            joints = None if joints is None else [_json_index(j) for j in joints]
         except TypeError:
             raise SchemaError(f"{path}: frame and joints must be integers in {entry!r}")
         if joints is not None and any(not (0 <= j < N_LIMBS) for j in joints):

@@ -426,7 +426,8 @@ def load_model(path) -> RefinerModel:
     params = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        # an undecodable name becomes U+FFFD, which no expected tensor has
+        name = reader.take(name_len).decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<I")
         shape = reader.unpack(f"<{rank}I")
         if name not in expected:

@@ -10,6 +10,7 @@ import pytest
 from poserefine import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
+    DatasetManifest,
     NoiseSpec,
     PipelineConfig,
     RefinerModel,
@@ -22,8 +23,6 @@ from poserefine import (
 )
 from poserefine import cli
 from poserefine.cli import main
-from poserefine.config import load_config, resolve
-from poserefine.errors import SchemaError
 
 from conftest import make_rng, smooth_sequence
 
@@ -91,40 +90,23 @@ def test_synth_deterministic_bytes(tmp_path, corpus):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "synth.cfg"
-    cfg.write_text(
-        "# corpus size\n"
-        "train_count = 36\n"
-        "test_count = 12\n"
-        "window = 20\n"
-        "stride = 5\n"
-        "frames_per_cycle = 25\n"
-        "cycles = 2\n"
-        "seed = 9\n"
+    opts = tmp_path / "synth.txt"
+    opts.write_text(
+        "--train-count=36\n"
+        "--test-count=12\n"
+        "--window=20\n"
+        "--stride=5\n"
+        "--frames-per-cycle=25\n"
+        "--cycles=2\n"
+        "--seed=9\n"
     )
-    out = tmp_path / "from_cfg"
-    rc = main(
-        ["synth", "--out", str(out), "--config", str(cfg), "--train-count", "24"]
-    )
+    out = tmp_path / "from_file"
+    rc = main(["synth", "--out", str(out), f"@{opts}", "--train-count", "24"])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counts"]["train"] == 24  # flag beats config
-    assert manifest["counts"]["test"] == 12  # config beats default
+    assert manifest["counts"]["train"] == 24  # a later flag beats the file
+    assert manifest["counts"]["test"] == 12  # the file beats the default
     assert manifest["base_seed"] == 9
-
-
-def test_config_parser_rules(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_text("a = 1\n\n# comment\nb= two words \n")
-    assert load_config(path) == {"a": "1", "b": "two words"}
-    path.write_text("no equals here\n")
-    with pytest.raises(SchemaError, match="key = value"):
-        load_config(path)
-    path.write_text("= 3\n")
-    with pytest.raises(SchemaError, match="empty key"):
-        load_config(path)
-    with pytest.raises(SchemaError, match="cannot parse"):
-        resolve(None, {"k": "abc"}, "k", int)
 
 
 def test_train_saves_model_and_log(trained):
@@ -334,7 +316,16 @@ MALFORMED = {
     "fps-inf": ("export", keypoint_text().replace('"fps": 30', '"fps": 1e400')),
     "frame-str": ("eval", json.dumps({"frames": [{"frame": "x"}]})),
     "joints-int": ("eval", json.dumps({"frames": [{"frame": 1, "joints": 5}]})),
+    "frame-bool": ("eval", json.dumps({"frames": [True]})),
     "manifest-list": ("train", "[]"),
+    "manifest-window": (
+        "train",
+        DatasetManifest(
+            window=-5, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            noise=NoiseSpec(), templates=[], counts={"train": 1},
+            shards={"train": [("train-0000.bin", 1, 0)]},
+        ).to_json(),
+    ),
 }
 
 
@@ -388,31 +379,49 @@ def test_commands_without_flags_use_the_dataclass_defaults(
     assert seen["refine"] == PipelineConfig()
 
 
-UNKNOWN_KEYS = {
-    "synth": ("train_cont = 5", ["--out", "corpus"]),
-    "train": ("learning_rate = 0.1", ["--manifest", "m.json", "--out", "m.jarm"]),
-    "refine": ("seed = 3", ["--input", "i.json", "--model", "m.jarm", "--output", "o.json"]),
-    "eval": ("tau = 5", ["--refined", "r.json", "--truth", "t.json"]),
-    "export": ("what = angles", ["--input", "i.json", "--output", "o.csv"]),
+REQUIRED_ARGV = {
+    "synth": ["--out", "corpus"],
+    "train": ["--manifest", "m.json", "--out", "m.jarm"],
+    "refine": ["--input", "i.json", "--model", "m.jarm", "--output", "o.json"],
+    "eval": ["--refined", "r.json", "--truth", "t.json", "--out", "metrics.json"],
+    "export": ["--input", "i.json", "--output", "o.csv"],
+}
+
+BAD_OPTION_LINES = {
+    "synth": ("synth", "--train-cuont=5"),
+    "train": ("train", "--learning-rate=0.1"),
+    "refine": ("refine", "--seed=3"),
+    "eval": ("eval", "--tau-rad=5"),
+    "export": ("export", "--wat=angles"),
+    "stride-abc": ("refine", "--stride=abc"),
 }
 
 
-@pytest.mark.parametrize("command", UNKNOWN_KEYS)
-def test_unknown_config_key_exits_two(tmp_path, capsys, monkeypatch, command):
-    line, argv = UNKNOWN_KEYS[command]
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(line + "\n")
+@pytest.mark.parametrize(
+    "command, line", BAD_OPTION_LINES.values(), ids=BAD_OPTION_LINES.keys()
+)
+def test_unknown_config_key_exits_two(tmp_path, capsys, monkeypatch, command, line):
+    opts = tmp_path / "opts.txt"
+    opts.write_text(line + "\n")
     monkeypatch.chdir(tmp_path)
-    assert main([command, "--config", str(cfg)] + argv) == 2
-    key = line.split(" = ")[0]
-    assert f"config key {key!r}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [cfg]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"@{opts}"] + REQUIRED_ARGV[command])
+    assert exc.value.code == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [opts]
+
+
+def test_missing_option_file_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", f"@{tmp_path / 'absent.txt'}", "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "absent.txt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["refine", "eval", "export"])
 def test_seed_is_only_a_synth_and_train_flag(capsys, command):
-    _, argv = UNKNOWN_KEYS[command]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "1"] + argv)
+        main([command, "--seed", "1"] + REQUIRED_ARGV[command])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err

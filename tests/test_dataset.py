@@ -229,6 +229,14 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
     path.write_text(json.dumps({"noise_deg": 5}))
     with pytest.raises(SchemaError):
         DatasetManifest.load(path)
+    good = DatasetManifest(
+        window=20, stride=5, frames_per_cycle=25, cycles=2, base_seed=0,
+        noise=NoiseSpec(), templates=[],
+    )
+    for key, value in (("window", -5), ("window", 1), ("stride", 0)):
+        path.write_text(json.dumps({**json.loads(good.to_json()), key: value}))
+        with pytest.raises(SchemaError, match="window must be >= 2 and stride >= 1"):
+            DatasetManifest.load(path)
 
 
 def test_record_coords_enumeration(tiny_corpus):
@@ -325,6 +333,10 @@ def test_generation_errors(tmp_path):
         generate_dataset(tmp_path, train_count=1, test_count=0, window=80, frames_per_cycle=30, cycles=2)
     with pytest.raises(GenerationError):
         generate_dataset(tmp_path, train_count=1, test_count=0, records_per_shard=0)
+    for bad in ({"stride": 0}, {"stride": -3}, {"window": -4}, {"window": 1}):
+        with pytest.raises(GenerationError, match="window must be >= 2 and stride >= 1"):
+            generate_dataset(tmp_path / "bad", train_count=1, test_count=0, **bad)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_load_split_detects_count_mismatch(tmp_path):

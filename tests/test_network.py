@@ -329,6 +329,16 @@ def test_load_rejects_truncated_file(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_undecodable_tensor_name(tmp_path):
+    path = tmp_path / "m.jarm"
+    save_model(small_model(), path)
+    data = bytearray(path.read_bytes())
+    data[26] = 0xFF  # first byte of the first tensor's name
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptModelError, match="unexpected tensor"):
+        load_model(path)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "m.jarm"
     save_model(small_model(), path)
