@@ -271,7 +271,8 @@ def load_erroneous_frames(path) -> dict:
     """Read an erroneous-set JSON file into {frame: joints-or-None}.
 
     Accepted forms: {"frames": [7, {"frame": 9, "joints": [0, 3]}, ...]} or
-    a bare list of the same entries.  Plain integers mean all joints.
+    a bare list of the same entries.  Plain integers mean all joints; an
+    empty joints list is refused.
     """
     try:
         with open(path) as fh:
@@ -294,6 +295,9 @@ def load_erroneous_frames(path) -> dict:
             joints = None if joints is None else [_json_index(j) for j in joints]
         except TypeError:
             raise SchemaError(f"{path}: frame and joints must be integers in {entry!r}")
+        if joints == []:
+            # no joint could fail tau, so the frame would always count as corrected
+            raise SchemaError(f"{path}: empty joints list in {entry}")
         if joints is not None and any(not (0 <= j < N_LIMBS) for j in joints):
             raise SchemaError(f"{path}: joint index out of range in {entry}")
         out[frame] = joints

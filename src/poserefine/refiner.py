@@ -11,6 +11,14 @@ A model whose weights are all zero is therefore exactly the identity.
 Everything is plain float64 numpy.  Gradients are hand-written
 reverse-mode; `batch_gradients` is checked against central finite
 differences in the test suite.
+
+The public functions take batch-major (B, L) windows, but the GRU layers
+run time-major: states, gate caches and their gradients are (L, B, ·)
+arrays, so each of the per-step numpy calls reads and writes one
+contiguous (B, ·) block.  Batch-major, those blocks are B rows spaced a
+whole window apart, and the step loops are most of the refine time.
+Attention and the output head read the top layer through a batch-major
+view.
 """
 
 from __future__ import annotations
@@ -107,77 +115,73 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 
 
 def _direction_forward(x: np.ndarray, cell: dict):
-    """Run one direction over (B, L, d_in); returns h (B, L, H) and a cache.
+    """Run one direction over x (L, B, d_in); returns h (L, B, H) and a cache.
 
-    Gate input projections run as one large GEMM up front; the step loop
-    fuses the z/r recurrent products and reuses scratch buffers, which is
-    what keeps single-core training within budget.
+    Everything is time-major: h is (L+1, B, H), the input projections
+    (L, B, 3H), the z/r gates one (L, B, 2H) cache and the candidate state
+    (L, B, H).  Each step therefore touches contiguous (B, ·) blocks; as B
+    rows spaced a window apart, the same blocks made every element-wise
+    call of a large batch several times slower.  The input projections run
+    as one large GEMM up front, and the recurrent z/r product is written
+    straight into the gate cache, where the sigmoid is applied in place.
     """
-    b, length, d_in = x.shape
+    length, b, d_in = x.shape
     hidden = cell["b_z"].size
     w_in = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1)
     b_in = np.concatenate([cell["b_z"], cell["b_r"], cell["b_h"]])
-    xproj = (x.reshape(b * length, d_in) @ w_in + b_in).reshape(b, length, 3 * hidden)
+    xproj = (x.reshape(length * b, d_in) @ w_in + b_in).reshape(length, b, 3 * hidden)
     u_zr = np.concatenate([cell["U_z"], cell["U_r"]], axis=1)
     u_h = cell["U_h"]
 
     # h holds the zero initial state at index 0; outputs live at 1..L
-    h = np.zeros((b, length + 1, hidden))
-    z_all = np.empty((b, length, hidden))
-    r_all = np.empty((b, length, hidden))
-    hc_all = np.empty((b, length, hidden))
-    gates = np.empty((b, 2 * hidden))
+    h = np.zeros((length + 1, b, hidden))
+    zr_all = np.empty((length, b, 2 * hidden))
+    hc_all = np.empty((length, b, hidden))
     rh = np.empty((b, hidden))
-    hc = np.empty((b, hidden))
     for t in range(length):
-        hp = h[:, t]
-        np.matmul(hp, u_zr, out=gates)
-        gates += xproj[:, t, : 2 * hidden]
-        _sigmoid_inplace(gates)
-        z = z_all[:, t]
-        r = r_all[:, t]
-        z[...] = gates[:, :hidden]
-        r[...] = gates[:, hidden:]
-        np.multiply(r, hp, out=rh)
+        hp = h[t]
+        zr = zr_all[t]
+        np.matmul(hp, u_zr, out=zr)
+        zr += xproj[t, :, : 2 * hidden]
+        _sigmoid_inplace(zr)
+        np.multiply(zr[:, hidden:], hp, out=rh)
+        hc = hc_all[t]
         np.matmul(rh, u_h, out=hc)
-        hc += xproj[:, t, 2 * hidden :]
+        hc += xproj[t, :, 2 * hidden :]
         np.tanh(hc, out=hc)
-        hc_all[:, t] = hc
         # h_new = hp + z * (hc - hp)
-        hn = h[:, t + 1]
+        hn = h[t + 1]
         np.subtract(hc, hp, out=hn)
-        hn *= z
+        hn *= zr[:, :hidden]
         hn += hp
-    out = h[:, 1:]
-    return out, {"x": x, "h": h, "z": z_all, "r": r_all, "hc": hc_all}
+    return h[1:], {"x": x, "h": h, "zr": zr_all, "hc": hc_all}
 
 
 def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
-    """BPTT through one direction; returns (dx, per-tensor grads)."""
+    """BPTT through one direction on (L, B, ·) arrays; returns (dx, grads)."""
     x = cache["x"]
-    h = cache["h"]  # (B, L+1, H) with the zero initial state at index 0
-    z_all, r_all, hc_all = cache["z"], cache["r"], cache["hc"]
-    b, length, hidden = z_all.shape
+    h = cache["h"]  # (L+1, B, H) with the zero initial state at index 0
+    zr_all, hc_all = cache["zr"], cache["hc"]
+    length, b, hidden = hc_all.shape
     d_in = x.shape[2]
-    h_prev = h[:, :-1]
+    h_prev = h[:-1]
 
-    da_zr = np.empty((b, length, 2 * hidden))
-    dah = np.empty((b, length, hidden))
+    da_zr = np.empty((length, b, 2 * hidden))
+    dah = np.empty((length, b, hidden))
     u_zr_t = np.concatenate([cell["U_z"], cell["U_r"]], axis=1).T.copy()
     u_h_t = cell["U_h"].T.copy()
-    dhp = np.zeros((b, hidden))
+    dh = np.zeros((b, hidden))  # gradient of the state, carried backwards
     drh = np.empty((b, hidden))
     tmp = np.empty((b, hidden))
     for t in range(length - 1, -1, -1):
-        z = z_all[:, t]
-        r = r_all[:, t]
-        hc = hc_all[:, t]
-        hp = h_prev[:, t]
-        dh = dhp
-        dh += dh_seq[:, t]
-        da_z = da_zr[:, t, :hidden]
-        da_r = da_zr[:, t, hidden:]
-        da_h = dah[:, t]
+        z = zr_all[t, :, :hidden]
+        r = zr_all[t, :, hidden:]
+        hc = hc_all[t]
+        hp = h_prev[t]
+        dh += dh_seq[t]
+        da_z = da_zr[t, :, :hidden]
+        da_r = da_zr[t, :, hidden:]
+        da_h = dah[t]
         # dz = dh*(hc-hp); da_z = dz*z*(1-z)
         np.subtract(hc, hp, out=da_z)
         da_z *= dh
@@ -195,23 +199,23 @@ def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
         da_r *= r
         np.subtract(1.0, r, out=tmp)
         da_r *= tmp
-        # dhp for the next (earlier) step
+        # dh becomes the gradient of the previous state
         np.subtract(1.0, z, out=tmp)
-        dh *= tmp  # dh buffer becomes dhp
+        dh *= tmp
         drh *= r
         dh += drh
-        dhp = dh
-        dhp += np.matmul(da_zr[:, t], u_zr_t)
+        np.matmul(da_zr[t], u_zr_t, out=tmp)
+        dh += tmp
 
-    rh = r_all * h_prev
-    x2 = x.reshape(b * length, d_in)
-    da_zr2 = da_zr.reshape(b * length, 2 * hidden)
-    dah2 = dah.reshape(b * length, hidden)
+    rh = zr_all[:, :, hidden:] * h_prev
+    x2 = x.reshape(length * b, d_in)
+    da_zr2 = da_zr.reshape(length * b, 2 * hidden)
+    dah2 = dah.reshape(length * b, hidden)
     dw_zr = x2.T @ da_zr2
     dw_h = x2.T @ dah2
-    hp2 = np.ascontiguousarray(h_prev).reshape(b * length, hidden)
+    hp2 = h_prev.reshape(length * b, hidden)
     du_zr = hp2.T @ da_zr2
-    du_h = rh.reshape(b * length, hidden).T @ dah2
+    du_h = rh.reshape(length * b, hidden).T @ dah2
     grads = {
         "W_z": dw_zr[:, :hidden],
         "W_r": dw_zr[:, hidden:],
@@ -227,14 +231,15 @@ def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
         [cell["W_z"], cell["W_r"], cell["W_h"]], axis=1
     ).T.copy()
     da_all = np.concatenate([da_zr2, dah2], axis=1)
-    dx = (da_all @ w_all_t).reshape(b, length, d_in)
+    dx = (da_all @ w_all_t).reshape(length, b, d_in)
     return dx, grads
 
 
 def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str):
+    """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H)."""
     hf, cache_f = _direction_forward(x, model.cell(f"{layer}.fwd"))
-    hb_rev, cache_b = _direction_forward(x[:, ::-1], model.cell(f"{layer}.bwd"))
-    out = np.concatenate([hf, hb_rev[:, ::-1]], axis=2)
+    hb_rev, cache_b = _direction_forward(x[::-1], model.cell(f"{layer}.bwd"))
+    out = np.concatenate([hf, hb_rev[::-1]], axis=2)
     return out, (cache_f, cache_b)
 
 
@@ -243,14 +248,14 @@ def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
     hidden = model.hidden
     dxf, gf = _direction_backward(cache_f, model.cell(f"{layer}.fwd"), dout[:, :, :hidden])
     dxb, gb = _direction_backward(
-        cache_b, model.cell(f"{layer}.bwd"), dout[:, ::-1, hidden:]
+        cache_b, model.cell(f"{layer}.bwd"), dout[::-1, :, hidden:]
     )
     grads = {}
     for name, g in gf.items():
         grads[f"{layer}.fwd.{name}"] = g
     for name, g in gb.items():
         grads[f"{layer}.bwd.{name}"] = g
-    return dxf + dxb[:, ::-1], grads
+    return dxf + dxb[::-1], grads
 
 
 def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):
@@ -291,37 +296,49 @@ def _attention_backward(h2, att, wq, wk, dh2, dcontext):
 
 
 def _forward(x: np.ndarray, model: RefinerModel):
-    """Full forward pass on a batch (B, L); returns (refined, cache)."""
+    """Full forward pass on a batch (B, L); returns (refined, cache).
+
+    The normalized input is transposed once to (L, B, 1) for the GRU
+    layers; attention and the head read h2 (L, B, 2H) through a
+    batch-major view.
+    """
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1, cache1 = _bigru_forward(u[:, :, None], model, "l1")
+    h1, cache1 = _bigru_forward(np.ascontiguousarray(u.T)[:, :, None], model, "l1")
     h2, cache2 = _bigru_forward(h1, model, "l2")
-    att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
+    h2_bm = h2.transpose(1, 0, 2)
+    att = _attention_forward(h2_bm, model.params["att.W_q"], model.params["att.W_k"])
     wo = model.params["head.W_o"][:, 0]
     wo_h = wo[: 2 * model.hidden]
     wo_c = wo[2 * model.hidden :]
-    head = h2 @ wo_h + (att["context"] @ wo_c)[:, None] + model.params["head.b_o"][0]
+    head = h2_bm @ wo_h + (att["context"] @ wo_c)[:, None] + model.params["head.b_o"][0]
     out = x + np.pi * head
-    return out, {"x": x, "h1": h1, "h2": h2, "cache1": cache1, "cache2": cache2, "att": att}
+    return out, {"x": x, "h2": h2, "cache1": cache1, "cache2": cache2, "att": att}
 
 
 def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
-    h2 = cache["h2"]
+    h2 = cache["h2"]  # (L, B, 2H)
     att = cache["att"]
     wo = model.params["head.W_o"][:, 0]
     wo_h = wo[: 2 * model.hidden]
     wo_c = wo[2 * model.hidden :]
 
-    dhead = np.pi * dout
+    dhead = np.pi * dout.T  # (L, B)
     db_o = dhead.sum()
-    dwo_h = np.einsum("blh,bl->h", h2, dhead)
+    dwo_h = dhead.reshape(-1) @ h2.reshape(-1, 2 * model.hidden)
     dh2 = dhead[:, :, None] * wo_h
-    dhead_sum = dhead.sum(axis=1)
+    dhead_sum = dhead.sum(axis=0)
     dwo_c = att["context"].T @ dhead_sum
     dcontext = dhead_sum[:, None] * wo_c
 
+    # the batch-major views write attention's gradient into dh2 in place
     dwq, dwk = _attention_backward(
-        h2, att, model.params["att.W_q"], model.params["att.W_k"], dh2, dcontext
+        h2.transpose(1, 0, 2),
+        att,
+        model.params["att.W_q"],
+        model.params["att.W_k"],
+        dh2.transpose(1, 0, 2),
+        dcontext,
     )
     dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2)
     _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1)

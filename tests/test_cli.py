@@ -317,6 +317,7 @@ MALFORMED = {
     "frame-str": ("eval", json.dumps({"frames": [{"frame": "x"}]})),
     "joints-int": ("eval", json.dumps({"frames": [{"frame": 1, "joints": 5}]})),
     "frame-bool": ("eval", json.dumps({"frames": [True]})),
+    "joints-empty": ("eval", json.dumps({"frames": [{"frame": 2, "joints": []}]})),
     "manifest-list": ("train", "[]"),
     "manifest-window": (
         "train",
@@ -337,7 +338,7 @@ def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, command, text
     argv = {
         "export": ["--input", str(bad), "--output", str(out)],
         "eval": ["--refined", str(keypoint_file), "--truth", str(keypoint_file),
-                 "--errors", str(bad)],
+                 "--errors", str(bad), "--out", str(out)],
         "train": ["--manifest", str(bad), "--out", str(out)],
     }[command]
     assert main([command] + argv) == 2

@@ -120,12 +120,13 @@ def test_bigru_layer_matches_stepwise_oracle():
     fwd = run_direction(x, model.cell("l1.fwd"))
     bwd = run_direction(x[:, ::-1], model.cell("l1.bwd"))[:, ::-1]
     want = np.concatenate([fwd, bwd], axis=2)
-    got = _bigru_forward(x, model, "l1")[0]
+    # the layer runs time-major: (L, B, d_in) in, (L, B, 2H) out
+    got = _bigru_forward(x.transpose(1, 0, 2), model, "l1")[0].transpose(1, 0, 2)
     assert got.shape == (2, 12, 2 * model.hidden)
     assert np.max(np.abs(got - want)) <= 1e-12
 
     # second layer consumes the first layer's features
-    got2 = _bigru_forward(got, model, "l2")[0]
+    got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2")[0].transpose(1, 0, 2)
     fwd2 = run_direction(got, model.cell("l2.fwd"))
     bwd2 = run_direction(got[:, ::-1], model.cell("l2.bwd"))[:, ::-1]
     assert np.max(np.abs(got2 - np.concatenate([fwd2, bwd2], axis=2))) <= 1e-12
@@ -157,14 +158,24 @@ def test_full_forward_matches_public_composition():
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1 = _bigru_forward(u[:, :, None], model, "l1")[0]
-    h2 = _bigru_forward(h1, model, "l2")[0]
+    h1 = _bigru_forward(u.T[:, :, None], model, "l1")[0]
+    h2 = _bigru_forward(h1, model, "l2")[0].transpose(1, 0, 2)
     att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
     context = att["context"]
     feats = np.concatenate([h2, np.broadcast_to(context[:, None, :], h2.shape)], axis=2)
     head = feats @ model.params["head.W_o"][:, 0] + model.params["head.b_o"][0]
     want = x + np.pi * head
     assert np.max(np.abs(refine_batch(x, model) - want)) <= 1e-12
+
+
+def test_refine_batch_rows_are_independent():
+    # B != L, so a swapped time/batch axis would mix windows or fail to run
+    rng = make_rng(62)
+    model = small_model(seed=12)
+    x = rng.uniform(-2.0, 2.0, size=(5, 12))
+    got = refine_batch(x, model)
+    for i in range(x.shape[0]):
+        assert np.max(np.abs(got[i] - refine_batch(x[i : i + 1], model)[0])) <= 1e-12
 
 
 def test_forward_is_deterministic():
