@@ -36,7 +36,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fourier import (
-    FourierCoeffs,
     FourierMotionTemplate,
     RandomizeRanges,
     eval_fourier,
@@ -90,7 +89,6 @@ from .training import (
     train_on_arrays,
 )
 from .windows import (
-    WindowPlan,
     merge_plan,
     plan_windows,
     refine_sequence,

@@ -25,12 +25,12 @@ from .errors import (
     ShapeError,
 )
 from .fourier import (
-    FourierMotionTemplate,
     RandomizeRanges,
     randomize_template,
     reference_templates,
     synthesize_truth,
 )
+from .refiner import MAX_WINDOW
 from .skeleton import N_LIMBS
 
 _SPLIT_CODES = {"train": 0, "test": 1}
@@ -352,6 +352,8 @@ def generate_dataset(
     total = frames_per_cycle * cycles
     if window < 2 or stride < 1:
         raise GenerationError("window must be >= 2 and stride >= 1")
+    if window > MAX_WINDOW:
+        raise GenerationError(f"window {window} exceeds the shard limit of {MAX_WINDOW}")
     if window > total:
         raise GenerationError(
             f"window {window} exceeds the {total}-frame synthesized sequence"

@@ -225,10 +225,10 @@ def evaluate_metrics(
     """Angle MSE plus the outlier correction rate.
 
     erroneous maps frame index -> affected joint list (None means all 12
-    joints).  A frame counts as corrected when every affected joint's
-    refined angle is within tau of truth; differences are taken on the
-    wrapped branch so a 2*pi offset never counts as an error.  With no
-    erroneous frames the rate is vacuously 1.
+    joints; a list must be non-empty).  A frame counts as corrected when
+    every affected joint's refined angle is within tau of truth;
+    differences are taken on the wrapped branch so a 2*pi offset never
+    counts as an error.  With no erroneous frames the rate is vacuously 1.
     """
     refined = np.asarray(refined, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -238,13 +238,19 @@ def evaluate_metrics(
         raise ShapeError(f"tau must be positive, got {tau}")
     diff = wrap_angle(refined - truth)
     mse_per_joint = np.mean(diff * diff, axis=0)
-    n_frames = refined.shape[0]
+    n_frames, n_joints = refined.shape
 
     erroneous = erroneous or {}
     corrected = 0
     for frame, joints in sorted(erroneous.items()):
         if not (0 <= frame < n_frames):
             raise ShapeError(f"erroneous frame {frame} outside the sequence")
+        # an empty list has no joint to fail tau, so it would always count as corrected
+        if joints is not None and not (len(joints) > 0 and all(0 <= j < n_joints for j in joints)):
+            raise ShapeError(
+                f"erroneous frame {frame}: joints {joints} must be a non-empty list "
+                f"of indices in [0, {n_joints})"
+            )
         row = diff[frame] if joints is None else diff[frame, list(joints)]
         if np.all(np.abs(row) <= tau):
             corrected += 1
@@ -271,8 +277,8 @@ def load_erroneous_frames(path) -> dict:
     """Read an erroneous-set JSON file into {frame: joints-or-None}.
 
     Accepted forms: {"frames": [7, {"frame": 9, "joints": [0, 3]}, ...]} or
-    a bare list of the same entries.  Plain integers mean all joints; an
-    empty joints list is refused.
+    a bare list of the same entries.  Plain integers mean all joints;
+    evaluate_metrics refuses an empty or out-of-range joint list.
     """
     try:
         with open(path) as fh:
@@ -295,11 +301,6 @@ def load_erroneous_frames(path) -> dict:
             joints = None if joints is None else [_json_index(j) for j in joints]
         except TypeError:
             raise SchemaError(f"{path}: frame and joints must be integers in {entry!r}")
-        if joints == []:
-            # no joint could fail tau, so the frame would always count as corrected
-            raise SchemaError(f"{path}: empty joints list in {entry}")
-        if joints is not None and any(not (0 <= j < N_LIMBS) for j in joints):
-            raise SchemaError(f"{path}: joint index out of range in {entry}")
         out[frame] = joints
     return out
 

@@ -33,6 +33,8 @@ from .errors import CorruptModelError, ModelFormatError, ShapeError
 _GATES = ("z", "r", "h")
 _MAGIC = b"JARM"
 _VERSION = 1
+# the largest window a corpus shard can record: its length field is <u2
+MAX_WINDOW = 65535
 
 
 def parameter_shapes(hidden: int, d_att: int) -> dict:
@@ -62,8 +64,8 @@ class RefinerModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.hidden < 1 or self.d_att < 1 or self.window < 2:
-            raise ShapeError("hidden and d_att must be >= 1, window >= 2")
+        if self.hidden < 1 or self.d_att < 1 or not (2 <= self.window <= MAX_WINDOW):
+            raise ShapeError(f"hidden and d_att must be >= 1, window in [2, {MAX_WINDOW}]")
         expected = parameter_shapes(self.hidden, self.d_att)
         if set(self.params) != set(expected):
             missing = sorted(set(expected) - set(self.params))
@@ -434,6 +436,8 @@ def load_model(path) -> RefinerModel:
     version, hidden, d_att, window = reader.unpack("<IIII")
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
+    if not (2 <= window <= MAX_WINDOW):
+        raise CorruptModelError(f"model window {window} outside [2, {MAX_WINDOW}]")
     (count,) = reader.unpack("<I")
     expected = parameter_shapes(hidden, d_att)
     if count != len(expected):

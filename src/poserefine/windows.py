@@ -5,12 +5,11 @@ length, so the series is unwrapped, cut into overlapping windows, refined
 window by window, and merged back.  Each frame's merged value is the
 weighted mean of every covering window's estimate, weighted by the inverse
 distance between the frame and the window center (plus a small epsilon so
-the centered window dominates without dividing by zero).
+the centered window dominates without dividing by zero).  A series shorter
+than the window is reflect-padded to one window first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,40 +18,12 @@ from .refiner import RefinerModel, refine_batch
 from .skeleton import unwrap_joint_angles
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    """Window starts over a series, plus the reflect-padding map if any.
+def plan_windows(n_frames: int, length: int, stride: int) -> list:
+    """Start indices of windows covering a series of n_frames >= length.
 
-    For n_frames < length there is a single window and pad_map holds, for
-    each window position, the source frame it mirrors; otherwise pad_map is
-    None and starts step by stride with a final flush window so every frame
-    is covered.
+    Starts step by stride, with a final flush window so every frame is
+    covered.
     """
-
-    n_frames: int
-    length: int
-    starts: tuple
-    pad_map: tuple | None = None
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.starts)
-
-
-def _reflect_indices(n: int, length: int) -> tuple:
-    """Source index for each of `length` positions over an n-frame series."""
-    if n == 1:
-        return (0,) * length
-    period = 2 * (n - 1)
-    idx = np.arange(length) % period
-    idx = np.where(idx >= n, period - idx, idx)
-    return tuple(int(i) for i in idx)
-
-
-def plan_windows(n_frames: int, length: int, stride: int) -> WindowPlan:
-    """Lay out covering windows for a series of n_frames."""
-    if n_frames < 1:
-        raise InsufficientDataError("need at least one frame")
     if length < 2 or stride < 1:
         raise ShapeError("window length must be >= 2 and stride >= 1")
     if stride > length:
@@ -60,16 +31,11 @@ def plan_windows(n_frames: int, length: int, stride: int) -> WindowPlan:
             f"stride {stride} exceeds window length {length}; frames would go uncovered"
         )
     if n_frames < length:
-        return WindowPlan(
-            n_frames=n_frames,
-            length=length,
-            starts=(0,),
-            pad_map=_reflect_indices(n_frames, length),
-        )
+        raise InsufficientDataError(f"{n_frames} frames do not fill a {length}-frame window")
     starts = list(range(0, n_frames - length + 1, stride))
     if starts[-1] != n_frames - length:
         starts.append(n_frames - length)
-    return WindowPlan(n_frames=n_frames, length=length, starts=tuple(starts))
+    return starts
 
 
 def _center_weights(length: int, epsilon: float) -> np.ndarray:
@@ -78,24 +44,25 @@ def _center_weights(length: int, epsilon: float) -> np.ndarray:
     return 1.0 / (distance + epsilon)
 
 
-def merge_plan(refined: np.ndarray, plan: WindowPlan, epsilon: float) -> np.ndarray:
-    """Merge all frames at once; returns the (n_frames,) series."""
+def merge_plan(refined: np.ndarray, starts, epsilon: float) -> np.ndarray:
+    """Merge (n_windows, length) refined windows laid out at starts into the
+    (starts[-1] + length,) series."""
     if not (epsilon > 0):
         raise ShapeError(f"epsilon must be positive, got {epsilon}")
     refined = np.asarray(refined, dtype=float)
-    if refined.shape != (plan.n_windows, plan.length):
+    if refined.ndim != 2 or refined.shape[0] != len(starts):
         raise ShapeError(
-            f"refined windows must be ({plan.n_windows}, {plan.length}), got {refined.shape}"
+            f"refined windows must be ({len(starts)}, length), got {refined.shape}"
         )
-    if plan.pad_map is not None:
-        return refined[0, : plan.n_frames].copy()
-    weights = _center_weights(plan.length, epsilon)
-    num = np.zeros(plan.n_frames)
-    den = np.zeros(plan.n_frames)
-    lo = np.full(plan.n_frames, np.inf)
-    hi = np.full(plan.n_frames, -np.inf)
-    for k, s in enumerate(plan.starts):
-        sl = slice(s, s + plan.length)
+    length = refined.shape[1]
+    n_frames = starts[-1] + length
+    weights = _center_weights(length, epsilon)
+    num = np.zeros(n_frames)
+    den = np.zeros(n_frames)
+    lo = np.full(n_frames, np.inf)
+    hi = np.full(n_frames, -np.inf)
+    for k, s in enumerate(starts):
+        sl = slice(s, s + length)
         num[sl] += weights * refined[k]
         den[sl] += weights
         lo[sl] = np.minimum(lo[sl], refined[k])
@@ -112,21 +79,23 @@ def refine_sequence(
     """Refine a (n_frames, 12) angle sequence joint by joint.
 
     Series are unwrapped before windowing and stay unwrapped on output, so
-    values may leave (-pi, pi]; they remain congruent modulo 2*pi.
+    values may leave (-pi, pi]; they remain congruent modulo 2*pi.  A
+    sequence shorter than the window is refined as its reflection padded
+    to one window, then cropped back.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2:
         raise ShapeError(f"angle sequence must be 2-D, got shape {theta.shape}")
-    n, n_joints = theta.shape
+    n = theta.shape[0]
+    if n < 1:
+        raise InsufficientDataError("need at least one frame")
     unwrapped = unwrap_joint_angles(theta)
-    plan = plan_windows(n, model.window, stride)
+    if n < model.window:
+        unwrapped = np.pad(unwrapped, ((0, model.window - n), (0, 0)), mode="reflect")
+    starts = plan_windows(unwrapped.shape[0], model.window, stride)
     out = np.empty_like(unwrapped)
-    for j in range(n_joints):
+    for j in range(unwrapped.shape[1]):
         series = unwrapped[:, j]
-        if plan.pad_map is not None:
-            batch = series[np.asarray(plan.pad_map)][None, :]
-        else:
-            batch = np.stack([series[s : s + plan.length] for s in plan.starts])
-        refined = refine_batch(batch, model)
-        out[:, j] = merge_plan(refined, plan, epsilon)
-    return out
+        batch = np.stack([series[s : s + model.window] for s in starts])
+        out[:, j] = merge_plan(refine_batch(batch, model), starts, epsilon)
+    return out[:n]

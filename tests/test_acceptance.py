@@ -38,7 +38,7 @@ from poserefine import (
 )
 from poserefine.cli import main as cli_main
 from poserefine.dataset import inject_noise_events
-from poserefine.fourier import FourierCoeffs, eval_fourier, fit_fourier
+from poserefine.fourier import eval_fourier, fit_fourier
 from poserefine.conditioning import RatioTable, savgol_smooth
 from poserefine.refiner import parameter_shapes
 
@@ -181,20 +181,17 @@ def test_limb_solver():
 
 def test_fourier_recovery():
     rng = make_rng(1005)
-    coeffs = FourierCoeffs(
-        a0=rng.normal(),
-        a=tuple(rng.normal(scale=0.5) for _ in range(8)),
-        b=tuple(rng.normal(scale=0.5) for _ in range(8)),
-        T=100.0,
-    )
+    # (a0, a1..a8, b1..b8)
+    coeffs = np.array([rng.normal()] + [rng.normal(scale=0.5) for _ in range(16)])
     m = np.linspace(0.0, 100.0, 200, endpoint=False)
-    theta = eval_fourier(coeffs, m)
+    theta = eval_fourier(coeffs, m, 100.0)
     got = fit_fourier(m, theta, T=100.0)
-    assert abs(got.a0 - coeffs.a0) <= 1e-8
-    assert np.max(np.abs(np.array(got.a) - np.array(coeffs.a))) <= 1e-8
-    assert np.max(np.abs(np.array(got.b) - np.array(coeffs.b))) <= 1e-8
+    assert abs(got[0] - coeffs[0]) <= 1e-8
+    assert np.max(np.abs(got[1:9] - coeffs[1:9])) <= 1e-8
+    assert np.max(np.abs(got[9:] - coeffs[9:])) <= 1e-8
     probe = rng.uniform(0.0, 300.0, size=64)
-    assert np.max(np.abs(eval_fourier(coeffs, probe + 100.0) - eval_fourier(coeffs, probe))) <= 1e-12
+    shifted = eval_fourier(coeffs, probe + 100.0, 100.0)
+    assert np.max(np.abs(shifted - eval_fourier(coeffs, probe, 100.0))) <= 1e-12
 
 
 def test_noise_model_statistics():
@@ -298,19 +295,19 @@ def test_window_merge():
 
     # idempotence when every window agrees
     series = rng.uniform(-1.0, 1.0, size=30)
-    plan = plan_windows(30, 12, stride=6)
-    stack = np.stack([series[s : s + 12] for s in plan.starts])
-    merged = merge_plan(stack, plan, 1e-3)
+    starts = plan_windows(30, 12, stride=6)
+    stack = np.stack([series[s : s + 12] for s in starts])
+    merged = merge_plan(stack, starts, 1e-3)
     assert np.array_equal(merged, series)
 
     # hand-computed two-window overlap: frame 5 sits at distance 0 from
     # the first window's center and 5 from the second's, so the exact
     # eps = 0.001 weighted mean is (0.2/0.001 + 0.3/5.001) / (1/0.001 + 1/5.001)
-    plan2 = plan_windows(16, 11, stride=5)
+    starts2 = plan_windows(16, 11, stride=5)
     windows = np.zeros((2, 11))
     windows[0, 5] = 0.2
     windows[1, 0] = 0.3
-    got = merge_plan(windows, plan2, 1e-3)
+    got = merge_plan(windows, starts2, 1e-3)
     assert abs(got[5] - 0.20001999200319873) <= 1e-9
 
     # merged output never leaves the covering windows' value range
@@ -318,13 +315,13 @@ def test_window_merge():
         n = int(rng.integers(8, 40))
         length = int(rng.integers(3, n + 1))
         stride = int(rng.integers(1, length + 1))
-        plan3 = plan_windows(n, length, stride)
-        stack3 = rng.uniform(-5.0, 5.0, size=(len(plan3.starts), length))
-        out = merge_plan(stack3, plan3, 1e-3)
+        starts3 = plan_windows(n, length, stride)
+        stack3 = rng.uniform(-5.0, 5.0, size=(len(starts3), length))
+        out = merge_plan(stack3, starts3, 1e-3)
         for frame in range(n):
             cover = [
                 stack3[w, frame - s]
-                for w, s in enumerate(plan3.starts)
+                for w, s in enumerate(starts3)
                 if s <= frame < s + length
             ]
             assert min(cover) - 1e-12 <= out[frame] <= max(cover) + 1e-12

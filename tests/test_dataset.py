@@ -333,6 +333,12 @@ def test_generation_errors(tmp_path):
         generate_dataset(tmp_path, train_count=1, test_count=0, window=80, frames_per_cycle=30, cycles=2)
     with pytest.raises(GenerationError):
         generate_dataset(tmp_path, train_count=1, test_count=0, records_per_shard=0)
+    # a shard records the window length as <u2; the sequence is long enough
+    with pytest.raises(GenerationError, match="65535"):
+        generate_dataset(
+            tmp_path / "bad", train_count=1, test_count=0, window=70000,
+            frames_per_cycle=70000, cycles=1,
+        )
     for bad in ({"stride": 0}, {"stride": -3}, {"window": -4}, {"window": 1}):
         with pytest.raises(GenerationError, match="window must be >= 2 and stride >= 1"):
             generate_dataset(tmp_path / "bad", train_count=1, test_count=0, **bad)

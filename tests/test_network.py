@@ -20,7 +20,7 @@ from poserefine import (
     save_model,
     train_on_arrays,
 )
-from poserefine.refiner import _attention_forward, _bigru_forward
+from poserefine.refiner import MAX_WINDOW, _attention_forward, _bigru_forward
 
 from conftest import make_rng
 
@@ -329,6 +329,22 @@ def test_load_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
+
+
+def test_load_rejects_a_window_no_shard_can_record(tmp_path):
+    # the header window is bytes 16-20; refine would pad every clip to it
+    path = tmp_path / "m.jarm"
+    save_model(small_model(), path)
+    data = bytearray(path.read_bytes())
+    data[16:20] = (MAX_WINDOW).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    assert load_model(path).window == MAX_WINDOW
+    data[16:20] = (MAX_WINDOW + 1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptModelError, match="window"):
+        load_model(path)
+    with pytest.raises(ShapeError, match="window"):
+        small_model(window=MAX_WINDOW + 1)
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -187,6 +187,10 @@ def test_evaluate_metrics_validation():
         evaluate_metrics(np.zeros((3, 12)), np.zeros((3, 12)), tau=0.0)
     with pytest.raises(ShapeError, match="outside"):
         evaluate_metrics(np.zeros((3, 12)), np.zeros((3, 12)), erroneous={5: None})
+    # an empty list would always count as corrected; -1 would score joint 11
+    for joints in ([99], [], [-1], [0, 12]):
+        with pytest.raises(ShapeError, match="joints"):
+            evaluate_metrics(np.zeros((3, 12)), np.ones((3, 12)), erroneous={2: joints})
 
 
 def test_load_erroneous_frames_forms(tmp_path):
@@ -196,9 +200,6 @@ def test_load_erroneous_frames_forms(tmp_path):
     assert got == {7: None, 9: [0, 3], 2: None}
     path.write_text(json.dumps([1, 4]))
     assert load_erroneous_frames(path) == {1: None, 4: None}
-    path.write_text(json.dumps({"frames": [{"frame": 1, "joints": [99]}]}))
-    with pytest.raises(SchemaError, match="joint index"):
-        load_erroneous_frames(path)
     path.write_text(json.dumps({"frames": ["x"]}))
     with pytest.raises(SchemaError):
         load_erroneous_frames(path)

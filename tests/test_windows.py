@@ -12,6 +12,7 @@ from poserefine import (
     ShapeError,
     merge_plan,
     plan_windows,
+    refine_batch,
     refine_sequence,
     unwrap_joint_angles,
     wrap_angle,
@@ -20,24 +21,23 @@ from poserefine import (
 from conftest import make_rng
 
 
-def covering(plan, frame: int) -> list[int]:
-    """Indices of the windows of a plan that contain the given frame."""
-    if plan.pad_map is not None:
-        return [0]
-    return [k for k, s in enumerate(plan.starts) if s <= frame < s + plan.length]
+def covering(starts, length: int, frame: int) -> list[int]:
+    """Indices of the windows at starts that contain the given frame."""
+    return [k for k, s in enumerate(starts) if s <= frame < s + length]
 
 
 EPSILON = 1e-3
 
 
-def merge_windows(refined, plan, frame: int) -> float:
+def merge_windows(refined, starts, frame: int) -> float:
     """Per-frame oracle for merge_plan: the inverse-distance weighted mean
     of the covering windows' values, clipped to their range."""
-    center = (plan.length - 1) / 2.0
+    length = refined.shape[1]
+    center = (length - 1) / 2.0
     num = den = 0.0
     lo, hi = np.inf, -np.inf
-    for k in covering(plan, frame):
-        pos = frame - plan.starts[k]
+    for k in covering(starts, length, frame):
+        pos = frame - starts[k]
         value = refined[k, pos]
         w = 1.0 / (abs(pos - center) + EPSILON)
         num += w * value
@@ -48,37 +48,27 @@ def merge_windows(refined, plan, frame: int) -> float:
 
 
 def test_plan_windows_strided_with_flush():
-    plan = plan_windows(12, 5, 3)
-    assert plan.starts == (0, 3, 6, 7)
-    assert plan.pad_map is None
-    assert plan.n_windows == 4
-    assert covering(plan, 0) == [0]
-    assert covering(plan, 6) == [1, 2]
-    assert covering(plan, 11) == [3]
+    starts = plan_windows(12, 5, 3)
+    assert starts == [0, 3, 6, 7]
+    assert covering(starts, 5, 0) == [0]
+    assert covering(starts, 5, 6) == [1, 2]
+    assert covering(starts, 5, 11) == [3]
     # every frame is covered by at least one window
     for frame in range(12):
-        assert covering(plan, frame)
+        assert covering(starts, 5, frame)
 
 
 def test_plan_windows_exact_fit():
-    plan = plan_windows(10, 5, 5)
-    assert plan.starts == (0, 5)
-    plan = plan_windows(5, 5, 3)
-    assert plan.starts == (0,)
-
-
-def test_plan_windows_reflect_padding():
-    plan = plan_windows(3, 7, 5)
-    assert plan.starts == (0,)
-    assert plan.pad_map == (0, 1, 2, 1, 0, 1, 2)
-    assert covering(plan, 1) == [0]
-    single = plan_windows(1, 4, 1)
-    assert single.pad_map == (0, 0, 0, 0)
+    assert plan_windows(10, 5, 5) == [0, 5]
+    assert plan_windows(5, 5, 3) == [0]
 
 
 def test_plan_windows_validation():
     with pytest.raises(InsufficientDataError):
         plan_windows(0, 5, 1)
+    # a series shorter than the window is padded before it is planned
+    with pytest.raises(InsufficientDataError):
+        plan_windows(4, 5, 1)
     with pytest.raises(ShapeError):
         plan_windows(10, 1, 1)
     with pytest.raises(ShapeError):
@@ -92,12 +82,12 @@ def test_merge_two_window_hand_example():
     # frame 5 sits at distance 0 from the first window's center and 5 from
     # the second's; with eps = 0.001 the exact weighted mean is
     # (v0 / 0.001 + v1 / 5.001) / (1 / 0.001 + 1 / 5.001)
-    plan = plan_windows(16, 11, 5)
-    assert plan.starts == (0, 5)
+    starts = plan_windows(16, 11, 5)
+    assert starts == [0, 5]
     refined = np.zeros((2, 11))
     refined[0, 5] = 0.2
     refined[1, 0] = 0.3
-    got = merge_plan(refined, plan, 1e-3)[5]
+    got = merge_plan(refined, starts, 1e-3)[5]
     assert abs(got - 0.20001999200319873) <= 1e-9
 
 
@@ -105,50 +95,43 @@ def test_merge_is_exact_on_agreement():
     rng = make_rng(61)
     series = rng.uniform(-3.0, 3.0, size=37)
     for stride in (1, 4, 9):
-        plan = plan_windows(37, 10, stride)
-        refined = np.stack([series[s : s + 10] for s in plan.starts])
-        merged = merge_plan(refined, plan, EPSILON)
+        starts = plan_windows(37, 10, stride)
+        refined = np.stack([series[s : s + 10] for s in starts])
+        merged = merge_plan(refined, starts, EPSILON)
         assert np.array_equal(merged, series)
         for frame in (0, 17, 36):
-            assert merge_windows(refined, plan, frame) == series[frame]
+            assert merge_windows(refined, starts, frame) == series[frame]
 
 
 def test_merge_plan_matches_per_frame_route():
     rng = make_rng(62)
-    plan = plan_windows(30, 8, 3)
-    refined = rng.normal(size=(plan.n_windows, 8))
-    merged = merge_plan(refined, plan, EPSILON)
+    starts = plan_windows(30, 8, 3)
+    refined = rng.normal(size=(len(starts), 8))
+    merged = merge_plan(refined, starts, EPSILON)
     assert merged.shape == (30,)
     for frame in range(30):
-        assert merged[frame] == merge_windows(refined, plan, frame)
-
-
-def test_merge_padded_plan_copies_the_window():
-    plan = plan_windows(4, 9, 5)
-    refined = np.arange(9.0)[None, :] * 1.5
-    merged = merge_plan(refined, plan, EPSILON)
-    assert np.array_equal(merged, refined[0, :4])
-    merged[0] = 99.0
-    assert refined[0, 0] == 0.0
+        assert merged[frame] == merge_windows(refined, starts, frame)
 
 
 def test_merge_validation():
-    plan = plan_windows(12, 5, 3)
+    starts = plan_windows(12, 5, 3)
     with pytest.raises(ShapeError):
-        merge_plan(np.zeros((2, 5)), plan, EPSILON)
+        merge_plan(np.zeros((2, 5)), starts, EPSILON)
+    with pytest.raises(ShapeError):
+        merge_plan(np.zeros(5), [0], EPSILON)
     with pytest.raises(ShapeError, match="epsilon"):
-        merge_plan(np.zeros((plan.n_windows, 5)), plan, 0.0)
+        merge_plan(np.zeros((len(starts), 5)), starts, 0.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_merged_value_within_covering_bounds(seed):
     rng = make_rng(seed)
     n, length, stride = 23, 6, int(rng.integers(1, 7))
-    plan = plan_windows(n, length, stride)
-    refined = rng.normal(0.0, 2.0, size=(plan.n_windows, length))
-    merged = merge_plan(refined, plan, EPSILON)
+    starts = plan_windows(n, length, stride)
+    refined = rng.normal(0.0, 2.0, size=(len(starts), length))
+    merged = merge_plan(refined, starts, EPSILON)
     for frame in range(n):
-        vals = [refined[k, frame - plan.starts[k]] for k in covering(plan, frame)]
+        vals = [refined[k, frame - starts[k]] for k in covering(starts, length, frame)]
         assert min(vals) <= merged[frame] <= max(vals)
 
 
@@ -189,3 +172,26 @@ def test_refine_sequence_smooths_an_outlier():
     out = refine_sequence(theta, model, 2, EPSILON)
     assert np.isfinite(out).all()
     assert out.shape == (40, 1)
+
+
+def test_short_clip_is_refined_as_its_reflection():
+    # a clip shorter than the window goes through the one strided path as
+    # its reflection padded to one window, then is cropped back; a single
+    # window merges to itself exactly because the merge clips to [r, r]
+    rng = make_rng(66)
+    model = RefinerModel.init_random(hidden=4, d_att=3, window=7, seed=2)
+    theta = rng.uniform(-1.0, 1.0, size=(3, N_LIMBS))
+    x0, x1, x2 = unwrap_joint_angles(theta)
+    padded = np.stack([x0, x1, x2, x1, x0, x1, x2])
+    out = refine_sequence(theta, model, 5, EPSILON)
+    assert out.shape == (3, N_LIMBS)
+    for j in range(N_LIMBS):
+        assert np.array_equal(out[:, j], refine_batch(padded[None, :, j], model)[0, :3])
+
+    # a single frame pads to a constant window
+    single = rng.uniform(-1.0, 1.0, size=(1, N_LIMBS))
+    out = refine_sequence(single, model, 5, EPSILON)
+    assert out.shape == (1, N_LIMBS)
+    for j in range(N_LIMBS):
+        window = np.full((1, 7), single[0, j])
+        assert np.array_equal(out[:, j], refine_batch(window, model)[0, :1])
