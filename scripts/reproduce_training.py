@@ -54,8 +54,12 @@ def main() -> int:
     pr.save_model(model, os.path.join(args.out, "model.jarm"))
 
     _, truth, noisy = pr.load_split(manifest, "test")
+    # scored in float32, the precision refine runs the network in
     pred = np.concatenate(
-        [pr.refine_batch(noisy[i : i + 256], model) for i in range(0, len(noisy), 256)]
+        [
+            pr.refine_batch(noisy[i : i + 256], model, dtype=np.float32)
+            for i in range(0, len(noisy), 256)
+        ]
     )
     noisy_mse = float(np.mean(pr.wrap_angle(noisy - truth) ** 2))
     refined_mse = float(np.mean(pr.wrap_angle(pred - truth) ** 2))

@@ -8,9 +8,13 @@ summarizes the window; and a per-timestep linear head predicts a residual
 correction that is scaled back to radians and added onto the raw input.
 A model whose weights are all zero is therefore exactly the identity.
 
-Everything is plain float64 numpy.  Gradients are hand-written
-reverse-mode; `batch_gradients` is checked against central finite
-differences in the test suite.
+Training runs in float64: `batch_gradients` keeps every step's gates for
+its hand-written reverse mode, which the test suite checks against
+central finite differences.  Inference runs the same forward code in the
+dtype `refine_batch` is given (float32 for `refine`) and keeps no
+backward cache: the gates and candidate state live in one per-step
+buffer each.  Inputs and outputs stay float64; the network's correction
+is added onto the float64 input, so a float32 run rounds only that.
 
 The public functions take batch-major (B, L) windows, but the GRU layers
 run time-major: states, gate caches and their gradients are (L, B, ·)
@@ -23,6 +27,7 @@ view.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -116,7 +121,7 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
     x *= 0.5
 
 
-def _direction_forward(x: np.ndarray, cell: dict):
+def _direction_forward(x: np.ndarray, cell: dict, keep_cache: bool):
     """Run one direction over x (L, B, d_in); returns h (L, B, H) and a cache.
 
     Everything is time-major: h is (L+1, B, H), the input projections
@@ -126,28 +131,35 @@ def _direction_forward(x: np.ndarray, cell: dict):
     call of a large batch several times slower.  The input projections run
     as one large GEMM up front, and the recurrent z/r product is written
     straight into the gate cache, where the sigmoid is applied in place.
+
+    The step computes in x.dtype.  Without keep_cache the gates and the
+    candidate state are one (B, ·) buffer each, reused at every step, and
+    the cache is None.
     """
     length, b, d_in = x.shape
+    dtype = x.dtype
     hidden = cell["b_z"].size
-    w_in = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1)
-    b_in = np.concatenate([cell["b_z"], cell["b_r"], cell["b_h"]])
+    w_in = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1, dtype=dtype)
+    b_in = np.concatenate([cell["b_z"], cell["b_r"], cell["b_h"]], dtype=dtype)
     xproj = (x.reshape(length * b, d_in) @ w_in + b_in).reshape(length, b, 3 * hidden)
-    u_zr = np.concatenate([cell["U_z"], cell["U_r"]], axis=1)
-    u_h = cell["U_h"]
+    u_zr = np.concatenate([cell["U_z"], cell["U_r"]], axis=1, dtype=dtype)
+    u_h = cell["U_h"].astype(dtype, copy=False)
 
     # h holds the zero initial state at index 0; outputs live at 1..L
-    h = np.zeros((length + 1, b, hidden))
-    zr_all = np.empty((length, b, 2 * hidden))
-    hc_all = np.empty((length, b, hidden))
-    rh = np.empty((b, hidden))
+    h = np.zeros((length + 1, b, hidden), dtype)
+    steps = length if keep_cache else 1
+    zr_all = np.empty((steps, b, 2 * hidden), dtype)
+    hc_all = np.empty((steps, b, hidden), dtype)
+    rh = np.empty((b, hidden), dtype)
     for t in range(length):
         hp = h[t]
-        zr = zr_all[t]
+        slot = t if keep_cache else 0
+        zr = zr_all[slot]
         np.matmul(hp, u_zr, out=zr)
         zr += xproj[t, :, : 2 * hidden]
         _sigmoid_inplace(zr)
         np.multiply(zr[:, hidden:], hp, out=rh)
-        hc = hc_all[t]
+        hc = hc_all[slot]
         np.matmul(rh, u_h, out=hc)
         hc += xproj[t, :, 2 * hidden :]
         np.tanh(hc, out=hc)
@@ -156,7 +168,8 @@ def _direction_forward(x: np.ndarray, cell: dict):
         np.subtract(hc, hp, out=hn)
         hn *= zr[:, :hidden]
         hn += hp
-    return h[1:], {"x": x, "h": h, "zr": zr_all, "hc": hc_all}
+    cache = {"x": x, "h": h, "zr": zr_all, "hc": hc_all} if keep_cache else None
+    return h[1:], cache
 
 
 def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
@@ -237,10 +250,10 @@ def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
     return dx, grads
 
 
-def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str):
+def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool):
     """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H)."""
-    hf, cache_f = _direction_forward(x, model.cell(f"{layer}.fwd"))
-    hb_rev, cache_b = _direction_forward(x[::-1], model.cell(f"{layer}.bwd"))
+    hf, cache_f = _direction_forward(x, model.cell(f"{layer}.fwd"), keep_cache)
+    hb_rev, cache_b = _direction_forward(x[::-1], model.cell(f"{layer}.bwd"), keep_cache)
     out = np.concatenate([hf, hb_rev[::-1]], axis=2)
     return out, (cache_f, cache_b)
 
@@ -261,7 +274,8 @@ def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
 
 
 def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):
-    scale = 1.0 / np.sqrt(wq.shape[1])
+    # a Python float, so that float32 scores are not promoted to float64
+    scale = 1.0 / math.sqrt(wq.shape[1])
     hbar = h2.mean(axis=1)
     q = hbar @ wq
     k = h2 @ wk
@@ -297,23 +311,30 @@ def _attention_backward(h2, att, wq, wk, dh2, dcontext):
     return dwq, dwk
 
 
-def _forward(x: np.ndarray, model: RefinerModel):
-    """Full forward pass on a batch (B, L); returns (refined, cache).
+def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool):
+    """Full forward pass on a float64 batch (B, L); returns (refined, cache).
 
-    The normalized input is transposed once to (L, B, 1) for the GRU
-    layers; attention and the head read h2 (L, B, 2H) through a
-    batch-major view.
+    The network computes in dtype: the normalized input is cast once and
+    transposed to (L, B, 1) for the GRU layers, and attention and the head
+    read h2 (L, B, 2H) through a batch-major view.  The residual is added
+    onto the float64 x, so the output is float64 and an all-zero model
+    returns x exactly.  Without keep_cache the GRU caches are None.
     """
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1, cache1 = _bigru_forward(np.ascontiguousarray(u.T)[:, :, None], model, "l1")
-    h2, cache2 = _bigru_forward(h1, model, "l2")
+    u_tm = np.ascontiguousarray(u.T, dtype=dtype)[:, :, None]
+    h1, cache1 = _bigru_forward(u_tm, model, "l1", keep_cache)
+    h2, cache2 = _bigru_forward(h1, model, "l2", keep_cache)
     h2_bm = h2.transpose(1, 0, 2)
-    att = _attention_forward(h2_bm, model.params["att.W_q"], model.params["att.W_k"])
-    wo = model.params["head.W_o"][:, 0]
+    p = {
+        name: model.params[name].astype(dtype, copy=False)
+        for name in ("att.W_q", "att.W_k", "head.W_o", "head.b_o")
+    }
+    att = _attention_forward(h2_bm, p["att.W_q"], p["att.W_k"])
+    wo = p["head.W_o"][:, 0]
     wo_h = wo[: 2 * model.hidden]
     wo_c = wo[2 * model.hidden :]
-    head = h2_bm @ wo_h + (att["context"] @ wo_c)[:, None] + model.params["head.b_o"][0]
+    head = h2_bm @ wo_h + (att["context"] @ wo_c)[:, None] + p["head.b_o"]
     out = x + np.pi * head
     return out, {"x": x, "h2": h2, "cache1": cache1, "cache2": cache2, "att": att}
 
@@ -355,14 +376,17 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     return grads
 
 
-def refine_batch(noisy: np.ndarray, model: RefinerModel) -> np.ndarray:
-    """Refine a batch of windows, shape (B, L) -> (B, L)."""
+def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
+    """Refine a batch of windows, shape (B, L) -> float64 (B, L).
+
+    The network computes in dtype and keeps no backward cache.
+    """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
         raise ShapeError(
             f"batch must be (n, {model.window}), got {noisy.shape}"
         )
-    out, _ = _forward(noisy, model)
+    out, _ = _forward(noisy, model, dtype, keep_cache=False)
     return out
 
 
@@ -382,7 +406,7 @@ def batch_gradients(noisy: np.ndarray, truth: np.ndarray, model: RefinerModel):
     truth = np.asarray(truth, dtype=float)
     if noisy.shape != truth.shape or noisy.ndim != 2:
         raise ShapeError("noisy and truth must both be (n, window)")
-    out, cache = _forward(noisy, model)
+    out, cache = _forward(noisy, model, np.float64, keep_cache=True)
     diff = out - truth
     loss = float(np.mean(diff * diff))
     dout = (2.0 / diff.size) * diff

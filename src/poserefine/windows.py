@@ -7,15 +7,24 @@ weighted mean of every covering window's estimate, weighted by the inverse
 distance between the frame and the window center (plus a small epsilon so
 the centered window dominates without dividing by zero).  A series shorter
 than the window is reflect-padded to one window first.
+
+The windows of every joint are stacked into one (n_windows * n_joints, L)
+array and refined in float32 in chunks of at most MAX_BATCH_ROWS rows, so
+a short clip takes one forward call instead of one per joint and a long
+one a few dozen.  Each joint's rows are then merged on their own.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ShapeError
 from .refiner import RefinerModel, refine_batch
 from .skeleton import unwrap_joint_angles
+
+# rows per forward call: the chunk bounds the forward pass's working memory
+MAX_BATCH_ROWS = 256
 
 
 def plan_windows(n_frames: int, length: int, stride: int) -> list:
@@ -76,7 +85,7 @@ def refine_sequence(
     stride: int,
     epsilon: float,
 ) -> np.ndarray:
-    """Refine a (n_frames, 12) angle sequence joint by joint.
+    """Refine a (n_frames, 12) angle sequence.
 
     Series are unwrapped before windowing and stay unwrapped on output, so
     values may leave (-pi, pi]; they remain congruent modulo 2*pi.  A
@@ -93,9 +102,16 @@ def refine_sequence(
     if n < model.window:
         unwrapped = np.pad(unwrapped, ((0, model.window - n), (0, 0)), mode="reflect")
     starts = plan_windows(unwrapped.shape[0], model.window, stride)
+    n_joints = unwrapped.shape[1]
+    # one row per (window, joint), window-major
+    rows = sliding_window_view(unwrapped, model.window, axis=0)[starts]
+    rows = rows.reshape(-1, model.window)
+    refined = np.empty_like(rows)
+    for lo in range(0, len(rows), MAX_BATCH_ROWS):
+        part = slice(lo, lo + MAX_BATCH_ROWS)
+        refined[part] = refine_batch(rows[part], model, dtype=np.float32)
+    refined = refined.reshape(len(starts), n_joints, model.window)
     out = np.empty_like(unwrapped)
-    for j in range(unwrapped.shape[1]):
-        series = unwrapped[:, j]
-        batch = np.stack([series[s : s + model.window] for s in starts])
-        out[:, j] = merge_plan(refine_batch(batch, model), starts, epsilon)
+    for j in range(n_joints):
+        out[:, j] = merge_plan(refined[:, j], starts, epsilon)
     return out[:n]

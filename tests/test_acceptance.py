@@ -263,8 +263,12 @@ def test_desk_scale_end_to_end(desk_scale):
 
     joints, truth, noisy = load_split(manifest, "test")
     assert len(truth) == 4000
+    # scored in float32, the precision refine runs the network in
     pred = np.concatenate(
-        [refine_batch(noisy[i : i + 256], model) for i in range(0, len(noisy), 256)]
+        [
+            refine_batch(noisy[i : i + 256], model, dtype=np.float32)
+            for i in range(0, len(noisy), 256)
+        ]
     )
     noisy_mse = float(np.mean(wrap_angle(noisy - truth) ** 2))
     refined_mse = float(np.mean(wrap_angle(pred - truth) ** 2))

@@ -20,7 +20,13 @@ from poserefine import (
     save_model,
     train_on_arrays,
 )
-from poserefine.refiner import MAX_WINDOW, _attention_forward, _bigru_forward
+from poserefine.refiner import (
+    MAX_WINDOW,
+    _attention_forward,
+    _bigru_forward,
+    _direction_forward,
+    _forward,
+)
 
 from conftest import make_rng
 
@@ -121,12 +127,14 @@ def test_bigru_layer_matches_stepwise_oracle():
     bwd = run_direction(x[:, ::-1], model.cell("l1.bwd"))[:, ::-1]
     want = np.concatenate([fwd, bwd], axis=2)
     # the layer runs time-major: (L, B, d_in) in, (L, B, 2H) out
-    got = _bigru_forward(x.transpose(1, 0, 2), model, "l1")[0].transpose(1, 0, 2)
+    got = _bigru_forward(x.transpose(1, 0, 2), model, "l1", keep_cache=False)[0]
+    got = got.transpose(1, 0, 2)
     assert got.shape == (2, 12, 2 * model.hidden)
     assert np.max(np.abs(got - want)) <= 1e-12
 
     # second layer consumes the first layer's features
-    got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2")[0].transpose(1, 0, 2)
+    got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2", keep_cache=False)[0]
+    got2 = got2.transpose(1, 0, 2)
     fwd2 = run_direction(got, model.cell("l2.fwd"))
     bwd2 = run_direction(got[:, ::-1], model.cell("l2.bwd"))[:, ::-1]
     assert np.max(np.abs(got2 - np.concatenate([fwd2, bwd2], axis=2))) <= 1e-12
@@ -158,8 +166,8 @@ def test_full_forward_matches_public_composition():
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1 = _bigru_forward(u.T[:, :, None], model, "l1")[0]
-    h2 = _bigru_forward(h1, model, "l2")[0].transpose(1, 0, 2)
+    h1 = _bigru_forward(u.T[:, :, None], model, "l1", keep_cache=False)[0]
+    h2 = _bigru_forward(h1, model, "l2", keep_cache=False)[0].transpose(1, 0, 2)
     att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
     context = att["context"]
     feats = np.concatenate([h2, np.broadcast_to(context[:, None, :], h2.shape)], axis=2)
@@ -176,6 +184,43 @@ def test_refine_batch_rows_are_independent():
     got = refine_batch(x, model)
     for i in range(x.shape[0]):
         assert np.max(np.abs(got[i] - refine_batch(x[i : i + 1], model)[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_direction_forward_without_cache_matches_the_cached_run(dtype):
+    # inference reuses one gate buffer per step; the states must not change
+    rng = make_rng(70)
+    model = small_model(seed=13, hidden=5)
+    x = rng.normal(size=(12, 6, 2 * model.hidden)).astype(dtype)  # (L, B, d_in)
+    cell = model.cell("l2.bwd")
+    want, cache = _direction_forward(x, cell, keep_cache=True)
+    got, no_cache = _direction_forward(x, cell, keep_cache=False)
+    assert no_cache is None
+    assert cache["zr"].shape == (12, 6, 2 * model.hidden)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+def test_float32_forward_computes_in_float32_and_returns_float64():
+    # a float64 constant or parameter anywhere in the forward would promote
+    # the arrays after it back to float64
+    rng = make_rng(71)
+    model = small_model(seed=14)
+    x = rng.uniform(-2.0, 2.0, size=(3, 12))
+    out, cache = _forward(x, model, np.float32, keep_cache=True)
+    arrays = [cache["h2"], *cache["att"].values()]
+    for direction in (*cache["cache1"], *cache["cache2"]):
+        arrays.extend(direction.values())
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    # h2, five attention arrays, and x, h, zr, hc of four directions
+    assert len(arrays) == 1 + 5 + 4 * 4
+    assert all(a.dtype == np.float32 for a in arrays)
+    assert type(cache["att"]["scale"]) is float
+    assert out.dtype == np.float64
+    got = refine_batch(x, model, dtype=np.float32)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, out)
+    assert np.max(np.abs(got - refine_batch(x, model))) <= 1e-5
 
 
 def test_forward_is_deterministic():

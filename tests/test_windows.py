@@ -18,6 +18,8 @@ from poserefine import (
     wrap_angle,
 )
 
+from poserefine.windows import MAX_BATCH_ROWS
+
 from conftest import make_rng
 
 
@@ -177,7 +179,9 @@ def test_refine_sequence_smooths_an_outlier():
 def test_short_clip_is_refined_as_its_reflection():
     # a clip shorter than the window goes through the one strided path as
     # its reflection padded to one window, then is cropped back; a single
-    # window merges to itself exactly because the merge clips to [r, r]
+    # window merges to itself exactly because the merge clips to [r, r].
+    # The 12 joints' windows share one float32 forward call, and float32
+    # rounding depends on the batch, so the oracle is one stacked call too
     rng = make_rng(66)
     model = RefinerModel.init_random(hidden=4, d_att=3, window=7, seed=2)
     theta = rng.uniform(-1.0, 1.0, size=(3, N_LIMBS))
@@ -185,13 +189,45 @@ def test_short_clip_is_refined_as_its_reflection():
     padded = np.stack([x0, x1, x2, x1, x0, x1, x2])
     out = refine_sequence(theta, model, 5, EPSILON)
     assert out.shape == (3, N_LIMBS)
-    for j in range(N_LIMBS):
-        assert np.array_equal(out[:, j], refine_batch(padded[None, :, j], model)[0, :3])
+    want = refine_batch(padded.T, model, dtype=np.float32)
+    assert np.array_equal(out, want[:, :3].T)
 
     # a single frame pads to a constant window
     single = rng.uniform(-1.0, 1.0, size=(1, N_LIMBS))
     out = refine_sequence(single, model, 5, EPSILON)
     assert out.shape == (1, N_LIMBS)
-    for j in range(N_LIMBS):
-        window = np.full((1, 7), single[0, j])
-        assert np.array_equal(out[:, j], refine_batch(window, model)[0, :1])
+    windows = np.repeat(single.T, 7, axis=1)
+    assert np.array_equal(out, refine_batch(windows, model, dtype=np.float32)[:, :1].T)
+
+
+def per_joint_reference(theta, model, stride: int) -> np.ndarray:
+    """float64 oracle: each joint's windows in one float64 call, then merged."""
+    unwrapped = unwrap_joint_angles(theta)
+    starts = plan_windows(len(theta), model.window, stride)
+    out = np.empty_like(unwrapped)
+    for j in range(theta.shape[1]):
+        batch = np.stack([unwrapped[s : s + model.window, j] for s in starts])
+        out[:, j] = merge_plan(refine_batch(batch, model), starts, EPSILON)
+    return out
+
+
+def test_joint_batched_float32_matches_float64_per_joint_reference():
+    rng = make_rng(67)
+    model = RefinerModel.init_random(hidden=8, d_att=4, window=10, seed=3)
+    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(60, N_LIMBS)), axis=0))
+    # 26 windows of 12 joints: the rows take two forward calls
+    assert len(plan_windows(60, 10, 2)) * N_LIMBS > MAX_BATCH_ROWS
+    out = refine_sequence(theta, model, 2, EPSILON)
+    want = per_joint_reference(theta, model, 2)
+    assert np.max(np.abs(out - want)) <= 1e-5
+    # the float32 network is what ran
+    assert not np.array_equal(out, want)
+
+
+def test_identity_model_is_exact_across_forward_chunks():
+    rng = make_rng(68)
+    model = RefinerModel.identity(hidden=4, d_att=3, window=10)
+    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(60, N_LIMBS)), axis=0))
+    # 51 windows of 12 joints: three forward calls
+    assert len(plan_windows(60, 10, 1)) * N_LIMBS > 2 * MAX_BATCH_ROWS
+    assert np.array_equal(refine_sequence(theta, model, 1, EPSILON), unwrap_joint_angles(theta))
