@@ -89,9 +89,9 @@ from .training import (
     train_on_arrays,
 )
 from .windows import (
-    merge_plan,
     plan_windows,
     refine_sequence,
+    stitch_windows,
 )
 
 __version__ = "0.1.0"

@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--epsilon", type=float)
     p.add_argument("--sg-halfwidth", dest="half_width", type=int)
     p.add_argument("--lambda", dest="smoothness_weight", type=float)
 

@@ -230,6 +230,11 @@ class DatasetManifest:
         if not isinstance(doc, dict):
             raise SchemaError(f"manifest {path}: top level must be an object")
         try:
+            counts, shards, templates = doc["counts"], doc["shards"], doc["templates"]
+            if not (isinstance(counts, dict) and isinstance(shards, dict)):
+                raise SchemaError(f"manifest {path}: counts and shards must be objects")
+            if not (isinstance(templates, list) and all(isinstance(t, str) for t in templates)):
+                raise SchemaError(f"manifest {path}: templates must be a list of names")
             nd = doc["noise_deg"]
             rad = math.radians
             noise = NoiseSpec(
@@ -247,14 +252,14 @@ class DatasetManifest:
                 cycles=int(doc["cycles"]),
                 base_seed=int(doc["base_seed"]),
                 noise=noise,
-                templates=list(doc["templates"]),
-                counts={k: int(v) for k, v in doc["counts"].items()},
+                templates=templates,
+                counts={k: int(v) for k, v in counts.items()},
                 shards={
                     split: [
                         (e["name"], int(e["records"]), int(e["bytes"]))
                         for e in entries
                     ]
-                    for split, entries in doc["shards"].items()
+                    for split, entries in shards.items()
                 },
             )
         except KeyError as exc:
@@ -263,6 +268,9 @@ class DatasetManifest:
             raise SchemaError(f"manifest {path}: {exc}")
         if manifest.window < 2 or manifest.stride < 1:
             raise SchemaError(f"manifest {path}: window must be >= 2 and stride >= 1")
+        uncounted = sorted(set(manifest.shards) - set(manifest.counts))
+        if uncounted:
+            raise SchemaError(f"manifest {path}: shards of {uncounted} have no count")
         manifest.root = os.path.dirname(os.path.abspath(path))
         return manifest
 

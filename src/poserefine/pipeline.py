@@ -39,15 +39,13 @@ from .windows import refine_sequence
 class PipelineConfig:
     """Refine settings; the stage that uses a value also checks it.
 
-    stride steps the refiner's windows, half_width sizes the root
-    smoother's window, smoothness_weight weighs temporal smoothness in the
-    limb-length fit, and epsilon keeps the merge weights finite.
+    half_width sizes the root smoother's window and smoothness_weight
+    weighs temporal smoothness in the limb-length fit.  The refiner's
+    window layout follows from the model's window length alone.
     """
 
-    stride: int = 5
     half_width: int = 50
     smoothness_weight: float = 1.0
-    epsilon: float = 1e-3
 
 
 @dataclass
@@ -123,14 +121,14 @@ def parse_keypoints(path) -> PoseSequence:
             try:
                 if not isinstance(pt, list) or len(pt) != 2:
                     raise TypeError
-                xy[f, j] = (float(pt[0]), float(pt[1]))
+                xy[f, j] = (_json_number(pt[0]), _json_number(pt[1]))
             except (TypeError, ValueError, OverflowError):
                 raise SchemaError(
                     f"{path}: frame {f}, keypoint {KEYPOINT_NAMES[j]} is not an (x, y) "
                     "pair of numbers"
                 )
     try:
-        fps = float(doc["fps"])
+        fps = _json_number(doc["fps"])
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: fps must be a number")
     try:
@@ -167,7 +165,7 @@ def refine_pose_sequence(
     base = smooth_base_trajectory(seq, config.half_width)
     ratios = estimate_ratios(raw_lengths)
     solve = optimize_limb_lengths(raw_lengths, ratios, config.smoothness_weight)
-    refined = refine_sequence(theta, model, config.stride, config.epsilon)
+    refined = refine_sequence(theta, model)
     return RefinedMotion(base=base, theta=refined, lengths=solve.lengths, fps=seq.fps)
 
 
@@ -264,6 +262,13 @@ def evaluate_metrics(
         correction_rate=(corrected / n_err) if n_err else 1.0,
         tau=float(tau),
     )
+
+
+def _json_number(value) -> float:
+    """float of a JSON number, refusing strings and true/false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a JSON number")
+    return float(value)
 
 
 def _json_index(value) -> int:

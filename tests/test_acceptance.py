@@ -23,7 +23,6 @@ from poserefine import (
     limb_loss_gradient,
     limb_objective,
     load_split,
-    merge_plan,
     optimize_limb_lengths,
     parse_keypoints,
     plan_windows,
@@ -32,6 +31,7 @@ from poserefine import (
     refine_batch,
     refine_keypoint_file,
     save_model,
+    stitch_windows,
     train_model,
     wrap_angle,
     write_keypoints,
@@ -298,37 +298,35 @@ def test_window_merge():
     rng = make_rng(1008)
 
     # idempotence when every window agrees
-    series = rng.uniform(-1.0, 1.0, size=30)
-    starts = plan_windows(30, 12, stride=6)
+    series = rng.uniform(-1.0, 1.0, size=(30, 2))
+    starts = plan_windows(30, 12)
     stack = np.stack([series[s : s + 12] for s in starts])
-    merged = merge_plan(stack, starts, 1e-3)
-    assert np.array_equal(merged, series)
+    assert np.array_equal(stitch_windows(stack, starts), series)
 
-    # hand-computed two-window overlap: frame 5 sits at distance 0 from
-    # the first window's center and 5 from the second's, so the exact
-    # eps = 0.001 weighted mean is (0.2/0.001 + 0.3/5.001) / (1/0.001 + 1/5.001)
-    starts2 = plan_windows(16, 11, stride=5)
-    windows = np.zeros((2, 11))
-    windows[0, 5] = 0.2
-    windows[1, 0] = 0.3
-    got = merge_plan(windows, starts2, 1e-3)
-    assert abs(got[5] - 0.20001999200319873) <= 1e-9
+    # hand-computed two-window overlap: the centres sit at 5 and 7, so
+    # frame 6 is one frame from each and the earlier window wins the tie
+    starts2 = plan_windows(13, 11)
+    assert starts2 == [0, 2]
+    windows = np.zeros((2, 11, 1))
+    windows[0, 5:7, 0] = (0.2, 0.25)
+    windows[1, 5, 0] = 0.3
+    got = stitch_windows(windows, starts2)[:, 0]
+    assert got[5] == 0.2 and got[6] == 0.25 and got[7] == 0.3
 
-    # merged output never leaves the covering windows' value range
+    # every stitched value is one of the covering windows' values
     for _ in range(25):
         n = int(rng.integers(8, 40))
-        length = int(rng.integers(3, n + 1))
-        stride = int(rng.integers(1, length + 1))
-        starts3 = plan_windows(n, length, stride)
-        stack3 = rng.uniform(-5.0, 5.0, size=(len(starts3), length))
-        out = merge_plan(stack3, starts3, 1e-3)
+        length = int(rng.integers(2, n + 1))
+        starts3 = plan_windows(n, length)
+        stack3 = rng.uniform(-5.0, 5.0, size=(len(starts3), length, 1))
+        out = stitch_windows(stack3, starts3)
         for frame in range(n):
             cover = [
-                stack3[w, frame - s]
+                stack3[w, frame - s, 0]
                 for w, s in enumerate(starts3)
                 if s <= frame < s + length
             ]
-            assert min(cover) - 1e-12 <= out[frame] <= max(cover) + 1e-12
+            assert out[frame, 0] in cover
 
 
 def test_cli_determinism(tmp_path):
@@ -386,7 +384,7 @@ def test_pipeline_contract(tmp_path):
     write_keypoints(seq, src)
     save_model(RefinerModel.identity(hidden=4, d_att=3, window=30), model_path)
     motion = refine_keypoint_file(
-        src, model_path, dst, PipelineConfig(stride=9)
+        src, model_path, dst, PipelineConfig()
     )
     assert motion.n_frames == seq.n_frames
     back = parse_keypoints(dst)  # output satisfies the keypoint schema

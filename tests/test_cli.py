@@ -174,7 +174,6 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
             "--input", str(keypoint_file),
             "--model", str(model_path),
             "--output", str(out),
-            "--stride", "6",
             "--sg-halfwidth", "8",
         ]
     )
@@ -185,10 +184,8 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
 
 
 BAD_REFINE_VALUES = {
-    "stride": ["--stride", "0"],
     "half_width": ["--sg-halfwidth", "0"],
     "smoothness_weight": ["--lambda", "-1"],
-    "epsilon": ["--epsilon", "0"],
 }
 
 
@@ -201,6 +198,16 @@ def test_refine_rejects_out_of_range_settings(tmp_path, capsys, keypoint_file, f
     assert main(argv + ["--output", str(out)] + flag) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_refine_has_no_window_layout_flags(capsys):
+    # the window step follows from the model's window, and the stitch has
+    # no weights to keep finite
+    for flag in (["--stride", "5"], ["--epsilon", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["refine"] + REQUIRED_ARGV["refine"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_eval_writes_metrics_json(tmp_path, keypoint_file):
@@ -394,7 +401,7 @@ BAD_OPTION_LINES = {
     "refine": ("refine", "--seed=3"),
     "eval": ("eval", "--tau-rad=5"),
     "export": ("export", "--wat=angles"),
-    "stride-abc": ("refine", "--stride=abc"),
+    "sg-halfwidth-abc": ("refine", "--sg-halfwidth=abc"),
 }
 
 

@@ -23,6 +23,7 @@ from poserefine import (
     record_events,
     write_shard,
 )
+from poserefine.cli import main as cli_main
 from poserefine.dataset import _window_rng
 
 from conftest import make_rng
@@ -237,6 +238,33 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
         path.write_text(json.dumps({**json.loads(good.to_json()), key: value}))
         with pytest.raises(SchemaError, match="window must be >= 2 and stride >= 1"):
             DatasetManifest.load(path)
+
+
+MALFORMED_MANIFEST_FIELDS = {
+    "counts-list": {"counts": []},
+    "shards-list": {"shards": []},
+    "split-without-count": {"counts": {}, "shards": {"train": []}},
+    "templates-string": {"templates": "walk"},
+    "template-number": {"templates": ["walk", 3]},
+}
+
+
+@pytest.mark.parametrize(
+    "fields", MALFORMED_MANIFEST_FIELDS.values(), ids=MALFORMED_MANIFEST_FIELDS.keys()
+)
+def test_manifest_load_rejects_malformed_splits_and_templates(tmp_path, capsys, fields):
+    good = DatasetManifest(
+        window=20, stride=5, frames_per_cycle=25, cycles=2, base_seed=0,
+        noise=NoiseSpec(), templates=["walk"], counts={"train": 0}, shards={"train": []},
+    )
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**json.loads(good.to_json()), **fields}))
+    with pytest.raises(SchemaError, match="manifest"):
+        DatasetManifest.load(path)
+    out = tmp_path / "model.jarm"
+    assert cli_main(["train", "--manifest", str(path), "--out", str(out)]) == 2
+    assert "error: manifest" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_record_coords_enumeration(tiny_corpus):

@@ -73,6 +73,12 @@ def test_parse_rejects_bad_documents(tmp_path):
         parse_keypoints(path)
     attempt({"fps": 0, "keypoints": list(KEYPOINT_NAMES), "frames": [good_frame]}, "fps")
     attempt({"fps": "x", "keypoints": list(KEYPOINT_NAMES), "frames": [good_frame]}, "fps")
+    # JSON strings and booleans are not numbers, though float() takes them
+    for fps in ("30", True):
+        attempt({"fps": fps, "keypoints": list(KEYPOINT_NAMES), "frames": [good_frame]}, "fps")
+    for pt in ([True, False], ["1", 0.5]):
+        frame = {"xy": good_frame["xy"][:12] + [pt]}
+        attempt({"fps": 30, "keypoints": list(KEYPOINT_NAMES), "frames": [frame]}, "right_ankle")
 
 
 def test_refined_motion_shape_validation():
@@ -88,7 +94,7 @@ def test_identity_refinement_reproduces_self_consistent_input():
     rng = make_rng(72)
     seq = smooth_sequence(rng, 90)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    motion = refine_pose_sequence(seq, model, PipelineConfig(stride=7, half_width=10))
+    motion = refine_pose_sequence(seq, model, PipelineConfig(half_width=10))
     assert motion.n_frames == 90
     rebuilt = motion.positions()
     assert rebuilt.fps == seq.fps
@@ -117,7 +123,7 @@ def test_refinement_reconstructs_consistent_limb_lengths():
     noisy_xy = seq.xy + rng.normal(0.0, 0.8, size=seq.xy.shape)
     noisy = PoseSequence(xy=noisy_xy, fps=seq.fps)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    motion = refine_pose_sequence(noisy, model, PipelineConfig(stride=10))
+    motion = refine_pose_sequence(noisy, model, PipelineConfig())
     got = motion.lengths
     # optimized lengths are near-constant over time and close in ratio
     # structure to the true skeleton
