@@ -3,7 +3,10 @@
 Two preprocessing stages run before angle refinement.  The root (nose)
 trajectory is smoothed with a quadratic sliding-window least-squares fit,
 and the per-frame limb lengths are replaced by lengths that respect the
-subject's limb proportions while varying smoothly over time.
+subject's limb proportions while varying smoothly over time.  The limb fit
+is damped Gauss-Newton in log-length space; its normal matrix is built
+straight into banded storage and each damping try is one banded Cholesky
+solve, so no sparse Jacobian is ever assembled.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import DegenerateLimbError, InsufficientDataError, ShapeError
 from .skeleton import PoseSequence
@@ -151,7 +153,11 @@ def limb_objective(lengths: np.ndarray, ratios: RatioTable, smoothness_weight: f
 
 
 def _residuals(u: np.ndarray, table: np.ndarray, sqrt_w: float):
-    """Stacked residual vector at log-lengths u (n, m)."""
+    """Stacked residual vector at log-lengths u (n, m).
+
+    The n * pairs ratio residuals come first, frame-major, then the
+    (n - 1) * m smoothness residuals.
+    """
     ii, jj = _pair_index(u.shape[1])
     ratio_vals = np.exp(u[:, ii] - u[:, jj])
     rr = ratio_vals - table[ii, jj]
@@ -160,30 +166,79 @@ def _residuals(u: np.ndarray, table: np.ndarray, sqrt_w: float):
     return np.concatenate([rr.ravel(), rs.ravel()]), ratio_vals, lengths
 
 
-def _jacobian(u: np.ndarray, ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float):
-    """Sparse Jacobian of the stacked residuals w.r.t. flattened log-lengths."""
-    n, m = u.shape
+def _incidence(m: int) -> np.ndarray:
+    """(pairs, m) matrix with +1 at limb i and -1 at limb j of each pair i < j."""
     ii, jj = _pair_index(m)
-    p = ii.size
-    frames = np.repeat(np.arange(n), p)
+    out = np.zeros((ii.size, m))
+    rows = np.arange(ii.size)
+    out[rows, ii] = 1.0
+    out[rows, jj] = -1.0
+    return out
 
-    rows_r = np.arange(n * p)
-    cols_i = frames * m + np.tile(ii, n)
-    cols_j = frames * m + np.tile(jj, n)
-    vals = ratio_vals.ravel()
 
-    rows_s = n * p + np.arange((n - 1) * m)
-    grid = np.arange((n - 1) * m)
-    cols_cur = grid + m  # u[t, i] with t >= 1
-    cols_prev = grid
-    vals_cur = sqrt_w * lengths[1:].ravel()
-    vals_prev = -sqrt_w * lengths[:-1].ravel()
+def _jt_residual(r: np.ndarray, ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float):
+    """J^T r as an (n, m) array.
 
-    rows = np.concatenate([rows_r, rows_r, rows_s, rows_s])
-    cols = np.concatenate([cols_i, cols_j, cols_cur, cols_prev])
-    data = np.concatenate([vals, -vals, vals_cur, vals_prev])
-    shape = (n * p + (n - 1) * m, n * m)
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    The ratio residual of pair (i, j) has derivative v = exp(u_i - u_j) in
+    u_i and -v in u_j; the smoothness residual of limb i between frames t
+    and t + 1 has derivative sqrt_w * L in u[t + 1, i] and -sqrt_w * L in
+    u[t, i], each L taken at its own frame.
+    """
+    n, m = lengths.shape
+    rr = r[: ratio_vals.size].reshape(ratio_vals.shape)
+    rs = r[ratio_vals.size :].reshape(n - 1, m)
+    out = (ratio_vals * rr) @ _incidence(m)
+    a = sqrt_w * lengths
+    out[1:] += a[1:] * rs
+    out[:-1] -= a[:-1] * rs
+    return out
+
+
+def _normal_band(ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float) -> np.ndarray:
+    """J^T J in LAPACK lower-band storage, shape (m + 1, n * m).
+
+    Unknowns are frame-major, so band[d, t * m + i] is the entry d rows
+    below the diagonal in column (t, i).  Within a frame the ratio
+    residuals give a weighted Laplacian: limb i's diagonal sums v^2 over
+    its pairs, and pair (i, j) puts -v^2 at offset j - i.  The smoothness
+    residuals add (sqrt_w * L)^2 to the diagonal once per neighbouring
+    frame and couple (t, i) to (t + 1, i) at offset m.
+    """
+    n, m = lengths.shape
+    ii, jj = _pair_index(m)
+    v2 = ratio_vals * ratio_vals
+    a = sqrt_w * lengths
+    a2 = a * a
+    band = np.zeros((m + 1, n, m))
+    band[0] = v2 @ np.abs(_incidence(m))
+    band[0, 1:] += a2[1:]
+    band[0, :-1] += a2[:-1]
+    band[jj - ii, :, ii] = -v2.T
+    band[m, :-1] = -a[:-1] * a[1:]
+    return band.reshape(m + 1, n * m)
+
+
+def _jd_norm2(d: np.ndarray, ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float):
+    """|J d|^2 = d^T J^T J d for a step d (n, m), from the residual structure."""
+    ii, jj = _pair_index(d.shape[1])
+    jd_ratio = (ratio_vals * (d[:, ii] - d[:, jj])).ravel()
+    a = sqrt_w * lengths
+    jd_smooth = (a[1:] * d[1:] - a[:-1] * d[:-1]).ravel()
+    return float(jd_ratio @ jd_ratio + jd_smooth @ jd_smooth)
+
+
+def _damped_step(band: np.ndarray, jtr: np.ndarray, mu: float) -> np.ndarray:
+    """Solve (J^T J + mu I) delta = -J^T r by banded Cholesky.
+
+    Raises LinAlgError when the damped matrix is not numerically positive
+    definite.
+    """
+    system = band.copy()
+    system[0] += mu
+    return solveh_banded(
+        system, -jtr.ravel(), overwrite_ab=True, overwrite_b=True, lower=True,
+        check_finite=False,
+    )
 
 
 def limb_loss_gradient(u: np.ndarray, ratios: RatioTable, smoothness_weight: float):
@@ -191,10 +246,8 @@ def limb_loss_gradient(u: np.ndarray, ratios: RatioTable, smoothness_weight: flo
     u = np.asarray(u, dtype=float)
     sqrt_w = float(np.sqrt(smoothness_weight))
     r, ratio_vals, lengths = _residuals(u, ratios.table, sqrt_w)
-    jac = _jacobian(u, ratio_vals, lengths, sqrt_w)
     loss = float(r @ r)
-    grad = 2.0 * (jac.T @ r)
-    return loss, grad.reshape(u.shape)
+    return loss, 2.0 * _jt_residual(r, ratio_vals, lengths, sqrt_w)
 
 
 def optimize_limb_lengths(
@@ -207,9 +260,11 @@ def optimize_limb_lengths(
     Works in log-length space so lengths stay positive.  Steps are damped
     Gauss-Newton solves on the stacked residuals; a step is kept only when
     it reduces the loss, and the damping adapts to the ratio of actual to
-    predicted reduction.  Initialization is the per-limb temporal median of
-    the raw lengths, so input that is already constant and exactly
-    ratio-consistent is a fixed point.
+    predicted reduction.  Each damping try is one banded Cholesky solve of
+    J^T J + mu I, whose half-bandwidth is the limb count because the
+    unknowns are frame-major.  Initialization is the per-limb temporal
+    median of the raw lengths, so input that is already constant and
+    exactly ratio-consistent is a fixed point.
     """
     if smoothness_weight < 0:
         raise ShapeError("smoothness_weight must be >= 0")
@@ -236,33 +291,32 @@ def optimize_limb_lengths(
         raise ShapeError("non-finite loss at the initial point")
     loss = float(r @ r)
     history = [loss]
-    eye = sp.identity(n * m, format="csr")
     mu = 1.0
     growth = 2.0
     converged = False
 
     for _outer in range(_MAX_ITERATIONS):
-        jac = _jacobian(u, ratio_vals, lengths, sqrt_w)
-        grad = 2.0 * (jac.T @ r)
-        if np.max(np.abs(grad)) <= _GRADIENT_TOLERANCE:
+        jtr = _jt_residual(r, ratio_vals, lengths, sqrt_w)
+        if np.max(np.abs(2.0 * jtr)) <= _GRADIENT_TOLERANCE:
             converged = True
             break
-        jtj = (jac.T @ jac).tocsr()
-        jtr = jac.T @ r
+        band = _normal_band(ratio_vals, lengths, sqrt_w)
 
         accepted = False
         for _ in range(60):
-            system = (jtj + mu * eye).tocsc()
             try:
-                delta = splu(system).solve(-jtr)
-            except RuntimeError:
-                pass  # singular: retry with more damping
+                delta = _damped_step(band, jtr, mu).reshape(n, m)
+            except LinAlgError:
+                pass  # not positive definite: retry with more damping
             else:
-                u_new = u + delta.reshape(n, m)
+                u_new = u + delta
                 r_new, rv_new, len_new = _residuals(u_new, table, sqrt_w)
                 loss_new = float(r_new @ r_new)
-                # quadratic model: loss + 2 r.J d + d.JtJ d
-                predicted = -(2.0 * (jtr @ delta) + delta @ (jtj @ delta))
+                # quadratic model: loss + 2 r.J d + |J d|^2
+                predicted = -(
+                    2.0 * (jtr.ravel() @ delta.ravel())
+                    + _jd_norm2(delta, ratio_vals, lengths, sqrt_w)
+                )
                 if predicted > 0 and np.isfinite(loss_new) and loss_new < loss:
                     rho = (loss - loss_new) / predicted
                     u, r, ratio_vals, lengths, loss = u_new, r_new, rv_new, len_new, loss_new
@@ -280,8 +334,8 @@ def optimize_limb_lengths(
 
     if not converged:
         # the budget may have run out right at a stationary point
-        jac = _jacobian(u, ratio_vals, lengths, sqrt_w)
-        if np.max(np.abs(2.0 * (jac.T @ r))) <= _GRADIENT_TOLERANCE:
+        jtr = _jt_residual(r, ratio_vals, lengths, sqrt_w)
+        if np.max(np.abs(2.0 * jtr)) <= _GRADIENT_TOLERANCE:
             converged = True
 
     return LimbSolveResult(

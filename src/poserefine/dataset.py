@@ -271,6 +271,10 @@ class DatasetManifest:
         uncounted = sorted(set(manifest.shards) - set(manifest.counts))
         if uncounted:
             raise SchemaError(f"manifest {path}: shards of {uncounted} have no count")
+        for entries in manifest.shards.values():
+            for name, _, _ in entries:
+                if not (isinstance(name, str) and name):
+                    raise SchemaError(f"manifest {path}: shard name {name!r} is not a file name")
         manifest.root = os.path.dirname(os.path.abspath(path))
         return manifest
 

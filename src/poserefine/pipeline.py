@@ -141,11 +141,10 @@ def write_keypoints(seq: PoseSequence, path) -> None:
     doc = {
         "fps": seq.fps,
         "keypoints": list(KEYPOINT_NAMES),
-        "frames": [{"xy": [[float(x), float(y)] for x, y in frame]} for frame in seq.xy],
+        "frames": [{"xy": frame} for frame in seq.xy.tolist()],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,14 @@ MALFORMED = {
     "frame-bool": ("eval", json.dumps({"frames": [True]})),
     "joints-empty": ("eval", json.dumps({"frames": [{"frame": 2, "joints": []}]})),
     "manifest-list": ("train", "[]"),
+    "manifest-shard-name": (
+        "train",
+        DatasetManifest(
+            window=20, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            noise=NoiseSpec(), templates=[], counts={"train": 1},
+            shards={"train": [(5, 1, 0)]},
+        ).to_json(),
+    ),
     "manifest-window": (
         "train",
         DatasetManifest(

@@ -18,6 +18,7 @@ from poserefine import (
     savgol_smooth,
     smooth_base_trajectory,
 )
+from poserefine.conditioning import _damped_step, _jd_norm2, _normal_band, _residuals
 
 from conftest import make_rng, random_sequence
 
@@ -179,6 +180,64 @@ def test_limb_gradient_matches_finite_differences():
                 - limb_objective(np.exp(um), ratios, 1.3)
             ) / (2 * h)
             assert grad[t, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def stacked_residuals(u: np.ndarray, table: np.ndarray, w: float) -> np.ndarray:
+    """Every residual of the limb objective, one scalar per term, from loops."""
+    n, m = u.shape
+    lengths = np.exp(u)
+    ratio = [
+        lengths[t, i] / lengths[t, j] - table[i, j]
+        for t in range(n)
+        for i in range(m)
+        for j in range(i + 1, m)
+    ]
+    smooth = [np.sqrt(w) * (lengths[t + 1, i] - lengths[t, i]) for t in range(n - 1) for i in range(m)]
+    return np.array(ratio + smooth)
+
+
+def test_banded_normal_equations_match_dense_finite_difference_jacobian():
+    n, m, w = 5, 4, 1.3
+    rng = make_rng(29)
+    ratios = estimate_ratios(rng.uniform(10.0, 60.0, size=(30, m)))
+    u = np.log(rng.uniform(10.0, 60.0, size=(n, m)))
+
+    h = 1e-6
+    jac = np.empty((stacked_residuals(u, ratios.table, w).size, n * m))
+    for c in range(n * m):
+        up, um = u.copy(), u.copy()
+        up.flat[c] += h
+        um.flat[c] -= h
+        jac[:, c] = (
+            stacked_residuals(up, ratios.table, w) - stacked_residuals(um, ratios.table, w)
+        ) / (2 * h)
+    jtj = jac.T @ jac
+    jtr = jac.T @ stacked_residuals(u, ratios.table, w)
+
+    # LAPACK lower-band storage of the dense matrix: lower[d, c] = A[c + d, c]
+    lower = np.zeros((m + 1, n * m))
+    for d in range(m + 1):
+        lower[d, : n * m - d] = np.diagonal(jtj, -d)
+    # every entry further than m below the diagonal is zero
+    assert np.array_equal(np.tril(jtj, -(m + 1)), np.zeros_like(jtj))
+
+    sqrt_w = float(np.sqrt(w))
+    _, ratio_vals, lengths = _residuals(u, ratios.table, sqrt_w)
+    band = _normal_band(ratio_vals, lengths, sqrt_w)
+    np.testing.assert_allclose(band, lower, rtol=1e-7, atol=0.0)
+
+    _, grad = limb_loss_gradient(u, ratios, w)
+    np.testing.assert_allclose(grad.ravel(), 2.0 * jtr, rtol=1e-7, atol=0.0)
+
+    # the solver's predicted reduction uses |J d|^2 for d^T J^T J d
+    d = rng.normal(size=(n, m))
+    jd = jac @ d.ravel()
+    assert _jd_norm2(d, ratio_vals, lengths, sqrt_w) == pytest.approx(jd @ jd, rel=1e-7)
+
+    for mu in (1e-3, 1.0, 1e3):
+        want = np.linalg.solve(jtj + mu * np.eye(n * m), -jtr)
+        got = _damped_step(band, grad / 2.0, mu)
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * np.max(np.abs(want)))
 
 
 def test_consistent_constant_input_is_a_fixed_point():

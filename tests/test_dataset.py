@@ -246,6 +246,14 @@ MALFORMED_MANIFEST_FIELDS = {
     "split-without-count": {"counts": {}, "shards": {"train": []}},
     "templates-string": {"templates": "walk"},
     "template-number": {"templates": ["walk", 3]},
+    "shard-name-number": {
+        "counts": {"train": 1},
+        "shards": {"train": [{"name": 5, "records": 1, "bytes": 0}]},
+    },
+    "shard-name-empty": {
+        "counts": {"train": 1},
+        "shards": {"train": [{"name": "", "records": 1, "bytes": 0}]},
+    },
 }
 
 

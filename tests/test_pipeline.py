@@ -42,6 +42,26 @@ def test_parse_write_roundtrip(tmp_path):
     assert np.array_equal(back.xy, seq.xy)  # repr-based JSON floats roundtrip
 
 
+def test_write_keypoints_bytes_are_pinned(tmp_path):
+    xy = np.ones((2, 13, 2))
+    xy[0, 0] = [-0.0, 1e-17]
+    xy[1, 12] = [0.1 + 0.2, 123456789.125]
+    path = tmp_path / "kp.json"
+    write_keypoints(PoseSequence(xy=xy, fps=25), path)
+    names = (
+        '"nose","left_shoulder","right_shoulder","left_elbow","right_elbow",'
+        '"left_wrist","right_wrist","left_hip","right_hip","left_knee",'
+        '"right_knee","left_ankle","right_ankle"'
+    )
+    ones = ",".join(["[1.0,1.0]"] * 12)
+    expected = (
+        '{"fps":25.0,"keypoints":[' + names + '],"frames":['
+        '{"xy":[[-0.0,1e-17],' + ones + ']},'
+        '{"xy":[' + ones + ',[0.30000000000000004,123456789.125]]}]}\n'
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_parse_rejects_bad_documents(tmp_path):
     path = tmp_path / "kp.json"
 
