@@ -44,26 +44,50 @@ def savgol_smooth(series: np.ndarray, half_width: int) -> np.ndarray:
         raise InsufficientDataError(f"smoothing needs >= 3 frames, got {n}")
     out = np.empty(n)
 
-    edge_idx: list[int]
     if n >= 2 * w + 1:
         # interior: one projection row reused as a convolution kernel
         t = np.arange(-w, w + 1, dtype=float)
         cols = np.stack([np.ones_like(t), t, t * t], axis=1)
         proj = np.linalg.solve(cols.T @ cols, cols.T)[0]
         out[w : n - w] = np.convolve(y, proj[::-1], mode="valid")
-        edge_idx = list(range(w)) + list(range(n - w, n))
+        edge = np.r_[0:w, n - w : n]
     else:
-        edge_idx = list(range(n))
-
-    for i in edge_idx:
-        lo = max(0, i - w)
-        hi = min(n - 1, i + w)
-        t = np.arange(lo, hi + 1, dtype=float) - i
-        deg = min(2, t.size - 1)
-        cols = np.vander(t, deg + 1, increasing=True)
-        coef, *_ = np.linalg.lstsq(cols, y[lo : hi + 1], rcond=None)
-        out[i] = coef[0]
+        edge = np.arange(n)
+    # a clamped window starts at index 0 or ends at n - 1; the latter are
+    # fitted as windows that start at 0 on the reversed series
+    left = edge <= w
+    out[edge[left]] = _fits_from_start(y, edge[left], w)
+    out[edge[~left]] = _fits_from_start(y[::-1], n - 1 - edge[~left], w)
     return out
+
+
+def _fits_from_start(y: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
+    """savgol_smooth's fits at the indices `at`, whose windows start at 0.
+
+    Index i fits y[0 : hi + 1], hi = min(i + w, n - 1), with degree
+    min(2, hi), all indices at once.  In the coordinate v = j / hi the
+    normal matrix is about (hi + 1) times the 3x3 Hilbert matrix, so it is
+    well conditioned, and each sum over a window [0, hi] is one entry of a
+    running sum.  The value at i is a · [Σy, Σy·v, Σy·v²], where a solves
+    M a = [1, v_i, v_i²]; a linear fit replaces M's quadratic row and
+    column by the identity's and the target's last entry by 0, so a2 = 0.
+    """
+    hi = np.minimum(at + w, y.size - 1)
+    top = int(hi.max(initial=0)) + 1
+    powers = np.arange(top, dtype=float)[:, None] ** np.arange(5)
+    scale = hi[:, None].astype(float) ** np.arange(5)
+    moments = np.cumsum(powers, axis=0)[hi] / scale
+    sums = np.cumsum(y[:top, None] * powers[:, :3], axis=0)[hi] / scale[:, :3]
+    normal = moments[:, np.add.outer(np.arange(3), np.arange(3))]
+    v = at / hi
+    target = np.stack([np.ones_like(v), v, v * v], axis=1)
+    linear = hi < 2
+    normal[linear, 2, :] = 0.0
+    normal[linear, :, 2] = 0.0
+    normal[linear, 2, 2] = 1.0
+    target[linear, 2] = 0.0
+    coef = np.linalg.solve(normal, target[:, :, None])[:, :, 0]
+    return np.sum(coef * sums, axis=1)
 
 
 def smooth_base_trajectory(seq: PoseSequence, half_width: int) -> np.ndarray:
@@ -109,17 +133,28 @@ def estimate_ratios(raw_lengths: np.ndarray) -> RatioTable:
     if not alive.any(axis=0).all():
         limb = int(np.argmin(alive.any(axis=0)))
         raise DegenerateLimbError(f"limb {limb} has no positive-length frame")
+    # every pair i < j at once, in the row-major order of the upper triangle
+    i, j = np.triu_indices(m, 1)
+    both = alive[:, i] & alive[:, j]
+    count = both.sum(axis=0)
+    if (count == 0).any():
+        p = int(np.argmax(count == 0))
+        raise DegenerateLimbError(
+            f"limbs {i[p]} and {j[p]} share no frame with positive lengths"
+        )
+    # an exact masked median: missing ratios sort last as NaN, and the
+    # middle one or two of a column's `count` ratios are averaged as
+    # np.median does; a NaN among the ratios themselves makes it NaN too
+    ratios = np.divide(raw[:, i], raw[:, j], out=np.full(both.shape, np.nan), where=both)
+    ordered = np.sort(ratios, axis=0)
+    cols = np.arange(i.size)
+    low = ordered[(count - 1) // 2, cols]
+    high = ordered[count // 2, cols]
+    median = np.where(count % 2 == 1, low, (low + high) / 2)
+    median[np.isnan(ratios).sum(axis=0) > n - count] = np.nan
     table = np.ones((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            both = alive[:, i] & alive[:, j]
-            if not both.any():
-                raise DegenerateLimbError(
-                    f"limbs {i} and {j} share no frame with positive lengths"
-                )
-            r = float(np.median(raw[both, i] / raw[both, j]))
-            table[i, j] = r
-            table[j, i] = 1.0 / r
+    table[i, j] = median
+    table[j, i] = 1.0 / median
     return RatioTable(table=table)
 
 

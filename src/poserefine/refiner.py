@@ -17,12 +17,17 @@ buffer each.  Inputs and outputs stay float64; the network's correction
 is added onto the float64 input, so a float32 run rounds only that.
 
 The public functions take batch-major (B, L) windows, but the GRU layers
-run time-major: states, gate caches and their gradients are (L, B, ·)
-arrays, so each of the per-step numpy calls reads and writes one
-contiguous (B, ·) block.  Batch-major, those blocks are B rows spaced a
-whole window apart, and the step loops are most of the refine time.
-Attention and the output head read the top layer through a batch-major
-view.
+run time-major, and one time loop per layer advances both directions.
+The states of a layer are one (L+1, 2, B, H) array, h[t, d] being
+direction d's state after t steps, and each step's gates are one
+(2, 2, B, H) block indexed [gate, direction].  Every numpy call of a
+step therefore covers both directions and reads and writes contiguous
+(B, H) blocks; the step loops are most of the refine time, and most of a
+step's cost is per-call overhead and memory traffic, not arithmetic.
+The input projections are computed a few steps at a time into one
+reused buffer rather than for the whole window.  Attention and the
+output head read the top layer's (L, B, 2H) output through a
+batch-major view.
 """
 
 from __future__ import annotations
@@ -36,17 +41,20 @@ import numpy as np
 from .errors import CorruptModelError, ModelFormatError, ShapeError
 
 _GATES = ("z", "r", "h")
+_DIRECTIONS = ("fwd", "bwd")
 _MAGIC = b"JARM"
 _VERSION = 1
 # the largest window a corpus shard can record: its length field is <u2
 MAX_WINDOW = 65535
+# time steps whose input projections are computed together, per direction
+_PROJ_BLOCK = 8
 
 
 def parameter_shapes(hidden: int, d_att: int) -> dict:
     """Name -> shape table for every trainable tensor."""
     shapes: dict[str, tuple] = {}
     for layer, d_in in (("l1", 1), ("l2", 2 * hidden)):
-        for direction in ("fwd", "bwd"):
+        for direction in _DIRECTIONS:
             prefix = f"{layer}.{direction}"
             for g in _GATES:
                 shapes[f"{prefix}.W_{g}"] = (d_in, hidden)
@@ -121,82 +129,127 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
     x *= 0.5
 
 
-def _direction_forward(x: np.ndarray, cell: dict, keep_cache: bool):
-    """Run one direction over x (L, B, d_in); returns h (L, B, H) and a cache.
+def _layer_weights(model: RefinerModel, layer: str, dtype):
+    """Both directions' weights of one layer, stacked for the time loop.
 
-    Everything is time-major: h is (L+1, B, H), the input projections
-    (L, B, 3H), the z/r gates one (L, B, 2H) cache and the candidate state
-    (L, B, H).  Each step therefore touches contiguous (B, ·) blocks; as B
-    rows spaced a window apart, the same blocks made every element-wise
-    call of a large batch several times slower.  The input projections run
-    as one large GEMM up front, and the recurrent z/r product is written
-    straight into the gate cache, where the sigmoid is applied in place.
+    Returns W (2, 3, d_in, H) indexed [direction, gate], U_zr (2, 2, H, H)
+    and the bias (3, 2, 1, H) indexed [gate, direction], and U_h (2, H, H);
+    gates in z, r, h order, all in dtype.
+    """
+    cells = [model.cell(f"{layer}.{d}") for d in _DIRECTIONS]
+    w = np.array([[c[f"W_{g}"] for g in _GATES] for c in cells], dtype=dtype)
+    u_zr = np.array([[c[f"U_{g}"] for c in cells] for g in "zr"], dtype=dtype)
+    u_h = np.array([c["U_h"] for c in cells], dtype=dtype)
+    bias = np.array([[c[f"b_{g}"] for c in cells] for g in _GATES], dtype=dtype)
+    return w, u_zr, u_h, bias[:, :, None, :]
 
-    The step computes in x.dtype.  Without keep_cache the gates and the
-    candidate state are one (B, ·) buffer each, reused at every step, and
-    the cache is None.
+
+def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool):
+    """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H).
+
+    One time loop advances both directions: h is (L+1, 2, B, H), where
+    h[t, 0] is the forward state after t steps (times 0..t-1) and h[t, 1]
+    the backward state after t steps (times L-1 down to L-t); index 0 holds
+    the zero initial states.  Each step computes the recurrent z/r products
+    of both directions with one matmul into a (2, 2, B, H) buffer indexed
+    [gate, direction], so z and r are each one contiguous (2, B, H) block
+    and each element-wise call covers both directions.
+
+    The input projections x @ W + b are computed _PROJ_BLOCK steps at a
+    time into one reused (block, 3, 2, B, H) buffer, both directions in step
+    order, and the bias is added in place, so each step reads one
+    contiguous (3, 2, B, H) slice and no (L, B, 3H) projection is built.
+    The output is written once from h: the forward half, then the backward
+    half reversed.
+
+    The step computes in x.dtype.  With keep_cache the cache holds x, h,
+    the gates zr (L, 2, 2, B, H) and the candidate state hc (L, 2, B, H);
+    without it the gates and candidate state are one step's buffer each,
+    reused at every step, and the cache is None.
     """
     length, b, d_in = x.shape
     dtype = x.dtype
-    hidden = cell["b_z"].size
-    w_in = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1, dtype=dtype)
-    b_in = np.concatenate([cell["b_z"], cell["b_r"], cell["b_h"]], dtype=dtype)
-    xproj = (x.reshape(length * b, d_in) @ w_in + b_in).reshape(length, b, 3 * hidden)
-    u_zr = np.concatenate([cell["U_z"], cell["U_r"]], axis=1, dtype=dtype)
-    u_h = cell["U_h"].astype(dtype, copy=False)
+    hidden = model.hidden
+    w, u_zr, u_h, bias = _layer_weights(model, layer, dtype)
+    # a (rows, 1) @ (1, H) matmul takes numpy's loop without BLAS; the
+    # broadcast product gives the same values several times faster
+    project = np.multiply if d_in == 1 else np.matmul
 
-    # h holds the zero initial state at index 0; outputs live at 1..L
-    h = np.zeros((length + 1, b, hidden), dtype)
+    h = np.zeros((length + 1, 2, b, hidden), dtype)
     steps = length if keep_cache else 1
-    zr_all = np.empty((steps, b, 2 * hidden), dtype)
-    hc_all = np.empty((steps, b, hidden), dtype)
-    rh = np.empty((b, hidden), dtype)
+    zr_all = np.empty((steps, 2, 2, b, hidden), dtype)
+    hc_all = np.empty((steps, 2, b, hidden), dtype)
+    rh = np.empty((2, b, hidden), dtype)
+    block = min(_PROJ_BLOCK, length)
+    proj = np.empty((block, 3, 2, b, hidden), dtype)
     for t in range(length):
+        k = t % block
+        if k == 0:
+            n = min(block, length - t)
+            project(x[t : t + n, None], w[0], out=proj[:n, :, 0])
+            # the backward direction's block, in its step order
+            back = x[length - t - n : length - t][::-1]
+            project(back[:, None], w[1], out=proj[:n, :, 1])
+            proj[:n] += bias
+        xp = proj[k]
         hp = h[t]
         slot = t if keep_cache else 0
         zr = zr_all[slot]
         np.matmul(hp, u_zr, out=zr)
-        zr += xproj[t, :, : 2 * hidden]
+        zr += xp[:2]
         _sigmoid_inplace(zr)
-        np.multiply(zr[:, hidden:], hp, out=rh)
+        np.multiply(zr[1], hp, out=rh)
         hc = hc_all[slot]
         np.matmul(rh, u_h, out=hc)
-        hc += xproj[t, :, 2 * hidden :]
+        hc += xp[2]
         np.tanh(hc, out=hc)
         # h_new = hp + z * (hc - hp)
         hn = h[t + 1]
         np.subtract(hc, hp, out=hn)
-        hn *= zr[:, :hidden]
+        hn *= zr[0]
         hn += hp
+    out = np.empty((length, b, 2 * hidden), dtype)
+    out[:, :, :hidden] = h[1:, 0]
+    out[:, :, hidden:] = h[length:0:-1, 1]
     cache = {"x": x, "h": h, "zr": zr_all, "hc": hc_all} if keep_cache else None
-    return h[1:], cache
+    return out, cache
 
 
-def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
-    """BPTT through one direction on (L, B, ·) arrays; returns (dx, grads)."""
+def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
+    """BPTT through both directions of one layer; returns (dx, grads).
+
+    dout is (L, B, 2H).  The step loop runs both directions back from
+    their last step, reading the forward cache's (L+1, 2, B, H) states and
+    contiguous gate blocks.  The gate pre-activation gradients are one
+    direction-major (2, L, B, 3H) array, z, r and h side by side, so each
+    direction's weight and input gradients are one GEMM each over its L·B
+    rows in that direction's step order.
+    """
     x = cache["x"]
-    h = cache["h"]  # (L+1, B, H) with the zero initial state at index 0
+    h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
     zr_all, hc_all = cache["zr"], cache["hc"]
-    length, b, hidden = hc_all.shape
+    length, _, b, hidden = hc_all.shape
     d_in = x.shape[2]
-    h_prev = h[:-1]
+    cells = [model.cell(f"{layer}.{d}") for d in _DIRECTIONS]
 
-    da_zr = np.empty((length, b, 2 * hidden))
-    dah = np.empty((length, b, hidden))
-    u_zr_t = np.concatenate([cell["U_z"], cell["U_r"]], axis=1).T.copy()
-    u_h_t = cell["U_h"].T.copy()
-    dh = np.zeros((b, hidden))  # gradient of the state, carried backwards
-    drh = np.empty((b, hidden))
-    tmp = np.empty((b, hidden))
+    da = np.empty((2, length, b, 3 * hidden))
+    u_zr_t = np.array([np.concatenate([c["U_z"], c["U_r"]], axis=1).T for c in cells])
+    u_h_t = np.array([c["U_h"].T for c in cells])
+    dh = np.zeros((2, b, hidden))  # gradient of the states, carried backwards
+    drh = np.empty((2, b, hidden))
+    tmp = np.empty((2, b, hidden))
     for t in range(length - 1, -1, -1):
-        z = zr_all[t, :, :hidden]
-        r = zr_all[t, :, hidden:]
+        z = zr_all[t, 0]
+        r = zr_all[t, 1]
         hc = hc_all[t]
-        hp = h_prev[t]
-        dh += dh_seq[t]
-        da_z = da_zr[t, :, :hidden]
-        da_r = da_zr[t, :, hidden:]
-        da_h = dah[t]
+        hp = h[t]
+        # step t of the backward direction read time L-1-t
+        dh[0] += dout[t, :, :hidden]
+        dh[1] += dout[length - 1 - t, :, hidden:]
+        da_zr = da[:, t, :, : 2 * hidden]
+        da_z = da[:, t, :, :hidden]
+        da_r = da[:, t, :, hidden : 2 * hidden]
+        da_h = da[:, t, :, 2 * hidden :]
         # dz = dh*(hc-hp); da_z = dz*z*(1-z)
         np.subtract(hc, hp, out=da_z)
         da_z *= dh
@@ -214,63 +267,41 @@ def _direction_backward(cache: dict, cell: dict, dh_seq: np.ndarray):
         da_r *= r
         np.subtract(1.0, r, out=tmp)
         da_r *= tmp
-        # dh becomes the gradient of the previous state
+        # dh becomes the gradient of the previous states
         np.subtract(1.0, z, out=tmp)
         dh *= tmp
         drh *= r
         dh += drh
-        np.matmul(da_zr[t], u_zr_t, out=tmp)
+        np.matmul(da_zr, u_zr_t, out=tmp)
         dh += tmp
 
-    rh = zr_all[:, :, hidden:] * h_prev
-    x2 = x.reshape(length * b, d_in)
-    da_zr2 = da_zr.reshape(length * b, 2 * hidden)
-    dah2 = dah.reshape(length * b, hidden)
-    dw_zr = x2.T @ da_zr2
-    dw_h = x2.T @ dah2
-    hp2 = h_prev.reshape(length * b, hidden)
-    du_zr = hp2.T @ da_zr2
-    du_h = rh.reshape(length * b, hidden).T @ dah2
-    grads = {
-        "W_z": dw_zr[:, :hidden],
-        "W_r": dw_zr[:, hidden:],
-        "W_h": dw_h,
-        "U_z": du_zr[:, :hidden],
-        "U_r": du_zr[:, hidden:],
-        "U_h": du_h,
-        "b_z": da_zr2[:, :hidden].sum(axis=0),
-        "b_r": da_zr2[:, hidden:].sum(axis=0),
-        "b_h": dah2.sum(axis=0),
-    }
-    w_all_t = np.concatenate(
-        [cell["W_z"], cell["W_r"], cell["W_h"]], axis=1
-    ).T.copy()
-    da_all = np.concatenate([da_zr2, dah2], axis=1)
-    dx = (da_all @ w_all_t).reshape(length, b, d_in)
-    return dx, grads
-
-
-def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool):
-    """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H)."""
-    hf, cache_f = _direction_forward(x, model.cell(f"{layer}.fwd"), keep_cache)
-    hb_rev, cache_b = _direction_forward(x[::-1], model.cell(f"{layer}.bwd"), keep_cache)
-    out = np.concatenate([hf, hb_rev[::-1]], axis=2)
-    return out, (cache_f, cache_b)
-
-
-def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
-    cache_f, cache_b = cache
-    hidden = model.hidden
-    dxf, gf = _direction_backward(cache_f, model.cell(f"{layer}.fwd"), dout[:, :, :hidden])
-    dxb, gb = _direction_backward(
-        cache_b, model.cell(f"{layer}.bwd"), dout[::-1, :, hidden:]
-    )
     grads = {}
-    for name, g in gf.items():
-        grads[f"{layer}.fwd.{name}"] = g
-    for name, g in gb.items():
-        grads[f"{layer}.bwd.{name}"] = g
-    return dxf + dxb[::-1], grads
+    dxs = []
+    for d, (direction, cell) in enumerate(zip(_DIRECTIONS, cells)):
+        # this direction's input and previous states, in its step order
+        x2 = (x if d == 0 else x[::-1]).reshape(length * b, d_in)
+        h_prev = h[:-1, d]
+        rh = zr_all[:, 1, d] * h_prev
+        da_all = da[d].reshape(length * b, 3 * hidden)
+        da_zr2 = da_all[:, : 2 * hidden]
+        dah2 = da_all[:, 2 * hidden :]
+        dw_zr = x2.T @ da_zr2
+        du_zr = h_prev.reshape(length * b, hidden).T @ da_zr2
+        prefix = f"{layer}.{direction}"
+        grads[f"{prefix}.W_z"] = dw_zr[:, :hidden]
+        grads[f"{prefix}.W_r"] = dw_zr[:, hidden:]
+        grads[f"{prefix}.W_h"] = x2.T @ dah2
+        grads[f"{prefix}.U_z"] = du_zr[:, :hidden]
+        grads[f"{prefix}.U_r"] = du_zr[:, hidden:]
+        grads[f"{prefix}.U_h"] = rh.reshape(length * b, hidden).T @ dah2
+        grads[f"{prefix}.b_z"] = da_zr2[:, :hidden].sum(axis=0)
+        grads[f"{prefix}.b_r"] = da_zr2[:, hidden:].sum(axis=0)
+        grads[f"{prefix}.b_h"] = dah2.sum(axis=0)
+        w_all_t = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1).T.copy()
+        dxs.append((da_all @ w_all_t).reshape(length, b, d_in))
+    dx, dx_back = dxs
+    dx += dx_back[::-1]
+    return dx, grads
 
 
 def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):

@@ -60,6 +60,31 @@ def test_savgol_matches_normal_equation_oracle():
         assert np.max(np.abs(out - savgol_oracle(y, w))) <= 1e-10
 
 
+def savgol_lstsq_oracle(y: np.ndarray, half_width: int) -> np.ndarray:
+    """Per-index least-squares fit, one np.linalg.lstsq call per index."""
+    n = y.size
+    out = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - half_width)
+        hi = min(n - 1, i + half_width)
+        t = np.arange(lo, hi + 1, dtype=float) - i
+        cols = np.vander(t, min(2, t.size - 1) + 1, increasing=True)
+        out[i] = np.linalg.lstsq(cols, y[lo : hi + 1], rcond=None)[0][0]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 40, 99, 101, 250])
+@pytest.mark.parametrize("half_width", [1, 2, 50])
+def test_savgol_clamped_fits_match_per_index_lstsq(n, half_width):
+    # n < 2*half_width + 1 clamps every window; n = 101 with half_width 50
+    # has one interior index; half_width 1 has two-point linear end fits
+    rng = make_rng(1000 + n + half_width)
+    for y in (rng.normal(0.0, 3.0, size=n), 300.0 + 20.0 * rng.normal(size=n).cumsum()):
+        want = savgol_lstsq_oracle(y, half_width)
+        got = savgol_smooth(y, half_width)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_savgol_is_linear():
     rng = make_rng(22)
     a = rng.normal(size=80)
@@ -135,6 +160,52 @@ def test_estimate_ratios_errors():
         estimate_ratios(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ShapeError):
         estimate_ratios(np.ones(5))
+
+
+def ratios_loop_oracle(raw: np.ndarray) -> np.ndarray:
+    """One np.median per limb pair over the frames where both exist."""
+    m = raw.shape[1]
+    alive = raw > 0
+    table = np.ones((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            both = alive[:, i] & alive[:, j]
+            if not both.any():
+                raise DegenerateLimbError(
+                    f"limbs {i} and {j} share no frame with positive lengths"
+                )
+            r = float(np.median(raw[both, i] / raw[both, j]))
+            table[i, j] = r
+            table[j, i] = 1.0 / r
+    return table
+
+
+def test_estimate_ratios_is_bitwise_the_per_pair_median():
+    rng = make_rng(25)
+    for n in (1, 2, 3, 40, 99, 100):
+        raw = rng.uniform(5.0, 60.0, size=(n, 12))
+        assert np.array_equal(estimate_ratios(raw).table, ratios_loop_oracle(raw))
+        # zero lengths leave each pair its own odd or even count of frames
+        holes = raw.copy()
+        holes[rng.random(holes.shape) < 0.3] = 0.0
+        holes[0] = raw[0]
+        assert np.array_equal(estimate_ratios(holes).table, ratios_loop_oracle(holes))
+
+
+def test_estimate_ratios_reports_the_first_pair_without_common_frames():
+    # pairs (1, 3) and (2, 4) never overlap; (1, 3) comes first
+    raw = np.ones((4, 5))
+    raw[:2, 1] = 0.0
+    raw[2:, 3] = 0.0
+    raw[:2, 2] = 0.0
+    raw[2:, 4] = 0.0
+    with pytest.raises(DegenerateLimbError) as want:
+        ratios_loop_oracle(raw)
+    with pytest.raises(DegenerateLimbError) as got:
+        estimate_ratios(raw)
+    assert str(got.value) == str(want.value) == (
+        "limbs 1 and 3 share no frame with positive lengths"
+    )
 
 
 def test_ratio_table_validation():

@@ -1,6 +1,7 @@
 """Refiner network: forward oracles, gradients, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from poserefine import (
     train_on_arrays,
 )
 from poserefine.refiner import (
+    _PROJ_BLOCK,
     MAX_WINDOW,
     _attention_forward,
     _bigru_forward,
-    _direction_forward,
     _forward,
 )
 
@@ -113,7 +114,6 @@ def test_gru_cell_scalar_hand_oracle():
 def test_bigru_layer_matches_stepwise_oracle():
     rng = make_rng(52)
     model = small_model(seed=3)
-    x = rng.normal(size=(2, 12, 1))
 
     def run_direction(seq, cell):
         h = np.zeros((seq.shape[0], model.hidden))
@@ -123,21 +123,27 @@ def test_bigru_layer_matches_stepwise_oracle():
             states.append(h)
         return np.stack(states, axis=1)
 
-    fwd = run_direction(x, model.cell("l1.fwd"))
-    bwd = run_direction(x[:, ::-1], model.cell("l1.bwd"))[:, ::-1]
-    want = np.concatenate([fwd, bwd], axis=2)
-    # the layer runs time-major: (L, B, d_in) in, (L, B, 2H) out
-    got = _bigru_forward(x.transpose(1, 0, 2), model, "l1", keep_cache=False)[0]
-    got = got.transpose(1, 0, 2)
-    assert got.shape == (2, 12, 2 * model.hidden)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    def oracle(seq, layer):
+        fwd = run_direction(seq, model.cell(f"{layer}.fwd"))
+        bwd = run_direction(seq[:, ::-1], model.cell(f"{layer}.bwd"))[:, ::-1]
+        return np.concatenate([fwd, bwd], axis=2)
 
-    # second layer consumes the first layer's features
-    got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2", keep_cache=False)[0]
-    got2 = got2.transpose(1, 0, 2)
-    fwd2 = run_direction(got, model.cell("l2.fwd"))
-    bwd2 = run_direction(got[:, ::-1], model.cell("l2.bwd"))[:, ::-1]
-    assert np.max(np.abs(got2 - np.concatenate([fwd2, bwd2], axis=2))) <= 1e-12
+    # the window of 12 is not a multiple of the projection block; the other
+    # lengths are 2, one below the block, and a last block of one step
+    assert 12 % _PROJ_BLOCK != 0
+    lengths = (12, 2, _PROJ_BLOCK - 1, 2 * _PROJ_BLOCK + 1)
+    for length, batch in [(12, 2)] + [(n, b) for n in lengths for b in (1, 3)]:
+        x = rng.normal(size=(batch, length, 1))
+        # the layer runs time-major: (L, B, d_in) in, (L, B, 2H) out
+        got = _bigru_forward(x.transpose(1, 0, 2), model, "l1", keep_cache=False)[0]
+        got = got.transpose(1, 0, 2)
+        assert got.shape == (batch, length, 2 * model.hidden)
+        assert np.max(np.abs(got - oracle(x, "l1"))) <= 1e-12
+
+        # second layer consumes the first layer's features
+        got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2", keep_cache=False)[0]
+        got2 = got2.transpose(1, 0, 2)
+        assert np.max(np.abs(got2 - oracle(got, "l2"))) <= 1e-12
 
 
 def test_attention_matches_softmax_oracle():
@@ -187,18 +193,43 @@ def test_refine_batch_rows_are_independent():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_direction_forward_without_cache_matches_the_cached_run(dtype):
-    # inference reuses one gate buffer per step; the states must not change
+def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
+    # inference reuses one gate buffer per step; the outputs must not change
     rng = make_rng(70)
     model = small_model(seed=13, hidden=5)
     x = rng.normal(size=(12, 6, 2 * model.hidden)).astype(dtype)  # (L, B, d_in)
-    cell = model.cell("l2.bwd")
-    want, cache = _direction_forward(x, cell, keep_cache=True)
-    got, no_cache = _direction_forward(x, cell, keep_cache=False)
+    want, cache = _bigru_forward(x, model, "l2", keep_cache=True)
+    got, no_cache = _bigru_forward(x, model, "l2", keep_cache=False)
     assert no_cache is None
-    assert cache["zr"].shape == (12, 6, 2 * model.hidden)
     assert got.dtype == dtype
     assert np.array_equal(got, want)
+    # states (L+1, 2, B, H); gates (L, gate, direction, B, H); candidate (L, 2, B, H)
+    assert cache["h"].shape == (13, 2, 6, model.hidden)
+    assert cache["zr"].shape == (12, 2, 2, 6, model.hidden)
+    assert cache["hc"].shape == (12, 2, 6, model.hidden)
+    for t in range(12):
+        for direction in range(2):
+            assert cache["h"][t, direction].flags.c_contiguous
+            assert cache["hc"][t, direction].flags.c_contiguous
+            for gate in range(2):
+                assert cache["zr"][t, gate, direction].flags.c_contiguous
+    # the output's backward half is the backward states in reverse step order
+    assert np.array_equal(want[:, :, : model.hidden], cache["h"][1:, 0])
+    assert np.array_equal(want[:, :, model.hidden :], cache["h"][12:0:-1, 1])
+
+
+def test_float32_refine_batch_peak_memory_stays_below_48_mb():
+    # one full chunk of the shipped shapes: a whole-window (L, B, 3H)
+    # projection per direction would add about 20 MB each
+    model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=1)
+    x = make_rng(72).uniform(-1.0, 1.0, size=(256, 100))
+    tracemalloc.start()
+    try:
+        refine_batch(x, model, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_float32_forward_computes_in_float32_and_returns_float64():
@@ -209,11 +240,11 @@ def test_float32_forward_computes_in_float32_and_returns_float64():
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     out, cache = _forward(x, model, np.float32, keep_cache=True)
     arrays = [cache["h2"], *cache["att"].values()]
-    for direction in (*cache["cache1"], *cache["cache2"]):
-        arrays.extend(direction.values())
+    for layer in (cache["cache1"], cache["cache2"]):
+        arrays.extend(layer.values())
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    # h2, five attention arrays, and x, h, zr, hc of four directions
-    assert len(arrays) == 1 + 5 + 4 * 4
+    # h2, five attention arrays, and x, h, zr, hc of two layers
+    assert len(arrays) == 1 + 5 + 2 * 4
     assert all(a.dtype == np.float32 for a in arrays)
     assert type(cache["att"]["scale"]) is float
     assert out.dtype == np.float64
