@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--sg-halfwidth", dest="half_width", type=int)
-    p.add_argument("--lambda", dest="smoothness_weight", type=float)
 
     p = command("eval", _cmd_eval, "compare refined keypoints against truth")
     p.add_argument("--refined", required=True)

@@ -2,11 +2,10 @@
 
 Two preprocessing stages run before angle refinement.  The root (nose)
 trajectory is smoothed with a quadratic sliding-window least-squares fit,
-and the per-frame limb lengths are replaced by lengths that respect the
-subject's limb proportions while varying smoothly over time.  The limb fit
-is damped Gauss-Newton in log-length space; its normal matrix is built
-straight into banded storage and each damping try is one banded Cholesky
-solve, so no sparse Jacobian is ever assembled.
+and the per-frame limb lengths are replaced by one length vector for the
+clip, fitted to the median pairwise length ratios.  The limb fit is damped
+Gauss-Newton in log-length space on the m(m - 1)/2 pair residuals, with
+one dense m x m solve per damping try.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import DegenerateLimbError, InsufficientDataError, ShapeError
 from .skeleton import PoseSequence
@@ -174,141 +172,67 @@ class LimbSolveResult:
         return self.loss_history[-1]
 
 
-def _pair_index(m: int):
-    return np.triu_indices(m, k=1)
-
-
-def limb_objective(lengths: np.ndarray, ratios: RatioTable, smoothness_weight: float) -> float:
-    """Ratio-consistency plus temporal-smoothness loss over per-frame lengths."""
+def limb_objective(lengths: np.ndarray, ratios: RatioTable) -> float:
+    """Ratio-consistency loss of one length vector against the table."""
     lengths = np.asarray(lengths, dtype=float)
-    ii, jj = _pair_index(lengths.shape[1])
-    rr = lengths[:, ii] / lengths[:, jj] - ratios.table[ii, jj]
-    ds = np.diff(lengths, axis=0)
-    return float(np.sum(rr * rr) + smoothness_weight * np.sum(ds * ds))
+    if lengths.ndim != 1:
+        raise ShapeError(f"lengths must be 1-D, got shape {lengths.shape}")
+    ii, jj = np.triu_indices(lengths.size, 1)
+    rr = lengths[ii] / lengths[jj] - ratios.table[ii, jj]
+    return float(rr @ rr)
 
 
-def _residuals(u: np.ndarray, table: np.ndarray, sqrt_w: float):
-    """Stacked residual vector at log-lengths u (n, m).
+def _pairs(table: np.ndarray):
+    """The incidence matrix E and the target ratios of the limb pairs i < j.
 
-    The n * pairs ratio residuals come first, frame-major, then the
-    (n - 1) * m smoothness residuals.
+    E is (pairs, m) with +1 at limb i and -1 at limb j, its rows in
+    np.triu_indices order, so E @ u holds u_i - u_j; the targets are
+    table[i, j] in the same order.
     """
-    ii, jj = _pair_index(u.shape[1])
-    ratio_vals = np.exp(u[:, ii] - u[:, jj])
-    rr = ratio_vals - table[ii, jj]
-    lengths = np.exp(u)
-    rs = sqrt_w * np.diff(lengths, axis=0)
-    return np.concatenate([rr.ravel(), rs.ravel()]), ratio_vals, lengths
-
-
-def _incidence(m: int) -> np.ndarray:
-    """(pairs, m) matrix with +1 at limb i and -1 at limb j of each pair i < j."""
-    ii, jj = _pair_index(m)
-    out = np.zeros((ii.size, m))
+    m = table.shape[0]
+    ii, jj = np.triu_indices(m, 1)
+    incidence = np.zeros((ii.size, m))
     rows = np.arange(ii.size)
-    out[rows, ii] = 1.0
-    out[rows, jj] = -1.0
-    return out
+    incidence[rows, ii] = 1.0
+    incidence[rows, jj] = -1.0
+    return incidence, table[ii, jj]
 
 
-def _jt_residual(r: np.ndarray, ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float):
-    """J^T r as an (n, m) array.
+def _residuals(u: np.ndarray, incidence: np.ndarray, target: np.ndarray):
+    """Pair residuals exp(u_i - u_j) - table[i, j], and the ratios v.
 
-    The ratio residual of pair (i, j) has derivative v = exp(u_i - u_j) in
-    u_i and -v in u_j; the smoothness residual of limb i between frames t
-    and t + 1 has derivative sqrt_w * L in u[t + 1, i] and -sqrt_w * L in
-    u[t, i], each L taken at its own frame.
+    The Jacobian in u is v * E: the residual of pair (i, j) has
+    derivative v in u_i and -v in u_j.
     """
-    n, m = lengths.shape
-    rr = r[: ratio_vals.size].reshape(ratio_vals.shape)
-    rs = r[ratio_vals.size :].reshape(n - 1, m)
-    out = (ratio_vals * rr) @ _incidence(m)
-    a = sqrt_w * lengths
-    out[1:] += a[1:] * rs
-    out[:-1] -= a[:-1] * rs
-    return out
+    ratio_vals = np.exp(incidence @ u)
+    return ratio_vals - target, ratio_vals
 
 
-def _normal_band(ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float) -> np.ndarray:
-    """J^T J in LAPACK lower-band storage, shape (m + 1, n * m).
-
-    Unknowns are frame-major, so band[d, t * m + i] is the entry d rows
-    below the diagonal in column (t, i).  Within a frame the ratio
-    residuals give a weighted Laplacian: limb i's diagonal sums v^2 over
-    its pairs, and pair (i, j) puts -v^2 at offset j - i.  The smoothness
-    residuals add (sqrt_w * L)^2 to the diagonal once per neighbouring
-    frame and couple (t, i) to (t + 1, i) at offset m.
-    """
-    n, m = lengths.shape
-    ii, jj = _pair_index(m)
-    v2 = ratio_vals * ratio_vals
-    a = sqrt_w * lengths
-    a2 = a * a
-    band = np.zeros((m + 1, n, m))
-    band[0] = v2 @ np.abs(_incidence(m))
-    band[0, 1:] += a2[1:]
-    band[0, :-1] += a2[:-1]
-    band[jj - ii, :, ii] = -v2.T
-    band[m, :-1] = -a[:-1] * a[1:]
-    return band.reshape(m + 1, n * m)
-
-
-def _jd_norm2(d: np.ndarray, ratio_vals: np.ndarray, lengths: np.ndarray, sqrt_w: float):
-    """|J d|^2 = d^T J^T J d for a step d (n, m), from the residual structure."""
-    ii, jj = _pair_index(d.shape[1])
-    jd_ratio = (ratio_vals * (d[:, ii] - d[:, jj])).ravel()
-    a = sqrt_w * lengths
-    jd_smooth = (a[1:] * d[1:] - a[:-1] * d[:-1]).ravel()
-    return float(jd_ratio @ jd_ratio + jd_smooth @ jd_smooth)
-
-
-def _damped_step(band: np.ndarray, jtr: np.ndarray, mu: float) -> np.ndarray:
-    """Solve (J^T J + mu I) delta = -J^T r by banded Cholesky.
-
-    Raises LinAlgError when the damped matrix is not numerically positive
-    definite.
-    """
-    system = band.copy()
-    system[0] += mu
-    return solveh_banded(
-        system, -jtr.ravel(), overwrite_ab=True, overwrite_b=True, lower=True,
-        check_finite=False,
-    )
-
-
-def limb_loss_gradient(u: np.ndarray, ratios: RatioTable, smoothness_weight: float):
-    """Loss and its analytic gradient with respect to log-lengths u (n, m)."""
+def limb_loss_gradient(u: np.ndarray, ratios: RatioTable):
+    """Loss and its analytic gradient with respect to log-lengths u (m,)."""
     u = np.asarray(u, dtype=float)
-    sqrt_w = float(np.sqrt(smoothness_weight))
-    r, ratio_vals, lengths = _residuals(u, ratios.table, sqrt_w)
-    loss = float(r @ r)
-    return loss, 2.0 * _jt_residual(r, ratio_vals, lengths, sqrt_w)
+    incidence, target = _pairs(ratios.table)
+    r, ratio_vals = _residuals(u, incidence, target)
+    return float(r @ r), 2.0 * ((ratio_vals * r) @ incidence)
 
 
-def optimize_limb_lengths(
-    raw_lengths: np.ndarray,
-    ratios: RatioTable,
-    smoothness_weight: float,
-) -> LimbSolveResult:
-    """Fit per-frame lengths that match the ratio table and vary smoothly.
+def optimize_limb_lengths(raw_lengths: np.ndarray, ratios: RatioTable) -> LimbSolveResult:
+    """Fit one length vector to the ratio table, for a clip of raw lengths.
 
     Works in log-length space so lengths stay positive.  Steps are damped
-    Gauss-Newton solves on the stacked residuals; a step is kept only when
+    Gauss-Newton solves on the pair residuals; a step is kept only when
     it reduces the loss, and the damping adapts to the ratio of actual to
-    predicted reduction.  Each damping try is one banded Cholesky solve of
-    J^T J + mu I, whose half-bandwidth is the limb count because the
-    unknowns are frame-major.  Initialization is the per-limb temporal
-    median of the raw lengths, so input that is already constant and
-    exactly ratio-consistent is a fixed point.
+    predicted reduction.  Each damping try is one dense solve of
+    J^T J + mu I, m x m for m limbs.  Initialization is the per-limb
+    temporal median of the raw lengths, so input that is already constant
+    and exactly ratio-consistent is a fixed point.
     """
-    if smoothness_weight < 0:
-        raise ShapeError("smoothness_weight must be >= 0")
     raw = np.asarray(raw_lengths, dtype=float)
     if raw.ndim != 2:
         raise ShapeError(f"raw lengths must be 2-D, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise ShapeError("raw lengths must be finite")
-    n, m = raw.shape
+    m = raw.shape[1]
     if ratios.n_limbs != m:
         raise ShapeError("ratio table size does not match limb count")
     alive = raw > 0
@@ -316,45 +240,40 @@ def optimize_limb_lengths(
         limb = int(np.argmin(alive.any(axis=0)))
         raise DegenerateLimbError(f"limb {limb} has no positive-length frame")
 
-    init = np.array([np.median(raw[alive[:, i], i]) for i in range(m)])
-    u = np.log(np.broadcast_to(init, (n, m)).copy())
-    sqrt_w = float(np.sqrt(smoothness_weight))
-    table = ratios.table
+    u = np.log([np.median(raw[alive[:, i], i]) for i in range(m)])
+    incidence, target = _pairs(ratios.table)
 
-    r, ratio_vals, lengths = _residuals(u, table, sqrt_w)
+    r, ratio_vals = _residuals(u, incidence, target)
     if not np.isfinite(r).all():
         raise ShapeError("non-finite loss at the initial point")
     loss = float(r @ r)
     history = [loss]
     mu = 1.0
     growth = 2.0
-    converged = False
 
     for _outer in range(_MAX_ITERATIONS):
-        jtr = _jt_residual(r, ratio_vals, lengths, sqrt_w)
+        jtr = (ratio_vals * r) @ incidence
         if np.max(np.abs(2.0 * jtr)) <= _GRADIENT_TOLERANCE:
-            converged = True
             break
-        band = _normal_band(ratio_vals, lengths, sqrt_w)
+        jac = ratio_vals[:, None] * incidence
+        jtj = jac.T @ jac
 
         accepted = False
         for _ in range(60):
             try:
-                delta = _damped_step(band, jtr, mu).reshape(n, m)
-            except LinAlgError:
-                pass  # not positive definite: retry with more damping
+                delta = np.linalg.solve(jtj + mu * np.eye(m), -jtr)
+            except np.linalg.LinAlgError:
+                pass  # singular: retry with more damping
             else:
                 u_new = u + delta
-                r_new, rv_new, len_new = _residuals(u_new, table, sqrt_w)
+                r_new, rv_new = _residuals(u_new, incidence, target)
                 loss_new = float(r_new @ r_new)
                 # quadratic model: loss + 2 r.J d + |J d|^2
-                predicted = -(
-                    2.0 * (jtr.ravel() @ delta.ravel())
-                    + _jd_norm2(delta, ratio_vals, lengths, sqrt_w)
-                )
+                jd = jac @ delta
+                predicted = -(2.0 * (jtr @ delta) + jd @ jd)
                 if predicted > 0 and np.isfinite(loss_new) and loss_new < loss:
                     rho = (loss - loss_new) / predicted
-                    u, r, ratio_vals, lengths, loss = u_new, r_new, rv_new, len_new, loss_new
+                    u, r, ratio_vals, loss = u_new, r_new, rv_new, loss_new
                     history.append(loss)
                     mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                     growth = 2.0
@@ -367,15 +286,11 @@ def optimize_limb_lengths(
         if not accepted:
             break
 
-    if not converged:
-        # the budget may have run out right at a stationary point
-        jtr = _jt_residual(r, ratio_vals, lengths, sqrt_w)
-        if np.max(np.abs(2.0 * jtr)) <= _GRADIENT_TOLERANCE:
-            converged = True
-
+    # also true when the budget ran out right at a stationary point
+    converged = np.max(np.abs(2.0 * ((ratio_vals * r) @ incidence))) <= _GRADIENT_TOLERANCE
     return LimbSolveResult(
         lengths=np.exp(u),
-        converged=converged,
+        converged=bool(converged),
         iterations=len(history) - 1,
         loss_history=history,
     )

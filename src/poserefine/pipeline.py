@@ -1,10 +1,10 @@
 """End-to-end pipeline: keypoint files in, refined keypoint files out.
 
 Stages: read keypoints, convert to limb angles and lengths, smooth the root
-trajectory, optimize limb lengths against the subject's proportions, refine
-the angle series with a trained window model, then rebuild keypoints from
-root + angles + lengths.  Also home to the evaluation metrics and the CSV
-exports.
+trajectory, fit one limb-length vector to the subject's median proportions,
+refine the angle series with a trained window model, then rebuild keypoints
+from root + angles + the fitted lengths, the same in every frame.  Also
+home to the evaluation metrics and the CSV exports.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from .windows import refine_sequence
 class PipelineConfig:
     """Refine settings; the stage that uses a value also checks it.
 
-    half_width sizes the root smoother's window and smoothness_weight
-    weighs temporal smoothness in the limb-length fit.  The refiner's
-    window layout follows from the model's window length alone.
+    half_width sizes the root smoother's window.  The limb-length fit has
+    no setting, and the refiner's window layout follows from the model's
+    window length alone.
     """
 
     half_width: int = 50
-    smoothness_weight: float = 1.0
 
 
 @dataclass
@@ -162,10 +161,10 @@ def refine_pose_sequence(
     theta = pose_to_angles(seq)
     raw_lengths = pose_to_limb_lengths(seq)
     base = smooth_base_trajectory(seq, config.half_width)
-    ratios = estimate_ratios(raw_lengths)
-    solve = optimize_limb_lengths(raw_lengths, ratios, config.smoothness_weight)
+    solve = optimize_limb_lengths(raw_lengths, estimate_ratios(raw_lengths))
+    lengths = np.tile(solve.lengths, (len(raw_lengths), 1))
     refined = refine_sequence(theta, model)
-    return RefinedMotion(base=base, theta=refined, lengths=solve.lengths, fps=seq.fps)
+    return RefinedMotion(base=base, theta=refined, lengths=lengths, fps=seq.fps)
 
 
 def refine_keypoint_file(

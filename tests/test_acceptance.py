@@ -124,46 +124,42 @@ def test_limb_solver():
     true_lengths = rng.uniform(20.0, 80.0, size=12)
     raw = np.tile(true_lengths, (8, 1))
     ratios = RatioTable(table=true_lengths[:, None] / true_lengths[None, :])
-    result = optimize_limb_lengths(raw, ratios, 1.0)
+    result = optimize_limb_lengths(raw, ratios)
     assert result.final_loss <= 1e-12
 
     # log-space gradient against central finite differences
     for _ in range(8):
-        u = np.log(rng.uniform(15.0, 70.0, size=(5, 12)))
-        _, grad = limb_loss_gradient(u, ratios, 0.7)
+        u = np.log(rng.uniform(15.0, 70.0, size=12))
+        _, grad = limb_loss_gradient(u, ratios)
         h = 1e-6
         for _ in range(4):
-            t = int(rng.integers(0, 5))
             j = int(rng.integers(0, 12))
             up, down = u.copy(), u.copy()
-            up[t, j] += h
-            down[t, j] -= h
+            up[j] += h
+            down[j] -= h
             fd = (
-                limb_objective(np.exp(up), ratios, 0.7)
-                - limb_objective(np.exp(down), ratios, 0.7)
+                limb_objective(np.exp(up), ratios) - limb_objective(np.exp(down), ratios)
             ) / (2 * h)
-            assert grad[t, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
-    # two-limb two-frame toy against a grid + simplex-refined oracle,
-    # compared inside the solver's scale gauge (product of lengths fixed)
+    # two-limb toy against a grid + simplex-refined oracle, compared inside
+    # the solver's scale gauge (product of lengths fixed)
     raw_toy = toy_raw_lengths()
     r = RatioTable(table=np.array([[1.0, 3.0], [1.0 / 3.0, 1.0]]))
-    got = optimize_limb_lengths(raw_toy, r, 1.0)
+    got = optimize_limb_lengths(raw_toy, r)
     assert got.converged
     assert all(b <= a + 1e-15 for a, b in zip(got.loss_history, got.loss_history[1:]))
 
     def objective(v):
-        return limb_objective(np.abs(v).reshape(2, 2), r, 1.0)
+        return limb_objective(np.abs(v), r)
 
     grid = np.linspace(0.1, 4.0, 16)
     best, best_val = None, np.inf
     for a in grid:
         for b in grid:
-            for c in grid:
-                for d in grid:
-                    val = objective(np.array([a, b, c, d]))
-                    if val < best_val:
-                        best, best_val = np.array([a, b, c, d]), val
+            val = objective(np.array([a, b]))
+            if val < best_val:
+                best, best_val = np.array([a, b]), val
     from scipy.optimize import minimize
 
     refined = minimize(
@@ -171,12 +167,11 @@ def test_limb_solver():
         options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 20000, "maxfev": 20000},
     )
     assert refined.fun <= 1e-12
-    oracle = np.abs(refined.x).reshape(2, 2)
+    oracle = np.abs(refined.x)
     # both solutions sit on the zero-loss scale family c*(3, 1); map the
-    # oracle onto the solver's gauge, which keeps L0*L1 = 2 per frame
-    for f in range(2):
-        scale = math.sqrt(2.0 / (oracle[f, 0] * oracle[f, 1]))
-        assert np.max(np.abs(oracle[f] * scale - got.lengths[f])) <= 1e-6
+    # oracle onto the solver's gauge, which keeps L0*L1 = 2
+    scale = math.sqrt(2.0 / (oracle[0] * oracle[1]))
+    assert np.max(np.abs(oracle * scale - got.lengths)) <= 1e-6
 
 
 def test_fourier_recovery():

@@ -185,7 +185,6 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
 
 BAD_REFINE_VALUES = {
     "half_width": ["--sg-halfwidth", "0"],
-    "smoothness_weight": ["--lambda", "-1"],
 }
 
 
@@ -200,10 +199,10 @@ def test_refine_rejects_out_of_range_settings(tmp_path, capsys, keypoint_file, f
     assert not out.exists()
 
 
-def test_refine_has_no_window_layout_flags(capsys):
-    # the window step follows from the model's window, and the stitch has
-    # no weights to keep finite
-    for flag in (["--stride", "5"], ["--epsilon", "1e-3"]):
+def test_refine_has_no_window_layout_or_limb_fit_flags(capsys):
+    # the window step follows from the model's window, the stitch has no
+    # weights to keep finite, and the limb fit has no smoothness weight
+    for flag in (["--stride", "5"], ["--epsilon", "1e-3"], ["--lambda", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(["refine"] + REQUIRED_ARGV["refine"] + flag)
         assert exc.value.code == 2

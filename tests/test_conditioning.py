@@ -1,10 +1,16 @@
 """Base smoothing and limb-length optimization against independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import poserefine
 from poserefine import (
     DegenerateLimbError,
     InsufficientDataError,
@@ -18,7 +24,7 @@ from poserefine import (
     savgol_smooth,
     smooth_base_trajectory,
 )
-from poserefine.conditioning import _damped_step, _jd_norm2, _normal_band, _residuals
+from poserefine.conditioning import _pairs, _residuals
 
 from conftest import make_rng, random_sequence
 
@@ -220,15 +226,15 @@ def test_ratio_table_validation():
 
 
 def test_limb_objective_hand_value():
-    # single frame, lengths (2, 1), target ratio 3 -> (2/1 - 3)^2 = 1;
-    # two frames with a step of 0.5 in one limb adds lambda * 0.25
+    # lengths (2, 1), target ratio 3 -> (2/1 - 3)^2 = 1; a third limb adds
+    # the pairs (0, 2) and (1, 2)
     ratios = RatioTable(table=np.array([[1.0, 3.0], [1.0 / 3.0, 1.0]]))
-    one = np.array([[2.0, 1.0]])
-    assert limb_objective(one, ratios, 1.0) == pytest.approx(1.0, abs=1e-12)
-    two = np.array([[2.0, 1.0], [2.5, 1.0]])
-    want = (2.0 - 3.0) ** 2 + (2.5 - 3.0) ** 2 + 0.25
-    assert limb_objective(two, ratios, 1.0) == pytest.approx(want, abs=1e-12)
-    assert limb_objective(two, ratios, 2.0) == pytest.approx(want + 0.25, abs=1e-12)
+    assert limb_objective(np.array([2.0, 1.0]), ratios) == pytest.approx(1.0, abs=1e-12)
+    three = RatioTable(table=np.array([[1.0, 3.0, 2.0], [1 / 3, 1.0, 1.0], [0.5, 1.0, 1.0]]))
+    want = (2.0 - 3.0) ** 2 + (2.0 / 4.0 - 2.0) ** 2 + (1.0 / 4.0 - 1.0) ** 2
+    assert limb_objective(np.array([2.0, 1.0, 4.0]), three) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ShapeError):
+        limb_objective(np.ones((2, 3)), three)
 
 
 def test_limb_gradient_matches_finite_differences():
@@ -236,78 +242,61 @@ def test_limb_gradient_matches_finite_differences():
     raw = rng.uniform(10.0, 60.0, size=(30, 12))
     ratios = estimate_ratios(raw)
     for _ in range(10):
-        u = np.log(rng.uniform(10.0, 60.0, size=(4, 12)))
-        loss, grad = limb_loss_gradient(u, ratios, 1.3)
-        assert loss == pytest.approx(limb_objective(np.exp(u), ratios, 1.3), rel=1e-12)
+        u = np.log(rng.uniform(10.0, 60.0, size=12))
+        loss, grad = limb_loss_gradient(u, ratios)
+        assert loss == pytest.approx(limb_objective(np.exp(u), ratios), rel=1e-12)
         h = 1e-6
-        for _ in range(6):
-            t = rng.integers(0, 4)
-            j = rng.integers(0, 12)
+        for j in rng.choice(12, size=6, replace=False):
             up, um = u.copy(), u.copy()
-            up[t, j] += h
-            um[t, j] -= h
-            fd = (
-                limb_objective(np.exp(up), ratios, 1.3)
-                - limb_objective(np.exp(um), ratios, 1.3)
-            ) / (2 * h)
-            assert grad[t, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            up[j] += h
+            um[j] -= h
+            fd = (limb_objective(np.exp(up), ratios) - limb_objective(np.exp(um), ratios)) / (2 * h)
+            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def stacked_residuals(u: np.ndarray, table: np.ndarray, w: float) -> np.ndarray:
-    """Every residual of the limb objective, one scalar per term, from loops."""
-    n, m = u.shape
+def pair_residuals(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Every residual of the limb objective, one scalar per pair, from loops."""
+    m = u.size
     lengths = np.exp(u)
-    ratio = [
-        lengths[t, i] / lengths[t, j] - table[i, j]
-        for t in range(n)
-        for i in range(m)
-        for j in range(i + 1, m)
-    ]
-    smooth = [np.sqrt(w) * (lengths[t + 1, i] - lengths[t, i]) for t in range(n - 1) for i in range(m)]
-    return np.array(ratio + smooth)
+    return np.array(
+        [lengths[i] / lengths[j] - table[i, j] for i in range(m) for j in range(i + 1, m)]
+    )
 
 
-def test_banded_normal_equations_match_dense_finite_difference_jacobian():
-    n, m, w = 5, 4, 1.3
+def test_normal_equations_match_finite_difference_jacobian():
+    m = 5
     rng = make_rng(29)
     ratios = estimate_ratios(rng.uniform(10.0, 60.0, size=(30, m)))
-    u = np.log(rng.uniform(10.0, 60.0, size=(n, m)))
+    u = np.log(rng.uniform(10.0, 60.0, size=m))
 
     h = 1e-6
-    jac = np.empty((stacked_residuals(u, ratios.table, w).size, n * m))
-    for c in range(n * m):
+    jac = np.empty((m * (m - 1) // 2, m))
+    for c in range(m):
         up, um = u.copy(), u.copy()
-        up.flat[c] += h
-        um.flat[c] -= h
-        jac[:, c] = (
-            stacked_residuals(up, ratios.table, w) - stacked_residuals(um, ratios.table, w)
-        ) / (2 * h)
+        up[c] += h
+        um[c] -= h
+        jac[:, c] = (pair_residuals(up, ratios.table) - pair_residuals(um, ratios.table)) / (2 * h)
     jtj = jac.T @ jac
-    jtr = jac.T @ stacked_residuals(u, ratios.table, w)
+    jtr = jac.T @ pair_residuals(u, ratios.table)
 
-    # LAPACK lower-band storage of the dense matrix: lower[d, c] = A[c + d, c]
-    lower = np.zeros((m + 1, n * m))
-    for d in range(m + 1):
-        lower[d, : n * m - d] = np.diagonal(jtj, -d)
-    # every entry further than m below the diagonal is zero
-    assert np.array_equal(np.tril(jtj, -(m + 1)), np.zeros_like(jtj))
+    # the solver's Jacobian is v * E, v the pair ratios and E the incidence
+    incidence, target = _pairs(ratios.table)
+    r, ratio_vals = _residuals(u, incidence, target)
+    np.testing.assert_allclose(r, pair_residuals(u, ratios.table), rtol=1e-12, atol=0.0)
+    got_jac = ratio_vals[:, None] * incidence
+    np.testing.assert_allclose(got_jac, jac, rtol=1e-7, atol=1e-7 * np.max(np.abs(jac)))
 
-    sqrt_w = float(np.sqrt(w))
-    _, ratio_vals, lengths = _residuals(u, ratios.table, sqrt_w)
-    band = _normal_band(ratio_vals, lengths, sqrt_w)
-    np.testing.assert_allclose(band, lower, rtol=1e-7, atol=0.0)
-
-    _, grad = limb_loss_gradient(u, ratios, w)
-    np.testing.assert_allclose(grad.ravel(), 2.0 * jtr, rtol=1e-7, atol=0.0)
+    _, grad = limb_loss_gradient(u, ratios)
+    np.testing.assert_allclose(grad, 2.0 * jtr, rtol=1e-7, atol=0.0)
 
     # the solver's predicted reduction uses |J d|^2 for d^T J^T J d
-    d = rng.normal(size=(n, m))
-    jd = jac @ d.ravel()
-    assert _jd_norm2(d, ratio_vals, lengths, sqrt_w) == pytest.approx(jd @ jd, rel=1e-7)
+    d = rng.normal(size=m)
+    jd = got_jac @ d
+    assert jd @ jd == pytest.approx(d @ jtj @ d, rel=1e-7)
 
     for mu in (1e-3, 1.0, 1e3):
-        want = np.linalg.solve(jtj + mu * np.eye(n * m), -jtr)
-        got = _damped_step(band, grad / 2.0, mu)
+        want = np.linalg.solve(jtj + mu * np.eye(m), -jtr)
+        got = np.linalg.solve(got_jac.T @ got_jac + mu * np.eye(m), -grad / 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * np.max(np.abs(want)))
 
 
@@ -316,64 +305,59 @@ def test_consistent_constant_input_is_a_fixed_point():
     lengths = rng.uniform(20.0, 80.0, size=12)
     raw = np.tile(lengths, (25, 1))
     ratios = estimate_ratios(raw)
-    res = optimize_limb_lengths(raw, ratios, 1.0)
+    res = optimize_limb_lengths(raw, ratios)
     assert res.converged
     assert res.iterations == 0
-    assert np.max(np.abs(res.lengths - raw)) <= 1e-12
+    assert np.max(np.abs(res.lengths - lengths)) <= 1e-12
     assert res.final_loss <= 1e-12
 
 
 def test_two_limb_toy_matches_brute_force_oracle():
     # Toy: both frames measure lengths (2, 1) but the table demands ratio 3.
     # The zero-loss set is the scale family c * (3, 1); damped Gauss-Newton
-    # steps keep the per-frame log-length sum at its initial value log 2,
-    # so the solver's member has L0 * L1 = 2, i.e. (sqrt 6, sqrt(2/3)).
+    # steps keep the log-length sum at its initial value log 2, so the
+    # solver's member has L0 * L1 = 2, i.e. (sqrt 6, sqrt(2/3)).
     raw = np.array([[2.0, 1.0], [2.0, 1.0]])
     ratios = RatioTable(table=np.array([[1.0, 3.0], [1.0 / 3.0, 1.0]]))
-    res = optimize_limb_lengths(raw, ratios, 1.0)
+    res = optimize_limb_lengths(raw, ratios)
     assert res.converged
 
-    # brute-force grid over all four lengths, then local refinement
+    # brute-force grid over both lengths, then local refinement
     grid = np.linspace(0.25, 4.0, 16)
-    axes = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-    cand = np.stack([a.ravel() for a in axes], axis=1).reshape(-1, 2, 2)
-    ii, jj = np.triu_indices(2, k=1)
-    rr = cand[:, :, ii[0]] / cand[:, :, jj[0]] - 3.0
-    ds = cand[:, 1] - cand[:, 0]
-    losses = np.sum(rr * rr, axis=1) + np.sum(ds * ds, axis=1)
-    start = cand[np.argmin(losses)]
+    cand = np.stack([a.ravel() for a in np.meshgrid(grid, grid, indexing="ij")], axis=1)
+    rr = cand[:, 0] / cand[:, 1] - 3.0
+    start = cand[np.argmin(rr * rr)]
 
     from scipy.optimize import minimize
 
     oracle = minimize(
-        lambda v: limb_objective(v.reshape(2, 2), ratios, 1.0),
-        start.ravel(),
+        lambda v: limb_objective(v, ratios),
+        start,
         method="Nelder-Mead",
         options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 40000, "maxfev": 40000},
     )
-    best = oracle.x.reshape(2, 2)
-    # the oracle lands somewhere on the scale family: constant in time,
-    # ratio exactly 3, loss 0
+    best = oracle.x
+    # the oracle lands somewhere on the scale family: ratio exactly 3, loss 0
     assert oracle.fun <= 1e-12
-    assert np.max(np.abs(best[0] - best[1])) <= 1e-6
-    assert best[0, 0] / best[0, 1] == pytest.approx(3.0, abs=1e-6)
-    assert limb_objective(res.lengths, ratios, 1.0) <= oracle.fun + 1e-12
+    assert best[0] / best[1] == pytest.approx(3.0, abs=1e-6)
+    assert limb_objective(res.lengths, ratios) <= oracle.fun + 1e-12
 
     # align the oracle to the solver's gauge (product of lengths = 2)
-    scale = np.sqrt(2.0 / (best[0, 0] * best[0, 1]))
+    scale = np.sqrt(2.0 / (best[0] * best[1]))
     assert np.max(np.abs(res.lengths - scale * best)) <= 1e-6
-    assert np.max(np.abs(res.lengths[0] - [np.sqrt(6.0), np.sqrt(2.0 / 3.0)])) <= 1e-6
+    assert np.max(np.abs(res.lengths - [np.sqrt(6.0), np.sqrt(2.0 / 3.0)])) <= 1e-6
 
 
 def test_solver_loss_never_increases():
     rng = make_rng(27)
     raw = rng.uniform(10.0, 60.0, size=(40, 12)) * rng.uniform(0.8, 1.2, size=(40, 1))
     ratios = estimate_ratios(raw)
-    res = optimize_limb_lengths(raw, ratios, 1.0)
+    res = optimize_limb_lengths(raw, ratios)
     hist = res.loss_history
     assert len(hist) == res.iterations + 1
     assert all(b < a for a, b in zip(hist, hist[1:]))
     assert res.final_loss <= res.initial_loss
+    assert res.lengths.shape == (12,)
     assert (res.lengths > 0).all()
 
 
@@ -384,29 +368,36 @@ def test_solver_reduces_ratio_scatter():
     true = rng.uniform(20.0, 80.0, size=12)
     raw = np.tile(true, (60, 1)) * rng.uniform(0.85, 1.15, size=(60, 12))
     ratios = estimate_ratios(raw)
-    res = optimize_limb_lengths(raw, ratios, 1.0)
+    res = optimize_limb_lengths(raw, ratios)
     assert res.converged
-    assert res.final_loss <= 0.05 * limb_objective(raw, ratios, 1.0)
+    raw_loss = np.mean([limb_objective(frame, ratios) for frame in raw])
+    assert res.final_loss <= 0.05 * raw_loss
 
 
 def test_solver_input_validation():
     ratios = RatioTable(table=np.ones((3, 3)))
     with pytest.raises(ShapeError):
-        optimize_limb_lengths(np.ones((5, 2)), ratios, 1.0)
+        optimize_limb_lengths(np.ones((5, 2)), ratios)
+    with pytest.raises(ShapeError):
+        optimize_limb_lengths(np.ones(3), ratios)
     bad = np.ones((4, 3))
     bad[2, 1] = np.inf
     with pytest.raises(ShapeError):
-        optimize_limb_lengths(bad, ratios, 1.0)
+        optimize_limb_lengths(bad, ratios)
     dead = np.ones((4, 3))
     dead[:, 2] = 0.0
     with pytest.raises(DegenerateLimbError, match="limb 2"):
-        optimize_limb_lengths(dead, ratios, 1.0)
+        optimize_limb_lengths(dead, ratios)
 
 
-def test_solver_rejects_negative_smoothness_weight():
-    raw = np.ones((4, 3))
-    with pytest.raises(ShapeError, match="smoothness_weight"):
-        optimize_limb_lengths(raw, estimate_ratios(raw), -0.1)
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test dependency only: the tests' optimizer oracles use it
+    code = "import sys, poserefine; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(poserefine.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -415,6 +406,6 @@ def test_solver_lengths_always_positive(seed):
     rng = make_rng(seed)
     raw = rng.uniform(1.0, 100.0, size=(6, 3))
     ratios = estimate_ratios(raw)
-    res: LimbSolveResult = optimize_limb_lengths(raw, ratios, 1.0)
+    res: LimbSolveResult = optimize_limb_lengths(raw, ratios)
     assert (res.lengths > 0).all()
     assert np.isfinite(res.lengths).all()

@@ -152,6 +152,17 @@ def test_refinement_reconstructs_consistent_limb_lengths():
     assert got_ratio == pytest.approx(true_lengths[0] / true_lengths[1], rel=0.1)
 
 
+def test_refined_lengths_are_one_vector_in_every_frame():
+    # one vector for the clip, repeated; a per-frame fit of this 1000-frame
+    # clip leaves frames about an ulp apart
+    rng = make_rng(77)
+    seq = smooth_sequence(rng, 1000)
+    noisy = PoseSequence(xy=seq.xy + rng.normal(0.0, 1.5, size=seq.xy.shape), fps=seq.fps)
+    motion = refine_pose_sequence(noisy, RefinerModel.identity(hidden=4, d_att=3, window=30))
+    assert motion.lengths.shape == (1000, N_LIMBS)
+    assert np.array_equal(motion.lengths, np.broadcast_to(motion.lengths[0], (1000, N_LIMBS)))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
