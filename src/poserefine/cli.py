@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="JSON epoch log to write")
     p.add_argument(
         "--log-times", action="store_true", default=False,
-        help="include wall times in the log",
+        help="include wall times and training windows/s in the log",
     )
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)

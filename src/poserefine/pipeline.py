@@ -105,6 +105,43 @@ def parse_keypoints(path) -> PoseSequence:
     frames = doc["frames"]
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: frames must be a non-empty list")
+    xy = _coordinates(frames)
+    if xy is None:
+        xy = _walk_coordinates(path, frames)
+    try:
+        fps = _json_number(doc["fps"])
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: fps must be a number")
+    try:
+        return PoseSequence(xy=xy, fps=fps)
+    except ShapeError as exc:
+        raise SchemaError(f"{path}: {exc}")
+
+
+def _coordinates(frames: list) -> np.ndarray | None:
+    """The (n, 13, 2) array of a well-formed frame list, else None.
+
+    One pass collects the types of the coordinate values and one
+    np.array converts them.  A list this refuses is walked again by
+    _walk_coordinates, which words the error.
+    """
+    pts = [frame.get("xy") if type(frame) is dict else None for frame in frames]
+    try:
+        kinds = {type(v) for p in pts for pt in p for v in pt}
+    except TypeError:
+        return None
+    # np.array would also take strings, booleans and None
+    if not kinds <= {int, float}:
+        return None
+    try:
+        xy = np.array(pts, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    return xy if xy.shape == (len(frames), N_KEYPOINTS, 2) else None
+
+
+def _walk_coordinates(path, frames: list) -> np.ndarray:
+    """The coordinate check point by point; raises at the first bad one."""
     xy = np.empty((len(frames), N_KEYPOINTS, 2))
     for f, frame in enumerate(frames):
         if not isinstance(frame, dict) or "xy" not in frame:
@@ -126,14 +163,7 @@ def parse_keypoints(path) -> PoseSequence:
                     f"{path}: frame {f}, keypoint {KEYPOINT_NAMES[j]} is not an (x, y) "
                     "pair of numbers"
                 )
-    try:
-        fps = _json_number(doc["fps"])
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{path}: fps must be a number")
-    try:
-        return PoseSequence(xy=xy, fps=fps)
-    except ShapeError as exc:
-        raise SchemaError(f"{path}: {exc}")
+    return xy
 
 
 def write_keypoints(seq: PoseSequence, path) -> None:

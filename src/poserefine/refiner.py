@@ -8,13 +8,15 @@ summarizes the window; and a per-timestep linear head predicts a residual
 correction that is scaled back to radians and added onto the raw input.
 A model whose weights are all zero is therefore exactly the identity.
 
-Training runs in float64: `batch_gradients` keeps every step's gates for
-its hand-written reverse mode, which the test suite checks against
-central finite differences.  Inference runs the same forward code in the
-dtype `refine_batch` is given (float32 for `refine`) and keeps no
-backward cache: the gates and candidate state live in one per-step
-buffer each.  Inputs and outputs stay float64; the network's correction
-is added onto the float64 input, so a float32 run rounds only that.
+`batch_gradients` keeps every step's gates for its hand-written reverse
+mode, which the test suite checks against central finite differences in
+float64.  It and `refine_batch` run the network in the dtype they are
+given, float64 by default; training and `refine` pass float32.  Inference
+keeps no backward cache: the gates and candidate state live in one
+per-step buffer each.  Inputs and outputs stay float64; the network's
+correction is added onto the float64 input, so a float32 run rounds only
+that.  The loss is taken from that float64 output, and the gradients are
+returned as float64 for the float64 weights and Adam moments.
 
 The public functions take batch-major (B, L) windows, but the GRU layers
 run time-major, and one time loop per layer advances both directions.
@@ -215,29 +217,35 @@ def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: b
     return out, cache
 
 
-def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
+def _bigru_backward(
+    cache, model: RefinerModel, layer: str, dout: np.ndarray, need_dx: bool
+):
     """BPTT through both directions of one layer; returns (dx, grads).
 
-    dout is (L, B, 2H).  The step loop runs both directions back from
+    dout is (L, B, 2H) in the cache's dtype, and the whole backward
+    computes in that dtype.  The step loop runs both directions back from
     their last step, reading the forward cache's (L+1, 2, B, H) states and
     contiguous gate blocks.  The gate pre-activation gradients are one
     direction-major (2, L, B, 3H) array, z, r and h side by side, so each
-    direction's weight and input gradients are one GEMM each over its L·B
-    rows in that direction's step order.
+    direction's input weight gradients, its bias gradients and its input
+    gradient are one GEMM or one sum each over its L·B rows in that
+    direction's step order.  dx is None unless need_dx.
     """
     x = cache["x"]
     h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
     zr_all, hc_all = cache["zr"], cache["hc"]
     length, _, b, hidden = hc_all.shape
     d_in = x.shape[2]
-    cells = [model.cell(f"{layer}.{d}") for d in _DIRECTIONS]
+    dtype = h.dtype
+    w, u_zr, u_h, _ = _layer_weights(model, layer, dtype)
+    # per direction, [U_z U_r]^T (2H, H) and U_h^T (H, H)
+    u_zr_t = np.ascontiguousarray(u_zr.transpose(1, 0, 3, 2).reshape(2, 2 * hidden, hidden))
+    u_h_t = np.ascontiguousarray(u_h.transpose(0, 2, 1))
 
-    da = np.empty((2, length, b, 3 * hidden))
-    u_zr_t = np.array([np.concatenate([c["U_z"], c["U_r"]], axis=1).T for c in cells])
-    u_h_t = np.array([c["U_h"].T for c in cells])
-    dh = np.zeros((2, b, hidden))  # gradient of the states, carried backwards
-    drh = np.empty((2, b, hidden))
-    tmp = np.empty((2, b, hidden))
+    da = np.empty((2, length, b, 3 * hidden), dtype)
+    dh = np.zeros((2, b, hidden), dtype)  # gradient of the states, carried backwards
+    drh = np.empty((2, b, hidden), dtype)
+    tmp = np.empty((2, b, hidden), dtype)
     for t in range(length - 1, -1, -1):
         z = zr_all[t, 0]
         r = zr_all[t, 1]
@@ -277,28 +285,29 @@ def _bigru_backward(cache, model: RefinerModel, layer: str, dout: np.ndarray):
 
     grads = {}
     dxs = []
-    for d, (direction, cell) in enumerate(zip(_DIRECTIONS, cells)):
+    for d, direction in enumerate(_DIRECTIONS):
         # this direction's input and previous states, in its step order
         x2 = (x if d == 0 else x[::-1]).reshape(length * b, d_in)
         h_prev = h[:-1, d]
         rh = zr_all[:, 1, d] * h_prev
         da_all = da[d].reshape(length * b, 3 * hidden)
-        da_zr2 = da_all[:, : 2 * hidden]
-        dah2 = da_all[:, 2 * hidden :]
-        dw_zr = x2.T @ da_zr2
-        du_zr = h_prev.reshape(length * b, hidden).T @ da_zr2
+        dw = x2.T @ da_all
+        du_zr = h_prev.reshape(length * b, hidden).T @ da_all[:, : 2 * hidden]
+        db = da_all.sum(axis=0)
         prefix = f"{layer}.{direction}"
-        grads[f"{prefix}.W_z"] = dw_zr[:, :hidden]
-        grads[f"{prefix}.W_r"] = dw_zr[:, hidden:]
-        grads[f"{prefix}.W_h"] = x2.T @ dah2
+        for k, g in enumerate(_GATES):
+            cols = slice(k * hidden, (k + 1) * hidden)
+            grads[f"{prefix}.W_{g}"] = dw[:, cols]
+            grads[f"{prefix}.b_{g}"] = db[cols]
         grads[f"{prefix}.U_z"] = du_zr[:, :hidden]
         grads[f"{prefix}.U_r"] = du_zr[:, hidden:]
-        grads[f"{prefix}.U_h"] = rh.reshape(length * b, hidden).T @ dah2
-        grads[f"{prefix}.b_z"] = da_zr2[:, :hidden].sum(axis=0)
-        grads[f"{prefix}.b_r"] = da_zr2[:, hidden:].sum(axis=0)
-        grads[f"{prefix}.b_h"] = dah2.sum(axis=0)
-        w_all_t = np.concatenate([cell["W_z"], cell["W_r"], cell["W_h"]], axis=1).T.copy()
-        dxs.append((da_all @ w_all_t).reshape(length, b, d_in))
+        grads[f"{prefix}.U_h"] = rh.reshape(length * b, hidden).T @ da_all[:, 2 * hidden :]
+        if need_dx:
+            # (3H, d_in): the rows of W_z^T, W_r^T and W_h^T stacked
+            w_all_t = w[d].transpose(0, 2, 1).reshape(3 * hidden, d_in)
+            dxs.append((da_all @ w_all_t).reshape(length, b, d_in))
+    if not need_dx:
+        return None, grads
     dx, dx_back = dxs
     dx += dx_back[::-1]
     return dx, grads
@@ -371,13 +380,24 @@ def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool):
 
 
 def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
+    """Parameter gradients from dout (B, L), computed in the cache's dtype.
+
+    dout and the weights are cast to that dtype once here: a float64
+    operand in any product below would promote the rest of the backward
+    to float64.  The gradients come back in that dtype too.
+    """
     h2 = cache["h2"]  # (L, B, 2H)
     att = cache["att"]
-    wo = model.params["head.W_o"][:, 0]
+    dtype = h2.dtype
+    p = {
+        name: model.params[name].astype(dtype, copy=False)
+        for name in ("att.W_q", "att.W_k", "head.W_o")
+    }
+    wo = p["head.W_o"][:, 0]
     wo_h = wo[: 2 * model.hidden]
     wo_c = wo[2 * model.hidden :]
 
-    dhead = np.pi * dout.T  # (L, B)
+    dhead = np.pi * dout.T.astype(dtype)  # (L, B)
     db_o = dhead.sum()
     dwo_h = dhead.reshape(-1) @ h2.reshape(-1, 2 * model.hidden)
     dh2 = dhead[:, :, None] * wo_h
@@ -389,13 +409,14 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     dwq, dwk = _attention_backward(
         h2.transpose(1, 0, 2),
         att,
-        model.params["att.W_q"],
-        model.params["att.W_k"],
+        p["att.W_q"],
+        p["att.W_k"],
         dh2.transpose(1, 0, 2),
         dcontext,
     )
-    dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2)
-    _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1)
+    dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2, need_dx=True)
+    # the first layer's input gradient would be the normalized input's
+    _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1, need_dx=False)
 
     grads = {}
     grads.update(grads1)
@@ -431,17 +452,24 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def batch_gradients(noisy: np.ndarray, truth: np.ndarray, model: RefinerModel):
-    """Loss and parameter gradients of the batch MSE; (B, L) inputs."""
+def batch_gradients(
+    noisy: np.ndarray, truth: np.ndarray, model: RefinerModel, dtype=np.float64
+):
+    """Loss and float64 parameter gradients of the batch MSE; (B, L) inputs.
+
+    The forward and backward compute in dtype.  The loss is taken from
+    the float64 output, and the gradients are cast to float64 on return.
+    """
     noisy = np.asarray(noisy, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if noisy.shape != truth.shape or noisy.ndim != 2:
         raise ShapeError("noisy and truth must both be (n, window)")
-    out, cache = _forward(noisy, model, np.float64, keep_cache=True)
+    out, cache = _forward(noisy, model, dtype, keep_cache=True)
     diff = out - truth
     loss = float(np.mean(diff * diff))
     dout = (2.0 / diff.size) * diff
-    return loss, _backward(dout, cache, model)
+    grads = _backward(dout, cache, model)
+    return loss, {name: g.astype(np.float64, copy=False) for name, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Training loop for the window refiner: Adam, early stopping, logging."""
+"""Training loop for the window refiner: Adam, early stopping, logging.
+
+Gradients and validation run the network in float32, the precision
+`refine` uses; Adam's moments, the parameters and the gradients it
+receives stay float64.
+"""
 
 from __future__ import annotations
 
@@ -39,6 +44,8 @@ class EpochStats:
     train_mse: float
     val_mse: float
     wall_time_s: float
+    # training windows over the epoch's wall time, validation included
+    windows_per_s: float
 
 
 @dataclass
@@ -90,6 +97,7 @@ def save_train_log(log: TrainLog, path, include_timing: bool = False) -> None:
         row = {"epoch": e.epoch, "train_mse": e.train_mse, "val_mse": e.val_mse}
         if include_timing:
             row["wall_time_s"] = e.wall_time_s
+            row["windows_per_s"] = e.windows_per_s
         entries.append(row)
     doc = {
         "entries": entries,
@@ -144,7 +152,7 @@ def train_on_arrays(
         total = 0.0
         for lo in range(0, idx.size, config.batch_size):
             part = idx[lo : lo + config.batch_size]
-            pred = refine_batch(noisy[part], model)
+            pred = refine_batch(noisy[part], model, dtype=np.float32)
             total += mse_loss(pred, truth[part]) * part.size
         return total / idx.size
 
@@ -154,7 +162,9 @@ def train_on_arrays(
         total = 0.0
         for lo in range(0, order.size, config.batch_size):
             part = order[lo : lo + config.batch_size]
-            loss, grads = batch_gradients(noisy[part], truth[part], model)
+            loss, grads = batch_gradients(
+                noisy[part], truth[part], model, dtype=np.float32
+            )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(model.params, grads)
@@ -164,12 +174,14 @@ def train_on_arrays(
         monitored = train_mse if n_val == 0 else val_mse
         if not np.isfinite(monitored):
             raise TrainingDivergedError(epoch)
+        wall_time_s = time.perf_counter() - started
         log.entries.append(
             EpochStats(
                 epoch=epoch,
                 train_mse=train_mse,
                 val_mse=val_mse,
-                wall_time_s=time.perf_counter() - started,
+                wall_time_s=wall_time_s,
+                windows_per_s=order.size / wall_time_s,
             )
         )
         if progress is not None:

@@ -141,7 +141,12 @@ def test_train_log_times_flag(tmp_path, corpus):
     )
     assert rc == 0
     log = json.loads(log_path.read_text())
-    assert all("wall_time_s" in entry for entry in log["entries"])
+    # 48 train windows less the default 10% validation split
+    n_train = 48 - round(0.1 * 48)
+    for entry in log["entries"]:
+        assert set(entry) == {"epoch", "train_mse", "val_mse", "wall_time_s", "windows_per_s"}
+        assert entry["windows_per_s"] > 0.0
+        assert entry["windows_per_s"] == pytest.approx(n_train / entry["wall_time_s"], rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -19,12 +19,15 @@ from poserefine import (
     parameter_shapes,
     refine_batch,
     save_model,
+    save_train_log,
     train_on_arrays,
 )
 from poserefine.refiner import (
     _PROJ_BLOCK,
     MAX_WINDOW,
     _attention_forward,
+    _backward,
+    _bigru_backward,
     _bigru_forward,
     _forward,
 )
@@ -359,6 +362,78 @@ def test_gradients_nonzero_where_expected():
     assert any(np.abs(g).max() > 1e-8 for g in grads.values())
     assert np.abs(grads["head.b_o"]).max() > 0
 
+
+def test_float32_gradients_match_float64():
+    # training computes its gradients in float32; Adam gets them as float64
+    rng = make_rng(62)
+    model = RefinerModel.init_random(hidden=16, d_att=8, window=40, seed=11)
+    noisy = rng.uniform(-2.0, 2.0, size=(32, 40))
+    truth = noisy + rng.normal(0.0, 0.3, size=(32, 40))
+    loss64, grads64 = batch_gradients(noisy, truth, model)
+    loss32, grads32 = batch_gradients(noisy, truth, model, dtype=np.float32)
+    assert loss32 == pytest.approx(loss64, rel=1e-6)
+    assert set(grads32) == set(grads64)
+    for name, g in grads32.items():
+        assert g.dtype == np.float64
+        assert g.shape == model.params[name].shape
+        want = grads64[name]
+        assert np.linalg.norm(g - want) <= 1e-4 * np.linalg.norm(want), name
+
+
+def test_float32_backward_computes_in_float32():
+    # a float64 weight or constant anywhere in the backward would promote
+    # everything after it to float64
+    rng = make_rng(63)
+    model = small_model(seed=15)
+    x = rng.uniform(-2.0, 2.0, size=(3, 12))
+    truth = x + rng.normal(0.0, 0.3, size=(3, 12))
+    out, cache = _forward(x, model, np.float32, keep_cache=True)
+    grads = _backward((2.0 / x.size) * (out - truth), cache, model)
+    assert set(grads) == set(model.params)
+    assert all(g.dtype == np.float32 for g in grads.values())
+    for layer in ("cache1", "cache2"):
+        assert all(a.dtype == np.float32 for a in cache[layer].values())
+    dout = rng.normal(size=(12, 3, 2 * model.hidden)).astype(np.float32)
+    dx, layer_grads = _bigru_backward(cache["cache2"], model, "l2", dout, need_dx=True)
+    assert dx.dtype == np.float32
+    assert dx.shape == cache["cache2"]["x"].shape
+    assert all(g.dtype == np.float32 for g in layer_grads.values())
+    dx1, _ = _bigru_backward(cache["cache1"], model, "l1", dx, need_dx=False)
+    assert dx1 is None
+
+
+def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
+    # one training batch of the shipped shapes; in float64 the caches and
+    # the gate gradients peak at about 450 MB
+    model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=1)
+    rng = make_rng(73)
+    x = rng.uniform(-1.0, 1.0, size=(256, 100))
+    y = x + rng.normal(0.0, 0.1, size=x.shape)
+    tracemalloc.start()
+    try:
+        batch_gradients(x, y, model, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 260e6
+
+
+def test_training_is_bitwise_repeatable(tmp_path):
+    rng = make_rng(64)
+    truth = np.sin(np.linspace(0.0, 6.0, 12))[None] + rng.uniform(-1.0, 1.0, size=(64, 1))
+    noisy = truth + rng.normal(0.0, 0.2, size=truth.shape)
+    config = TrainConfig(hidden=4, d_att=3, batch_size=16, max_epochs=3, seed=5)
+    runs = []
+    for tag in ("a", "b"):
+        model, log = train_on_arrays(noisy, truth, config)
+        save_train_log(log, tmp_path / f"{tag}.json")
+        runs.append((model.params, (tmp_path / f"{tag}.json").read_bytes()))
+    (params_a, log_a), (params_b, log_b) = runs
+    assert log_a == log_b
+    assert set(params_a) == set(params_b)
+    for name, value in params_a.items():
+        assert value.dtype == np.float64
+        assert np.array_equal(value, params_b[name]), name
 
 def test_non_finite_windows_diverge_in_epoch_zero():
     rng = make_rng(61)

@@ -101,6 +101,73 @@ def test_parse_rejects_bad_documents(tmp_path):
         attempt({"fps": 30, "keypoints": list(KEYPOINT_NAMES), "frames": [frame]}, "right_ankle")
 
 
+def test_parse_words_each_coordinate_error_exactly(tmp_path):
+    # the bad entry sits in frame 1, after a good frame 0; well-formed
+    # files take a vectorised path, so every wording is pinned here
+    path = tmp_path / "kp.json"
+    good = [[float(i), 0.5 * i] for i in range(1, 14)]
+
+    def write(frames):
+        doc = {"fps": 30, "keypoints": list(KEYPOINT_NAMES), "frames": frames}
+        path.write_text(json.dumps(doc))
+
+    def message(frame1, tail=()):
+        write([{"xy": good}, frame1, *tail])
+        with pytest.raises(SchemaError) as info:
+            parse_keypoints(path)
+        return str(info.value)
+
+    lacks = f"{path}: frame 1 lacks an 'xy' entry"
+    assert message([good]) == lacks
+    assert message({"pts": good}) == lacks
+    not_a_list = f"{path}: frame 1: 'xy' must be a list of points"
+    assert message({"xy": {"nose": [0, 0]}}) == not_a_list
+    assert message({"xy": "points"}) == not_a_list
+    assert message({"xy": good[:12]}) == f"{path}: frame 1 has 12 points, expected 13"
+    assert message({"xy": good + [[0, 0]]}) == f"{path}: frame 1 has 14 points, expected 13"
+    for name, pt in (
+        ("nose", [1.0]),
+        ("nose", [1.0, 2.0, 3.0]),
+        ("nose", {"x": 1, "y": 2}),
+        ("nose", 7),
+        ("nose", [[1.0], 2.0]),
+        ("nose", [None, 2.0]),
+        ("nose", [1.0, "2"]),
+        ("nose", [False, 2.0]),
+    ):
+        want = f"{path}: frame 1, keypoint {name} is not an (x, y) pair of numbers"
+        assert message({"xy": [pt] + good[1:]}) == want
+    # an integer beyond float range overflows float()
+    write([{"xy": good}])
+    path.write_text(path.read_text().replace("[13.0, 6.5]", "[13" + "0" * 400 + ", 6.5]"))
+    with pytest.raises(SchemaError) as info:
+        parse_keypoints(path)
+    assert str(info.value) == (
+        f"{path}: frame 0, keypoint right_ankle is not an (x, y) pair of numbers"
+    )
+    # non-finite values pass the type check and are refused by PoseSequence
+    nan_pt = [[1.0, float("nan")]] + good[1:]
+    assert message({"xy": nan_pt}) == (
+        f"{path}: non-finite coordinate at frame 1, keypoint nose"
+    )
+    # the first bad frame in file order is the one reported
+    assert message({"xy": [[1.0, "2"]] + good[1:]}, tail=[{"pts": good}]) == (
+        f"{path}: frame 1, keypoint nose is not an (x, y) pair of numbers"
+    )
+    assert message({"xy": good[:3]}, tail=[{"xy": [[True, 0]] + good[1:]}]) == (
+        f"{path}: frame 1 has 3 points, expected 13"
+    )
+
+
+def test_parse_reads_integer_and_float_coordinates(tmp_path):
+    path = tmp_path / "kp.json"
+    xy = [[[i, -2.5 * i] for i in range(13)], [[0.25 * i, 3] for i in range(13)]]
+    frames = [{"xy": p} for p in xy]
+    path.write_text(json.dumps({"fps": 30, "keypoints": list(KEYPOINT_NAMES), "frames": frames}))
+    got = parse_keypoints(path).xy
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array(xy, dtype=float))
+
 def test_refined_motion_shape_validation():
     with pytest.raises(ShapeError):
         RefinedMotion(base=np.zeros((5, 2)), theta=np.zeros((4, 12)), lengths=np.ones((5, 12)), fps=30)
