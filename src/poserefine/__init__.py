@@ -2,10 +2,7 @@
 
 from .conditioning import (
     LimbSolveResult,
-    RatioTable,
     estimate_ratios,
-    limb_loss_gradient,
-    limb_objective,
     optimize_limb_lengths,
     savgol_smooth,
     smooth_base_trajectory,

@@ -186,10 +186,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PoseRefineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PoseRefineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

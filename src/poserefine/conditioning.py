@@ -3,24 +3,20 @@
 Two preprocessing stages run before angle refinement.  The root (nose)
 trajectory is smoothed with a quadratic sliding-window least-squares fit,
 and the per-frame limb lengths are replaced by one length vector for the
-clip, fitted to the median pairwise length ratios.  The limb fit is damped
-Gauss-Newton in log-length space on the m(m - 1)/2 pair residuals, with
-one dense m x m solve per damping try.
+clip, fitted to the median pairwise length ratios.  The limb fit is the
+closed-form least-squares solution in log-length space: each limb's log
+length is its row mean of the log ratio table, shifted so that the lengths'
+geometric mean is that of the per-limb median lengths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLimbError, InsufficientDataError, ShapeError
 from .skeleton import PoseSequence
-
-# limb solver: converged once no gradient entry exceeds the tolerance,
-# given up after this many damped Gauss-Newton iterations
-_GRADIENT_TOLERANCE = 1e-8
-_MAX_ITERATIONS = 200
 
 
 def savgol_smooth(series: np.ndarray, half_width: int) -> np.ndarray:
@@ -97,28 +93,11 @@ def smooth_base_trajectory(seq: PoseSequence, half_width: int) -> np.ndarray:
     )
 
 
-@dataclass
-class RatioTable:
-    """Pairwise limb-length ratios; table[j][i] is stored as 1 / table[i][j]."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        m = self.table.shape[0]
-        if self.table.shape != (m, m):
-            raise ShapeError(f"ratio table must be square, got {self.table.shape}")
-        if not np.isfinite(self.table).all() or not (self.table > 0).all():
-            raise ShapeError("ratio table entries must be finite and positive")
-
-    @property
-    def n_limbs(self) -> int:
-        return self.table.shape[0]
-
-
-def estimate_ratios(raw_lengths: np.ndarray) -> RatioTable:
+def estimate_ratios(raw_lengths: np.ndarray) -> np.ndarray:
     """Median of per-frame length ratios over frames where both limbs exist.
 
+    Returns the (n_limbs, n_limbs) table: table[i, j] is the median of
+    limb i's length over limb j's, and table[j, i] = 1 / table[i, j].
     raw_lengths is (n_frames, n_limbs); zero-length entries are treated as
     missing.  A limb with no positive frame, or a pair with no common
     positive frame, cannot be ratio-calibrated and is an error.
@@ -153,144 +132,44 @@ def estimate_ratios(raw_lengths: np.ndarray) -> RatioTable:
     table = np.ones((m, m))
     table[i, j] = median
     table[j, i] = 1.0 / median
-    return RatioTable(table=table)
+    return table
 
 
 @dataclass
 class LimbSolveResult:
     lengths: np.ndarray
-    converged: bool
-    iterations: int
-    loss_history: list[float] = field(default_factory=list)
-
-    @property
-    def initial_loss(self) -> float:
-        return self.loss_history[0]
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_history[-1]
+    # always True and 0: the fit has no iterations, but perfbench reads both
+    converged: bool = True
+    iterations: int = 0
 
 
-def limb_objective(lengths: np.ndarray, ratios: RatioTable) -> float:
-    """Ratio-consistency loss of one length vector against the table."""
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim != 1:
-        raise ShapeError(f"lengths must be 1-D, got shape {lengths.shape}")
-    ii, jj = np.triu_indices(lengths.size, 1)
-    rr = lengths[ii] / lengths[jj] - ratios.table[ii, jj]
-    return float(rr @ rr)
-
-
-def _pairs(table: np.ndarray):
-    """The incidence matrix E and the target ratios of the limb pairs i < j.
-
-    E is (pairs, m) with +1 at limb i and -1 at limb j, its rows in
-    np.triu_indices order, so E @ u holds u_i - u_j; the targets are
-    table[i, j] in the same order.
-    """
-    m = table.shape[0]
-    ii, jj = np.triu_indices(m, 1)
-    incidence = np.zeros((ii.size, m))
-    rows = np.arange(ii.size)
-    incidence[rows, ii] = 1.0
-    incidence[rows, jj] = -1.0
-    return incidence, table[ii, jj]
-
-
-def _residuals(u: np.ndarray, incidence: np.ndarray, target: np.ndarray):
-    """Pair residuals exp(u_i - u_j) - table[i, j], and the ratios v.
-
-    The Jacobian in u is v * E: the residual of pair (i, j) has
-    derivative v in u_i and -v in u_j.
-    """
-    ratio_vals = np.exp(incidence @ u)
-    return ratio_vals - target, ratio_vals
-
-
-def limb_loss_gradient(u: np.ndarray, ratios: RatioTable):
-    """Loss and its analytic gradient with respect to log-lengths u (m,)."""
-    u = np.asarray(u, dtype=float)
-    incidence, target = _pairs(ratios.table)
-    r, ratio_vals = _residuals(u, incidence, target)
-    return float(r @ r), 2.0 * ((ratio_vals * r) @ incidence)
-
-
-def optimize_limb_lengths(raw_lengths: np.ndarray, ratios: RatioTable) -> LimbSolveResult:
+def optimize_limb_lengths(raw_lengths: np.ndarray, table: np.ndarray) -> LimbSolveResult:
     """Fit one length vector to the ratio table, for a clip of raw lengths.
 
-    Works in log-length space so lengths stay positive.  Steps are damped
-    Gauss-Newton solves on the pair residuals; a step is kept only when
-    it reduces the loss, and the damping adapts to the ratio of actual to
-    predicted reduction.  Each damping try is one dense solve of
-    J^T J + mu I, m x m for m limbs.  Initialization is the per-limb
-    temporal median of the raw lengths, so input that is already constant
-    and exactly ratio-consistent is a fixed point.
+    The log-lengths u minimise sum over pairs i < j of
+    (u_i - u_j - log table[i, j])^2.  The pairs form a complete graph, so
+    for a reciprocal table (table[j, i] = 1 / table[i, j], as
+    estimate_ratios makes it) the minimisers are the row means of
+    log(table) plus a constant; the constant is fixed so that sum(u) is the
+    sum of the logs of each limb's median positive raw length.  Input that
+    is already constant and exactly ratio-consistent is a fixed point.
     """
     raw = np.asarray(raw_lengths, dtype=float)
     if raw.ndim != 2:
         raise ShapeError(f"raw lengths must be 2-D, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise ShapeError("raw lengths must be finite")
+    table = np.asarray(table, dtype=float)
     m = raw.shape[1]
-    if ratios.n_limbs != m:
-        raise ShapeError("ratio table size does not match limb count")
+    if table.shape != (m, m):
+        raise ShapeError(f"ratio table must be {m} x {m} for {m} limbs, got {table.shape}")
+    if not np.isfinite(table).all() or not (table > 0).all():
+        raise ShapeError("ratio table entries must be finite and positive")
     alive = raw > 0
     if not alive.any(axis=0).all():
         limb = int(np.argmin(alive.any(axis=0)))
         raise DegenerateLimbError(f"limb {limb} has no positive-length frame")
 
-    u = np.log([np.median(raw[alive[:, i], i]) for i in range(m)])
-    incidence, target = _pairs(ratios.table)
-
-    r, ratio_vals = _residuals(u, incidence, target)
-    if not np.isfinite(r).all():
-        raise ShapeError("non-finite loss at the initial point")
-    loss = float(r @ r)
-    history = [loss]
-    mu = 1.0
-    growth = 2.0
-
-    for _outer in range(_MAX_ITERATIONS):
-        jtr = (ratio_vals * r) @ incidence
-        if np.max(np.abs(2.0 * jtr)) <= _GRADIENT_TOLERANCE:
-            break
-        jac = ratio_vals[:, None] * incidence
-        jtj = jac.T @ jac
-
-        accepted = False
-        for _ in range(60):
-            try:
-                delta = np.linalg.solve(jtj + mu * np.eye(m), -jtr)
-            except np.linalg.LinAlgError:
-                pass  # singular: retry with more damping
-            else:
-                u_new = u + delta
-                r_new, rv_new = _residuals(u_new, incidence, target)
-                loss_new = float(r_new @ r_new)
-                # quadratic model: loss + 2 r.J d + |J d|^2
-                jd = jac @ delta
-                predicted = -(2.0 * (jtr @ delta) + jd @ jd)
-                if predicted > 0 and np.isfinite(loss_new) and loss_new < loss:
-                    rho = (loss - loss_new) / predicted
-                    u, r, ratio_vals, loss = u_new, r_new, rv_new, loss_new
-                    history.append(loss)
-                    mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                    growth = 2.0
-                    accepted = True
-                    break
-            if mu > np.finfo(float).max / growth:
-                break  # no finite damping is left to try
-            mu *= growth
-            growth *= 2.0
-        if not accepted:
-            break
-
-    # also true when the budget ran out right at a stationary point
-    converged = np.max(np.abs(2.0 * ((ratio_vals * r) @ incidence))) <= _GRADIENT_TOLERANCE
-    return LimbSolveResult(
-        lengths=np.exp(u),
-        converged=bool(converged),
-        iterations=len(history) - 1,
-        loss_history=history,
-    )
+    medians = [np.median(raw[alive[:, i], i]) for i in range(m)]
+    u = np.log(table).mean(axis=1) + np.log(medians).mean()
+    return LimbSolveResult(lengths=np.exp(u))

@@ -30,6 +30,7 @@ from .fourier import (
     reference_templates,
     synthesize_truth,
 )
+from .jsonio import json_index, read_json
 from .refiner import MAX_WINDOW
 from .skeleton import N_LIMBS
 
@@ -222,11 +223,7 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"manifest {path}: invalid JSON at line {exc.lineno}")
+        doc = read_json(path, f"manifest {path}")
         if not isinstance(doc, dict):
             raise SchemaError(f"manifest {path}: top level must be an object")
         try:
@@ -243,20 +240,20 @@ class DatasetManifest:
                 outlier_sigma_max=rad(nd["outlier_sigma_max"]),
                 secondary_sigma=nd["secondary_sigma"],
                 secondary_max=nd["secondary_max"],
-                seed=doc["base_seed"],
+                seed=json_index(doc["base_seed"]),
             )
             manifest = cls(
-                window=int(doc["window"]),
-                stride=int(doc["stride"]),
-                frames_per_cycle=int(doc["frames_per_cycle"]),
-                cycles=int(doc["cycles"]),
-                base_seed=int(doc["base_seed"]),
+                window=json_index(doc["window"]),
+                stride=json_index(doc["stride"]),
+                frames_per_cycle=json_index(doc["frames_per_cycle"]),
+                cycles=json_index(doc["cycles"]),
+                base_seed=json_index(doc["base_seed"]),
                 noise=noise,
                 templates=templates,
-                counts={k: int(v) for k, v in counts.items()},
+                counts={k: json_index(v) for k, v in counts.items()},
                 shards={
                     split: [
-                        (e["name"], int(e["records"]), int(e["bytes"]))
+                        (e["name"], json_index(e["records"]), json_index(e["bytes"]))
                         for e in entries
                     ]
                     for split, entries in shards.items()

@@ -1,10 +1,11 @@
 """End-to-end pipeline: keypoint files in, refined keypoint files out.
 
 Stages: read keypoints, convert to limb angles and lengths, smooth the root
-trajectory, fit one limb-length vector to the subject's median proportions,
-refine the angle series with a trained window model, then rebuild keypoints
-from root + angles + the fitted lengths, the same in every frame.  Also
-home to the evaluation metrics and the CSV exports.
+trajectory, fit one limb-length vector to the subject's median proportions
+(a closed-form least-squares fit in log lengths), refine the angle series
+with a trained window model, then rebuild keypoints from root + angles +
+the fitted lengths, the same in every frame.  Also home to the evaluation
+metrics and the CSV exports.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditioning import estimate_ratios, optimize_limb_lengths, smooth_base_trajectory
 from .errors import SchemaError, ShapeError
+from .jsonio import json_index, json_number, read_json
 from .refiner import RefinerModel, load_model
 from .skeleton import (
     EDGE_NAMES,
@@ -82,11 +83,7 @@ class RefinedMotion:
 
 def parse_keypoints(path) -> PoseSequence:
     """Read a keypoint JSON file and validate it down to each coordinate."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}")
+    doc = read_json(path, str(path))
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     for key in ("fps", "keypoints", "frames"):
@@ -109,7 +106,7 @@ def parse_keypoints(path) -> PoseSequence:
     if xy is None:
         xy = _walk_coordinates(path, frames)
     try:
-        fps = _json_number(doc["fps"])
+        fps = json_number(doc["fps"])
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: fps must be a number")
     try:
@@ -157,7 +154,7 @@ def _walk_coordinates(path, frames: list) -> np.ndarray:
             try:
                 if not isinstance(pt, list) or len(pt) != 2:
                     raise TypeError
-                xy[f, j] = (_json_number(pt[0]), _json_number(pt[1]))
+                xy[f, j] = (json_number(pt[0]), json_number(pt[1]))
             except (TypeError, ValueError, OverflowError):
                 raise SchemaError(
                     f"{path}: frame {f}, keypoint {KEYPOINT_NAMES[j]} is not an (x, y) "
@@ -292,32 +289,15 @@ def evaluate_metrics(
     )
 
 
-def _json_number(value) -> float:
-    """float of a JSON number, refusing strings and true/false."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a JSON number")
-    return float(value)
-
-
-def _json_index(value) -> int:
-    """operator.index, refusing JSON true/false (bool is an int subclass)."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not an index")
-    return operator.index(value)
-
-
 def load_erroneous_frames(path) -> dict:
     """Read an erroneous-set JSON file into {frame: joints-or-None}.
 
     Accepted forms: {"frames": [7, {"frame": 9, "joints": [0, 3]}, ...]} or
-    a bare list of the same entries.  Plain integers mean all joints;
-    evaluate_metrics refuses an empty or out-of-range joint list.
+    a bare list of the same entries.  Plain integers mean all joints, and
+    a frame may be listed once; evaluate_metrics refuses an empty or
+    out-of-range joint list.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}")
+    doc = read_json(path, str(path))
     entries = doc.get("frames") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: expected a list of frames")
@@ -330,10 +310,12 @@ def load_erroneous_frames(path) -> dict:
         else:
             raise SchemaError(f"{path}: unrecognized erroneous-frame entry {entry!r}")
         try:
-            frame = _json_index(frame)
-            joints = None if joints is None else [_json_index(j) for j in joints]
+            frame = json_index(frame)
+            joints = None if joints is None else [json_index(j) for j in joints]
         except TypeError:
             raise SchemaError(f"{path}: frame and joints must be integers in {entry!r}")
+        if frame in out:
+            raise SchemaError(f"{path}: frame {frame} is listed twice")
         out[frame] = joints
     return out
 

@@ -329,6 +329,16 @@ MALFORMED = {
     "joints-int": ("eval", json.dumps({"frames": [{"frame": 1, "joints": 5}]})),
     "frame-bool": ("eval", json.dumps({"frames": [True]})),
     "joints-empty": ("eval", json.dumps({"frames": [{"frame": 2, "joints": []}]})),
+    "frame-twice": (
+        "eval",
+        json.dumps([{"frame": 3, "joints": [0]}, {"frame": 3, "joints": [5]}]),
+    ),
+    "errors-latin1": ("eval", b'{"frames": [3], "note": "caf\xe9"}'),
+    "input-latin1": ("refine", keypoint_text().encode().replace(b'"fps": 30', b'"fps": 3\xb0')),
+    "input-directory": ("refine", None),
+    "model-directory": ("refine --model", None),
+    "output-directory": ("refine --output", None),
+    "manifest-latin1": ("train", b'{"window": "\xe9"}'),
     "manifest-list": ("train", "[]"),
     "manifest-shard-name": (
         "train",
@@ -349,18 +359,29 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("command, text", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, command, text):
+@pytest.mark.parametrize("role, content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, role, content):
+    # content is the bad file's text or bytes; None makes it a directory
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    if content is None:
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
     out = tmp_path / "out"
+    model = tmp_path / "model.jarm"
+    save_model(RefinerModel.identity(hidden=2, d_att=2, window=20), model)
     argv = {
-        "export": ["--input", str(bad), "--output", str(out)],
-        "eval": ["--refined", str(keypoint_file), "--truth", str(keypoint_file),
-                 "--errors", str(bad), "--out", str(out)],
-        "train": ["--manifest", str(bad), "--out", str(out)],
-    }[command]
-    assert main([command] + argv) == 2
+        "export": ["--input", bad, "--output", out],
+        "eval": ["--refined", keypoint_file, "--truth", keypoint_file, "--errors", bad,
+                 "--out", out],
+        "train": ["--manifest", bad, "--out", out],
+        "refine": ["--input", bad, "--model", model, "--output", out],
+        "refine --model": ["--input", keypoint_file, "--model", bad, "--output", out],
+        "refine --output": ["--input", keypoint_file, "--model", model, "--output", bad],
+    }[role]
+    assert main([role.split()[0]] + [str(a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 

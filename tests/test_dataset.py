@@ -238,6 +238,16 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
         path.write_text(json.dumps({**json.loads(good.to_json()), key: value}))
         with pytest.raises(SchemaError, match="window must be >= 2 and stride >= 1"):
             DatasetManifest.load(path)
+    # integer fields refuse what int() would truncate or accept
+    doc = json.loads(good.to_json())
+    for key, value in (
+        ("stride", 1.9), ("frames_per_cycle", 100.7), ("window", True), ("cycles", 2.0),
+        ("base_seed", "0"), ("counts", {"train": 30.2}),
+        ("shards", {"train": [{"name": "train-0000.bin", "records": 1, "bytes": 1.5}]}),
+    ):
+        path.write_text(json.dumps({**doc, "counts": {"train": 1}, key: value}))
+        with pytest.raises(SchemaError, match="is not an integer"):
+            DatasetManifest.load(path)
 
 
 MALFORMED_MANIFEST_FIELDS = {
