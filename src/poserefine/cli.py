@@ -38,7 +38,6 @@ def degrees(text: str) -> float:
 # the generate_dataset keywords that synth's flags set
 _CORPUS_KEYWORDS = (
     "train_count", "test_count", "window", "stride", "frames_per_cycle", "cycles",
-    "records_per_shard",
 )
 
 
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-max-deg", dest="outlier_sigma_max", type=degrees)
     p.add_argument("--secondary-sigma", type=float)
     p.add_argument("--secondary-max", type=int)
-    p.add_argument("--records-per-shard", type=int)
     p.add_argument("--seed", type=int, help="base RNG seed")
 
     p = command("train", _cmd_train, "train a refiner on a synth manifest")
@@ -183,7 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:
+        # argparse reads @file option files itself, in the locale encoding
+        given = sys.argv[1:] if argv is None else argv
+        files = ", ".join(a for a in given if a.startswith("@"))
+        parser.error(f"option file {files} is not {exc.encoding} text (byte {exc.start})")
     try:
         return args.func(args)
     except (PoseRefineError, OSError) as exc:

@@ -2,11 +2,11 @@
 
 Clean windows come from Fourier motion templates; each window is corrupted
 with per-window Gaussian jitter plus sparse large outliers whose halved
-echoes land on neighbouring frames.  Records are streamed to fixed-layout
-little-endian shards next to a JSON manifest.  Everything is deterministic
-in the base seed: each simulated subject and each window draws from its own
-seed sequence, so shards can be regenerated or written in parallel without
-changing a byte.
+echoes land on neighbouring frames.  Each split is written as one
+fixed-layout little-endian shard next to a JSON manifest.  Everything is
+deterministic in the base seed: each simulated subject and each window
+draws from its own seed sequence, so any record's noise can be replayed
+from the manifest alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .fourier import (
     reference_templates,
     synthesize_truth,
 )
-from .jsonio import json_index, read_json
+from .jsonio import json_index, json_number, read_json
 from .refiner import MAX_WINDOW
 from .skeleton import N_LIMBS
 
@@ -235,11 +235,11 @@ class DatasetManifest:
             nd = doc["noise_deg"]
             rad = math.radians
             noise = NoiseSpec(
-                jitter_sigma_range=tuple(rad(v) for v in nd["jitter_sigma_range"]),
-                outlier_fraction=nd["outlier_fraction"],
-                outlier_sigma_max=rad(nd["outlier_sigma_max"]),
-                secondary_sigma=nd["secondary_sigma"],
-                secondary_max=nd["secondary_max"],
+                jitter_sigma_range=tuple(rad(json_number(v)) for v in nd["jitter_sigma_range"]),
+                outlier_fraction=json_number(nd["outlier_fraction"]),
+                outlier_sigma_max=rad(json_number(nd["outlier_sigma_max"])),
+                secondary_sigma=json_number(nd["secondary_sigma"]),
+                secondary_max=json_index(nd["secondary_max"]),
                 seed=json_index(doc["base_seed"]),
             )
             manifest = cls(
@@ -280,60 +280,24 @@ class DatasetManifest:
 # generation
 
 
-def _window_offsets(total: int, window: int, stride: int) -> int:
-    return (total - window) // stride + 1
-
-
-def _sample_coords(index: int, n_offsets: int):
-    """Map a flat sample index to (subject, joint, offset index)."""
-    per_subject = N_LIMBS * n_offsets
-    subject = index // per_subject
-    rest = index % per_subject
-    return subject, rest // n_offsets, rest % n_offsets
-
-
-def _subject_rng(base_seed: int, split: str, subject: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([base_seed, _SPLIT_CODES[split], subject]))
-    )
-
-
-def _window_rng(base_seed: int, split: str, subject: int, joint: int, offset: int):
-    return np.random.Generator(
-        np.random.PCG64(
-            np.random.SeedSequence(
-                [base_seed, _SPLIT_CODES[split], subject, joint, offset]
-            )
-        )
-    )
-
-
-def _subject_truth(
-    manifest: DatasetManifest,
-    templates: list,
-    ranges: RandomizeRanges,
-    split: str,
-    subject: int,
-) -> np.ndarray:
-    base = templates[subject % len(templates)]
-    variant = randomize_template(
-        base, ranges, _subject_rng(manifest.base_seed, split, subject)
-    )
-    return synthesize_truth(variant, manifest.frames_per_cycle, manifest.cycles)
+def _rng(*key) -> np.random.Generator:
+    """The generator seeded by the integer sequence key."""
+    return np.random.default_rng(list(key))
 
 
 def record_coords(manifest: DatasetManifest, index: int):
     """(subject, joint, window offset) for a flat record index of a split."""
     total = manifest.frames_per_cycle * manifest.cycles
-    n_offsets = _window_offsets(total, manifest.window, manifest.stride)
-    subject, joint, offset_idx = _sample_coords(index, n_offsets)
+    n_offsets = (total - manifest.window) // manifest.stride + 1
+    subject, rest = divmod(index, N_LIMBS * n_offsets)
+    joint, offset_idx = divmod(rest, n_offsets)
     return subject, joint, offset_idx * manifest.stride
 
 
 def record_events(manifest: DatasetManifest, split: str, index: int) -> NoiseEvents:
     """Re-derive the corruption events of a stored record from its seed."""
     subject, joint, offset = record_coords(manifest, index)
-    rng = _window_rng(manifest.base_seed, split, subject, joint, offset)
+    rng = _rng(manifest.base_seed, _SPLIT_CODES[split], subject, joint, offset)
     _, events = inject_noise_events(np.zeros(manifest.window), manifest.noise, rng)
     return events
 
@@ -349,9 +313,14 @@ def generate_dataset(
     stride: int = 1,
     frames_per_cycle: int = 100,
     cycles: int = 2,
-    records_per_shard: int = 65536,
 ) -> DatasetManifest:
-    """Write a train/test corpus of noisy-vs-clean windows under out_dir."""
+    """Write a train/test corpus of noisy-vs-clean windows under out_dir.
+
+    Each non-empty split is one shard, `<split>-0000.bin`, filled in
+    record_coords order; an empty split gets no file.  A split's records
+    are built in memory as float32 first, half the bytes that load_split
+    then holds as float64.
+    """
     if noise is None:
         noise = NoiseSpec()
     if templates is None:
@@ -369,8 +338,6 @@ def generate_dataset(
         )
     if train_count < 1 or test_count < 0:
         raise GenerationError("train_count must be >= 1 and test_count >= 0")
-    if records_per_shard < 1:
-        raise GenerationError("records_per_shard must be >= 1")
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = DatasetManifest(
@@ -382,79 +349,50 @@ def generate_dataset(
         noise=noise,
         templates=[t.name for t in templates],
     )
-    n_offsets = _window_offsets(total, window, stride)
 
     for split, count in (("train", train_count), ("test", test_count)):
         manifest.counts[split] = count
         manifest.shards[split] = []
         if count == 0:
             continue
-        truth_cache: tuple[int, np.ndarray] | None = None
-        shard_joints = np.empty(min(count, records_per_shard), dtype=int)
-        shard_truth = np.empty((shard_joints.size, window), dtype=np.float32)
-        shard_noisy = np.empty_like(shard_truth)
-        fill = 0
-        shard_no = 0
-
-        def flush():
-            nonlocal fill, shard_no
-            if fill == 0:
-                return
-            name = f"{split}-{shard_no:04d}.bin"
-            size = write_shard(
-                os.path.join(out_dir, name),
-                shard_joints[:fill],
-                shard_truth[:fill],
-                shard_noisy[:fill],
-            )
-            manifest.shards[split].append((name, fill, size))
-            shard_no += 1
-            fill = 0
-
+        code = _SPLIT_CODES[split]
+        joints = np.empty(count, dtype=int)
+        truth = np.empty((count, window), dtype=np.float32)
+        noisy = np.empty_like(truth)
+        truth_subject = -1
         for index in range(count):
-            subject, joint, offset_idx = _sample_coords(index, n_offsets)
-            offset = offset_idx * stride
-            if truth_cache is None or truth_cache[0] != subject:
-                truth_cache = (
-                    subject,
-                    _subject_truth(manifest, templates, ranges, split, subject),
-                )
-            clean = truth_cache[1][offset : offset + window, joint]
-            rng = _window_rng(noise.seed, split, subject, joint, offset)
-            noisy, _ = inject_noise_events(clean, noise, rng)
-            shard_joints[fill] = joint
-            shard_truth[fill] = clean
-            shard_noisy[fill] = noisy
-            fill += 1
-            if fill == records_per_shard:
-                flush()
-        flush()
-
-        written = sum(records for _, records, _ in manifest.shards[split])
-        if written != count:
-            raise GenerationError(
-                f"{split}: wrote {written} records, expected {count}"
-            )
+            subject, joint, offset = record_coords(manifest, index)
+            if subject != truth_subject:
+                # one randomized template per simulated subject
+                base = templates[subject % len(templates)]
+                variant = randomize_template(base, ranges, _rng(noise.seed, code, subject))
+                subject_truth = synthesize_truth(variant, frames_per_cycle, cycles)
+                truth_subject = subject
+            clean = subject_truth[offset : offset + window, joint]
+            rng = _rng(noise.seed, code, subject, joint, offset)
+            joints[index] = joint
+            truth[index] = clean
+            noisy[index], _ = inject_noise_events(clean, noise, rng)
+        name = f"{split}-0000.bin"
+        size = write_shard(os.path.join(out_dir, name), joints, truth, noisy)
+        manifest.shards[split].append((name, count, size))
 
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
-def load_split(manifest: DatasetManifest, split: str, root=None):
+def load_split(manifest: DatasetManifest, split: str):
     """Concatenate a split's shards; returns (joints, truth, noisy)."""
-    root = root if root is not None else manifest.root
     if split not in manifest.shards:
         raise SchemaError(f"manifest has no split named {split!r}")
     parts = [
-        read_shard(os.path.join(root, name), manifest.window)
+        read_shard(os.path.join(manifest.root, name), manifest.window)
         for name, _, _ in manifest.shards[split]
     ]
     if not parts:
         empty = np.empty((0, manifest.window))
-        return np.empty(0, dtype=int), empty, empty.copy()
-    joints = np.concatenate([p[0] for p in parts])
-    truth = np.concatenate([p[1] for p in parts])
-    noisy = np.concatenate([p[2] for p in parts])
+        parts = [(np.empty(0, dtype=int), empty, empty)]
+    joints, truth, noisy = map(np.concatenate, zip(*parts))
     expected = manifest.counts[split]
     if joints.shape[0] != expected:
         raise SchemaError(

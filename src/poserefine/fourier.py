@@ -119,8 +119,8 @@ def randomize_template(
 
 def synthesize_truth(
     template: FourierMotionTemplate,
-    frames_per_cycle: int = 100,
-    cycles: int = 2,
+    frames_per_cycle: int,
+    cycles: int,
 ) -> np.ndarray:
     """Sample clean joint-angle curves on a fixed cycle grid.
 

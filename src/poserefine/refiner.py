@@ -93,9 +93,9 @@ class RefinerModel:
             self.params[name] = arr
 
     @classmethod
-    def init_random(cls, hidden: int = 64, d_att: int = 32, window: int = 100, seed: int = 0):
+    def init_random(cls, hidden: int, d_att: int, window: int, seed: int):
         """Uniform fan-in init for weights, zero biases."""
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
         params = {}
         for name, shape in parameter_shapes(hidden, d_att).items():
             if name.split(".")[-1].startswith("b"):
@@ -106,7 +106,7 @@ class RefinerModel:
         return cls(hidden=hidden, d_att=d_att, window=window, params=params)
 
     @classmethod
-    def identity(cls, hidden: int = 64, d_att: int = 32, window: int = 100):
+    def identity(cls, hidden: int, d_att: int, window: int):
         """All-zero weights: refine_batch returns its input unchanged."""
         params = {
             name: np.zeros(shape)

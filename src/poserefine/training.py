@@ -130,7 +130,7 @@ def train_on_arrays(
     if noisy.shape != truth.shape or noisy.ndim != 2:
         raise ShapeError("noisy and truth must both be (n, window)")
     n, window = noisy.shape
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
     n_val = int(round(config.validation_fraction * n))
     if n - n_val < 1:
@@ -203,9 +203,8 @@ def train_on_arrays(
 def train_model(
     manifest: DatasetManifest,
     config: TrainConfig | None = None,
-    root=None,
     progress=None,
 ):
     """Train on the manifest's train split; returns (model, TrainLog)."""
-    _, truth, noisy = load_split(manifest, "train", root)
+    _, truth, noisy = load_split(manifest, "train")
     return train_on_arrays(noisy, truth, config, progress=progress)

@@ -318,7 +318,7 @@ def test_cli_determinism(tmp_path):
         "--train-count", "96", "--test-count", "32",
         "--window", "20", "--stride", "5",
         "--frames-per-cycle", "25", "--cycles", "2",
-        "--records-per-shard", "64", "--seed", "7",
+        "--seed", "7",
     ]
     train_flags = [
         "--hidden", "4", "--d-att", "3",

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ SYNTH_TINY = [
     "--stride", "5",
     "--frames-per-cycle", "25",
     "--cycles", "2",
-    "--records-per-shard", "32",
     "--seed", "3",
 ]
 
@@ -458,6 +460,40 @@ def test_missing_option_file_exits_two(tmp_path, capsys):
     assert exc.value.code == 2
     assert "absent.txt" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_utf8_option_file_exits_two(tmp_path, capsys, monkeypatch):
+    opts = tmp_path / "opts.txt"
+    opts.write_bytes(b"--sg-halfwidth=\xe9\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", f"@{opts}"] + REQUIRED_ARGV["refine"])
+    assert exc.value.code == 2
+    assert "opts.txt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [opts]
+
+
+def test_synth_has_no_records_per_shard_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "c"), "--records-per-shard", "32"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --records-per-shard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_lines_parse():
+    # every `poserefine ...` line of README's sh blocks, continuations joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("poserefine ")
+    ]
+    assert len(lines) >= 6
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1], line
 
 
 @pytest.mark.parametrize("command", ["refine", "eval", "export"])

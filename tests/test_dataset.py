@@ -24,7 +24,6 @@ from poserefine import (
     write_shard,
 )
 from poserefine.cli import main as cli_main
-from poserefine.dataset import _window_rng
 
 from conftest import make_rng
 
@@ -182,7 +181,6 @@ def tiny_corpus(tmp_path_factory):
         stride=5,
         frames_per_cycle=25,
         cycles=2,
-        records_per_shard=32,
     )
     return out, manifest
 
@@ -190,7 +188,7 @@ def tiny_corpus(tmp_path_factory):
 def test_generation_counts_and_shards(tiny_corpus):
     out, manifest = tiny_corpus
     assert manifest.counts == {"train": 70, "test": 30}
-    assert [r for _, r, _ in manifest.shards["train"]] == [32, 32, 6]
+    assert [r for _, r, _ in manifest.shards["train"]] == [70]
     assert [r for _, r, _ in manifest.shards["test"]] == [30]
     for split in ("train", "test"):
         joints, truth, noisy = load_split(manifest, split)
@@ -247,6 +245,18 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
     ):
         path.write_text(json.dumps({**doc, "counts": {"train": 1}, key: value}))
         with pytest.raises(SchemaError, match="is not an integer"):
+            DatasetManifest.load(path)
+    # so are the noise fields: 2.5 echoes would fail in record_events, true reads as 1
+    for key, value, message in (
+        ("secondary_max", 2.5, "is not an integer"),
+        ("secondary_max", True, "is not an integer"),
+        ("outlier_fraction", True, "not a JSON number"),
+        ("secondary_sigma", True, "not a JSON number"),
+        ("outlier_sigma_max", True, "not a JSON number"),
+        ("jitter_sigma_range", [0.0, True], "not a JSON number"),
+    ):
+        path.write_text(json.dumps({**doc, "noise_deg": {**doc["noise_deg"], key: value}}))
+        with pytest.raises(SchemaError, match=message):
             DatasetManifest.load(path)
 
 
@@ -309,7 +319,8 @@ def test_record_events_replays_stored_noise(tiny_corpus):
     _, truth, noisy = load_split(manifest, "train")
     for index in (0, 13, 41, 69):
         subject, joint, offset = record_coords(manifest, index)
-        rng = _window_rng(manifest.base_seed, "train", subject, joint, offset)
+        # the key is (base seed, split code: train 0 / test 1, subject, joint, offset)
+        rng = np.random.default_rng([manifest.base_seed, 0, subject, joint, offset])
         replay, events = inject_noise_events(truth[index], manifest.noise, rng)
         # shards hold float32, and generation adds noise before the cast,
         # so the replayed values agree to storage precision only
@@ -377,8 +388,6 @@ def test_generation_errors(tmp_path):
         generate_dataset(tmp_path, train_count=0, test_count=0)
     with pytest.raises(GenerationError):
         generate_dataset(tmp_path, train_count=1, test_count=0, window=80, frames_per_cycle=30, cycles=2)
-    with pytest.raises(GenerationError):
-        generate_dataset(tmp_path, train_count=1, test_count=0, records_per_shard=0)
     # a shard records the window length as <u2; the sequence is long enough
     with pytest.raises(GenerationError, match="65535"):
         generate_dataset(
@@ -391,6 +400,33 @@ def test_generation_errors(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+def test_load_split_concatenates_shards_in_order(tmp_path):
+    # generation writes one shard per split; a manifest may still list several
+    rng = make_rng(45)
+    joints = np.array([3, 0, 11, 7, 5])
+    truth = rng.normal(size=(5, 16)).astype(np.float32)
+    noisy = rng.normal(size=(5, 16)).astype(np.float32)
+    shards = []
+    for name, part in (("train-0000.bin", slice(0, 2)), ("train-0001.bin", slice(2, 5))):
+        size = write_shard(tmp_path / name, joints[part], truth[part], noisy[part])
+        shards.append({"name": name, "records": len(joints[part]), "bytes": size})
+    doc = json.loads(
+        DatasetManifest(
+            window=16, stride=1, frames_per_cycle=20, cycles=1, base_seed=0,
+            noise=NoiseSpec(), templates=[],
+        ).to_json()
+    )
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**doc, "counts": {"train": 5}, "shards": {"train": shards}}))
+    j, t, n = load_split(DatasetManifest.load(path), "train")
+    assert np.array_equal(j, joints)
+    assert np.array_equal(t, truth.astype(np.float64))
+    assert np.array_equal(n, noisy.astype(np.float64))
+    path.write_text(json.dumps({**doc, "counts": {"train": 6}, "shards": {"train": shards}}))
+    with pytest.raises(SchemaError, match="shards hold 5 records, manifest says 6"):
+        load_split(DatasetManifest.load(path), "train")
+
+
 def test_load_split_detects_count_mismatch(tmp_path):
     manifest = generate_dataset(
         tmp_path, train_count=10, test_count=0, window=16, frames_per_cycle=20, cycles=1
@@ -398,5 +434,9 @@ def test_load_split_detects_count_mismatch(tmp_path):
     manifest.counts["train"] = 11
     with pytest.raises(SchemaError, match="11"):
         load_split(manifest, "train")
+    assert manifest.shards["test"] == []  # an empty split has no shard
+    manifest.counts["test"] = 3
+    with pytest.raises(SchemaError, match="shards hold 0 records, manifest says 3"):
+        load_split(manifest, "test")
     with pytest.raises(SchemaError):
         load_split(manifest, "val")

@@ -210,6 +210,6 @@ def test_synthesize_truth_repeats_across_cycles():
 def test_synthesize_truth_validation():
     base = reference_templates()[0]
     with pytest.raises(InvalidRangeError):
-        synthesize_truth(base, frames_per_cycle=0)
+        synthesize_truth(base, frames_per_cycle=0, cycles=2)
     with pytest.raises(ShapeError):
         FourierMotionTemplate(name="bad", coeffs=base.coeffs[:5])
