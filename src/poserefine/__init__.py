@@ -43,7 +43,6 @@ from .fourier import (
 )
 from .pipeline import (
     MetricsReport,
-    PipelineConfig,
     RefinedMotion,
     evaluate_metrics,
     export_series,
@@ -72,7 +71,6 @@ from .skeleton import (
     pose_to_angles,
     pose_to_limb_lengths,
     reconstruct_sequence,
-    unwrap_joint_angles,
     velocity_series,
     wrap_angle,
 )

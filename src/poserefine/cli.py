@@ -67,13 +67,13 @@ def _cmd_train(args) -> int:
     save_model(model, args.out)
     if args.log:
         save_train_log(log, args.log, include_timing=args.log_times)
-    print(f"best epoch {log.best_epoch}: val mse {log.best_val_mse:.6f}")
+    kind = "val" if log.validated else "train"
+    print(f"best epoch {log.best_epoch}: {kind} mse {log.best_val_mse:.6f}")
     return 0
 
 
 def _cmd_refine(args) -> int:
-    config = pl.PipelineConfig(**_options(args, _fields(pl.PipelineConfig)))
-    pl.refine_keypoint_file(args.input, args.model, args.output, config)
+    pl.refine_keypoint_file(args.input, args.model, args.output, **_options(args, ["half_width"]))
     print(f"refined {args.input} -> {args.output}")
     return 0
 
@@ -98,14 +98,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    seq = pl.parse_keypoints(args.input)
-    motion = pl.RefinedMotion(
-        base=seq.xy[:, 0, :],
-        theta=pose_to_angles(seq),
-        lengths=pl.pose_to_limb_lengths(seq),
-        fps=seq.fps,
-    )
-    pl.export_series(motion, args.what, args.output)
+    pl.export_series(pl.parse_keypoints(args.input), args.what, args.output)
     print(f"wrote {args.what} to {args.output}")
     return 0
 

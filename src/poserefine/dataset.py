@@ -155,8 +155,11 @@ def write_shard(path, joints: np.ndarray, truth: np.ndarray, noisy: np.ndarray) 
 def read_shard(path, window: int):
     """Read one shard; returns (joints, truth, noisy) as arrays."""
     dtype = _record_dtype(window)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # a manifest names the shard
+        raise SchemaError(f"shard {path} cannot be read: {exc}")
     if len(data) % dtype.itemsize != 0:
         raise SchemaError(f"shard {path} is not a whole number of records")
     rec = np.frombuffer(data, dtype=dtype)
@@ -164,6 +167,8 @@ def read_shard(path, window: int):
         raise SchemaError(f"shard {path} disagrees with the manifest window length")
     if rec.size and (rec["joint"] >= N_LIMBS).any():
         raise SchemaError(f"shard {path} contains an out-of-range joint index")
+    if not (np.isfinite(rec["truth"]).all() and np.isfinite(rec["noisy"]).all()):
+        raise SchemaError(f"shard {path} holds a non-finite angle")
     return (
         rec["joint"].astype(int),
         rec["truth"].astype(np.float64),
@@ -263,8 +268,10 @@ class DatasetManifest:
             raise SchemaError(f"manifest {path}: missing key {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"manifest {path}: {exc}")
-        if manifest.window < 2 or manifest.stride < 1:
-            raise SchemaError(f"manifest {path}: window must be >= 2 and stride >= 1")
+        if not (2 <= manifest.window <= MAX_WINDOW) or manifest.stride < 1:
+            raise SchemaError(
+                f"manifest {path}: window must be in [2, {MAX_WINDOW}] and stride >= 1"
+            )
         uncounted = sorted(set(manifest.shards) - set(manifest.counts))
         if uncounted:
             raise SchemaError(f"manifest {path}: shards of {uncounted} have no count")
@@ -307,8 +314,6 @@ def generate_dataset(
     train_count: int,
     test_count: int,
     noise: NoiseSpec | None = None,
-    templates: list | None = None,
-    ranges: RandomizeRanges | None = None,
     window: int = 100,
     stride: int = 1,
     frames_per_cycle: int = 100,
@@ -323,10 +328,7 @@ def generate_dataset(
     """
     if noise is None:
         noise = NoiseSpec()
-    if templates is None:
-        templates = reference_templates()
-    if ranges is None:
-        ranges = RandomizeRanges()
+    templates, ranges = reference_templates(), RandomizeRanges()
     total = frames_per_cycle * cycles
     if window < 2 or stride < 1:
         raise GenerationError("window must be >= 2 and stride >= 1")

@@ -10,8 +10,8 @@ from .errors import SchemaError
 def read_json(path, label: str):
     """The parsed document of a UTF-8 JSON file.
 
-    Bytes that are not UTF-8, and text that is not JSON, raise SchemaError
-    with label (which names the file) in front of the message.
+    Bytes that are not UTF-8, text that is not JSON, and nesting past the
+    recursion limit raise SchemaError prefixed with label, which names the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -20,6 +20,8 @@ def read_json(path, label: str):
         raise SchemaError(f"{label}: invalid JSON at line {exc.lineno}")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{label}: not UTF-8 text (byte {exc.start})")
+    except RecursionError:
+        raise SchemaError(f"{label}: JSON nested too deeply")
 
 
 def json_number(value) -> float:

@@ -4,8 +4,9 @@ Stages: read keypoints, convert to limb angles and lengths, smooth the root
 trajectory, fit one limb-length vector to the subject's median proportions
 (a closed-form least-squares fit in log lengths), refine the angle series
 with a trained window model, then rebuild keypoints from root + angles +
-the fitted lengths, the same in every frame.  Also home to the evaluation
-metrics and the CSV exports.
+the fitted lengths, the same in every frame.  Stages take plain values;
+the one setting, the root smoother's half-width, defaults to HALF_WIDTH.
+Also home to the evaluation metrics and the CSV exports of a sequence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .skeleton import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
     N_KEYPOINTS,
-    N_LIMBS,
     PoseSequence,
     pose_to_angles,
     pose_to_limb_lengths,
@@ -36,16 +36,9 @@ from .skeleton import (
 from .windows import refine_sequence
 
 
-@dataclass
-class PipelineConfig:
-    """Refine settings; the stage that uses a value also checks it.
-
-    half_width sizes the root smoother's window.  The limb-length fit has
-    no setting, and the refiner's window layout follows from the model's
-    window length alone.
-    """
-
-    half_width: int = 50
+# half-width of the root smoother's window, the one setting of refine; the
+# limb-length fit has none, and the window layout follows from the model
+HALF_WIDTH = 50
 
 
 @dataclass
@@ -56,18 +49,6 @@ class RefinedMotion:
     theta: np.ndarray  # (n, 12) limb angles, possibly unwrapped
     lengths: np.ndarray  # (n, 12) limb lengths in px
     fps: float
-
-    def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.lengths = np.asarray(self.lengths, dtype=float)
-        n = self.base.shape[0]
-        if (
-            self.base.shape != (n, 2)
-            or self.theta.shape != (n, N_LIMBS)
-            or self.lengths.shape != (n, N_LIMBS)
-        ):
-            raise ShapeError("base (n,2), theta (n,12), lengths (n,12) must agree")
 
     @property
     def n_frames(self) -> int:
@@ -178,16 +159,12 @@ def write_keypoints(seq: PoseSequence, path) -> None:
 
 
 def refine_pose_sequence(
-    seq: PoseSequence,
-    model: RefinerModel,
-    config: PipelineConfig | None = None,
+    seq: PoseSequence, model: RefinerModel, half_width: int = HALF_WIDTH
 ) -> RefinedMotion:
     """Run the full conditioning + refinement chain on a parsed sequence."""
-    if config is None:
-        config = PipelineConfig()
     theta = pose_to_angles(seq)
     raw_lengths = pose_to_limb_lengths(seq)
-    base = smooth_base_trajectory(seq, config.half_width)
+    base = smooth_base_trajectory(seq, half_width)
     solve = optimize_limb_lengths(raw_lengths, estimate_ratios(raw_lengths))
     lengths = np.tile(solve.lengths, (len(raw_lengths), 1))
     refined = refine_sequence(theta, model)
@@ -195,15 +172,12 @@ def refine_pose_sequence(
 
 
 def refine_keypoint_file(
-    input_path,
-    model_path,
-    output_path,
-    config: PipelineConfig | None = None,
+    input_path, model_path, output_path, half_width: int = HALF_WIDTH
 ) -> RefinedMotion:
     """File-level wrapper: parse, refine, write reconstructed keypoints."""
     seq = parse_keypoints(input_path)
     model = load_model(model_path)
-    motion = refine_pose_sequence(seq, model, config)
+    motion = refine_pose_sequence(seq, model, half_width)
     write_keypoints(motion.positions(), output_path)
     return motion
 
@@ -324,29 +298,26 @@ def load_erroneous_frames(path) -> dict:
 # exports
 
 
-def export_series(motion: RefinedMotion, what: str, path) -> None:
-    """Write positions, angles, or velocities as CSV with a time column."""
-    n = motion.n_frames
-    times = np.arange(n) / motion.fps
+def export_series(seq: PoseSequence, what: str, path) -> None:
+    """Write seq's positions, limb angles, or velocities as CSV with a time
+    column; only angles need every limb to have two distinct ends."""
+    n = seq.n_frames
+    times = np.arange(n) / seq.fps
     if what == "positions":
-        header = ["frame", "time_s"]
-        for name in KEYPOINT_NAMES:
-            header += [f"{name}_x", f"{name}_y"]
-        body = motion.positions().xy.reshape(n, -1)
+        columns = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
+        body = seq.xy.reshape(n, -1)
     elif what == "angles":
-        header = ["frame", "time_s"] + [f"angle_{name}" for name in EDGE_NAMES]
-        body = motion.theta
+        columns = [f"angle_{name}" for name in EDGE_NAMES]
+        body = pose_to_angles(seq)
     elif what == "velocities":
-        header = ["frame", "time_s"]
-        for name in KEYPOINT_NAMES:
-            header += [f"{name}_vx", f"{name}_vy"]
-        body = velocity_series(motion.positions().xy, motion.fps).reshape(n, -1)
+        columns = [f"{name}_v{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
+        body = velocity_series(seq.xy, seq.fps).reshape(n, -1)
     else:
         raise ShapeError(
             f"unknown export {what!r}; use positions, angles, or velocities"
         )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["frame", "time_s"] + columns)
         for f in range(n):
             writer.writerow([f, repr(float(times[f]))] + [repr(float(v)) for v in body[f]])

@@ -165,18 +165,6 @@ def reconstruct_sequence(base, theta, lengths, fps: float = 30.0) -> PoseSequenc
     return PoseSequence(xy=xy, fps=fps)
 
 
-def unwrap_joint_angles(theta: np.ndarray) -> np.ndarray:
-    """Remove 2*pi jumps along time so each joint series is continuous.
-
-    theta is (n, 12) (or any (n, k)); frame 0 is unchanged and every output
-    value stays congruent to its input modulo 2*pi.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2:
-        raise ShapeError(f"angle series must be 2-D, got shape {theta.shape}")
-    return np.unwrap(theta, axis=0)
-
-
 def velocity_series(positions: np.ndarray, fps: float) -> np.ndarray:
     """Per-frame velocity in px/s: central differences inside, one-sided at ends."""
     positions = np.asarray(positions, dtype=float)

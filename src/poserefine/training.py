@@ -8,6 +8,7 @@ receives stay float64.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -56,6 +57,12 @@ class TrainLog:
     best_epoch: int = -1
     best_val_mse: float = float("inf")
 
+    @property
+    def validated(self) -> bool:
+        """Whether the epochs were scored on validation windows.  Without
+        them val_mse is NaN and best_val_mse is the best training MSE."""
+        return not any(math.isnan(e.val_mse) for e in self.entries)
+
 
 # Adam's moment decay rates and denominator offset
 _BETA1 = 0.9
@@ -91,10 +98,13 @@ class Adam:
 
 def save_train_log(log: TrainLog, path, include_timing: bool = False) -> None:
     """Serialize the log; wall-clock fields are off by default so reruns
-    with the same seed write identical bytes."""
+    with the same seed write identical bytes.  A run without validation
+    windows writes null for val_mse and best_val_mse."""
+    validated = log.validated
     entries = []
     for e in log.entries:
-        row = {"epoch": e.epoch, "train_mse": e.train_mse, "val_mse": e.val_mse}
+        val_mse = e.val_mse if validated else None
+        row = {"epoch": e.epoch, "train_mse": e.train_mse, "val_mse": val_mse}
         if include_timing:
             row["wall_time_s"] = e.wall_time_s
             row["windows_per_s"] = e.windows_per_s
@@ -104,7 +114,7 @@ def save_train_log(log: TrainLog, path, include_timing: bool = False) -> None:
         "seed": log.seed,
         "config": log.config,
         "best_epoch": log.best_epoch,
-        "best_val_mse": log.best_val_mse,
+        "best_val_mse": log.best_val_mse if validated else None,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

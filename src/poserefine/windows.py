@@ -1,13 +1,14 @@
 """Sliding-window execution: planning, refinement, centre-crop stitching.
 
 A joint's full angle series rarely matches the refiner's fixed window
-length, so the series is unwrapped, cut into windows that step by a quarter
-window, refined window by window, and stitched back.  Each frame takes its
-value from the covering window whose centre is nearest (the earlier window
-on a tie), so away from the ends of the series each frame lies within
-about an eighth of a window of its window's centre, where the refiner sees
-context on both sides.  A series shorter than the window is reflect-padded
-to one window first.
+length, so the series is unwrapped along time with np.unwrap (frame 0 stays
+and every value stays congruent to its input modulo 2*pi), cut into windows
+that step by a quarter window, refined window by window, and stitched back.
+Each frame takes its value from the covering window whose centre is nearest
+(the earlier window on a tie), so away from the ends of the series each
+frame lies within about an eighth of a window of its window's centre, where
+the refiner sees context on both sides.  A series shorter than the window
+is reflect-padded to one window first.
 
 The windows of every joint are stacked into one (n_windows * n_joints, L)
 array and refined in float32 in chunks of at most MAX_BATCH_ROWS rows, so
@@ -22,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ShapeError
 from .refiner import RefinerModel, refine_batch
-from .skeleton import unwrap_joint_angles
 
 # rows per forward call: the chunk bounds the forward pass's working memory
 MAX_BATCH_ROWS = 256
@@ -84,7 +84,7 @@ def refine_sequence(theta: np.ndarray, model: RefinerModel) -> np.ndarray:
     n = theta.shape[0]
     if n < 1:
         raise InsufficientDataError("need at least one frame")
-    unwrapped = unwrap_joint_angles(theta)
+    unwrapped = np.unwrap(theta, axis=0)
     if n < model.window:
         unwrapped = np.pad(unwrapped, ((0, model.window - n), (0, 0)), mode="reflect")
     starts = plan_windows(unwrapped.shape[0], model.window)

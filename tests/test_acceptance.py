@@ -14,7 +14,6 @@ import pytest
 
 from poserefine import (
     NoiseSpec,
-    PipelineConfig,
     RefinerModel,
     TrainConfig,
     batch_gradients,
@@ -367,9 +366,7 @@ def test_pipeline_contract(tmp_path):
     model_path = tmp_path / "ident.jarm"
     write_keypoints(seq, src)
     save_model(RefinerModel.identity(hidden=4, d_att=3, window=30), model_path)
-    motion = refine_keypoint_file(
-        src, model_path, dst, PipelineConfig()
-    )
+    motion = refine_keypoint_file(src, model_path, dst)
     assert motion.n_frames == seq.n_frames
     back = parse_keypoints(dst)  # output satisfies the keypoint schema
     assert back.n_frames == seq.n_frames

@@ -15,7 +15,7 @@ from poserefine import (
     KEYPOINT_NAMES,
     DatasetManifest,
     NoiseSpec,
-    PipelineConfig,
+    PoseSequence,
     RefinerModel,
     TrainConfig,
     TrainLog,
@@ -151,6 +151,36 @@ def test_train_log_times_flag(tmp_path, corpus):
         assert entry["windows_per_s"] == pytest.approx(n_train / entry["wall_time_s"], rel=1e-12)
 
 
+@pytest.mark.parametrize("fraction", ["0", "0.01"])
+def test_train_without_validation_windows_writes_strict_json(tmp_path, capsys, corpus, fraction):
+    # round(0.01 * 48) is 0 too; there is no val mse to write, and NaN is
+    # not JSON, so the log holds null and the best epoch is reported by train mse
+    log_path = tmp_path / "log.json"
+    rc = main(
+        [
+            "train",
+            "--manifest", str(corpus / "manifest.json"),
+            "--out", str(tmp_path / "m.jarm"),
+            "--log", str(log_path),
+            "--val-fraction", fraction,
+            "--hidden", "2",
+            "--d-att", "2",
+            "--epochs", "1",
+            "--batch", "16",
+        ]
+    )
+    assert rc == 0
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    log = json.loads(log_path.read_text(), parse_constant=refuse)
+    assert [entry["val_mse"] for entry in log["entries"]] == [None]
+    assert log["best_val_mse"] is None
+    train_mse = log["entries"][0]["train_mse"]
+    assert f"best epoch 0: train mse {train_mse:.6f}\n" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def keypoint_file(tmp_path_factory):
     rng = make_rng(80)
@@ -267,6 +297,29 @@ def test_export_velocities_command(tmp_path, keypoint_file):
     assert header[2] == "nose_vx"
 
 
+def test_export_of_coincident_joints_needs_no_angles(tmp_path, capsys, keypoint_file):
+    # positions and velocities are exported from the parsed coordinates;
+    # only angles need each limb's two ends apart
+    seq = parse_keypoints(keypoint_file)
+    xy = seq.xy.copy()
+    xy[3, 3] = xy[3, 1]  # left elbow on the left shoulder
+    src = tmp_path / "coincident.json"
+    write_keypoints(PoseSequence(xy=xy, fps=seq.fps), src)
+    argv = ["export", "--input", str(src), "--output"]
+    for what in ("positions", "velocities"):
+        assert main(argv + [str(tmp_path / f"{what}.csv"), "--what", what]) == 0
+    with open(tmp_path / "positions.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    values = np.array([[float(v) for v in row[2:]] for row in rows])
+    assert np.array_equal(values.reshape(xy.shape), xy)
+    out = tmp_path / "angles.csv"
+    assert main(argv + [str(out), "--what", "angles"]) == 2
+    assert "coincident keypoints on limb left_shoulder_to_left_elbow at frame 3" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     rc = main(
         [
@@ -350,6 +403,15 @@ MALFORMED = {
             shards={"train": [(5, 1, 0)]},
         ).to_json(),
     ),
+    "input-nested": ("export", "[" * 100000),
+    "manifest-window-huge": (
+        "train",
+        DatasetManifest(
+            window=10**12, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            noise=NoiseSpec(), templates=[], counts={"train": 1},
+            shards={"train": [("train-0000.bin", 1, 0)]},
+        ).to_json(),
+    ),
     "manifest-window": (
         "train",
         DatasetManifest(
@@ -404,8 +466,8 @@ def test_commands_without_flags_use_the_dataclass_defaults(
         seen["train"] = config
         return RefinerModel.identity(hidden=2, d_att=2, window=20), TrainLog()
 
-    def fake_refine(input_path, model_path, output_path, config):
-        seen["refine"] = config
+    def fake_refine(input_path, model_path, output_path, **settings):
+        seen["refine"] = settings
 
     monkeypatch.setattr(cli.ds, "generate_dataset", fake_generate)
     monkeypatch.setattr(cli, "train_model", fake_train)
@@ -419,7 +481,7 @@ def test_commands_without_flags_use_the_dataclass_defaults(
     assert seen["noise"] == NoiseSpec()
     assert seen["corpus"] == {"train_count": 20000, "test_count": 4000}
     assert seen["train"] == TrainConfig()
-    assert seen["refine"] == PipelineConfig()
+    assert seen["refine"] == {}  # refine_keypoint_file's half_width default applies
 
 
 REQUIRED_ARGV = {

@@ -163,6 +163,18 @@ def test_shard_errors(tmp_path):
     write_shard(ok, np.array([0]), np.zeros((1, 8)), np.zeros((1, 8)))
     with pytest.raises(SchemaError):
         read_shard(ok, 10)  # window disagrees with the stored length field
+    # the check comes before the float64 cast, which warns on a signalling NaN
+    snan = np.frombuffer(np.uint32(0x7F800001).tobytes(), dtype="<f4")[0]
+    for value in (snan, np.inf):
+        noisy = np.zeros((1, 8), dtype=np.float32)
+        noisy[0, 3] = value
+        write_shard(bad, np.array([0]), np.zeros((1, 8)), noisy)
+        with pytest.raises(SchemaError, match="non-finite"):
+            read_shard(bad, 8)
+    # a manifest names its shards, so one that cannot be opened is a bad corpus
+    for name in ("absent.bin", "nul\0.bin"):
+        with pytest.raises(SchemaError, match="cannot be read"):
+            read_shard(tmp_path / name, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +244,13 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
         window=20, stride=5, frames_per_cycle=25, cycles=2, base_seed=0,
         noise=NoiseSpec(), templates=[],
     )
-    for key, value in (("window", -5), ("window", 1), ("stride", 0)):
+    # a window past the shard limit would reach read_shard's record dtype,
+    # which numpy refuses with a ValueError
+    for key, value in (
+        ("window", -5), ("window", 1), ("window", 70000), ("window", 10**12), ("stride", 0),
+    ):
         path.write_text(json.dumps({**json.loads(good.to_json()), key: value}))
-        with pytest.raises(SchemaError, match="window must be >= 2 and stride >= 1"):
+        with pytest.raises(SchemaError, match=r"window must be in \[2, 65535\] and stride >= 1"):
             DatasetManifest.load(path)
     # integer fields refuse what int() would truncate or accept
     doc = json.loads(good.to_json())

@@ -11,7 +11,6 @@ from poserefine import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
     N_LIMBS,
-    PipelineConfig,
     PoseSequence,
     RefinedMotion,
     RefinerModel,
@@ -169,8 +168,12 @@ def test_parse_reads_integer_and_float_coordinates(tmp_path):
     assert np.array_equal(got, np.array(xy, dtype=float))
 
 def test_refined_motion_shape_validation():
+    # reconstruct_sequence checks the shapes when the motion is rebuilt
+    motion = RefinedMotion(
+        base=np.zeros((5, 2)), theta=np.zeros((4, 12)), lengths=np.ones((5, 12)), fps=30
+    )
     with pytest.raises(ShapeError):
-        RefinedMotion(base=np.zeros((5, 2)), theta=np.zeros((4, 12)), lengths=np.ones((5, 12)), fps=30)
+        motion.positions()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ def test_identity_refinement_reproduces_self_consistent_input():
     rng = make_rng(72)
     seq = smooth_sequence(rng, 90)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    motion = refine_pose_sequence(seq, model, PipelineConfig(half_width=10))
+    motion = refine_pose_sequence(seq, model, half_width=10)
     assert motion.n_frames == 90
     rebuilt = motion.positions()
     assert rebuilt.fps == seq.fps
@@ -210,7 +213,7 @@ def test_refinement_reconstructs_consistent_limb_lengths():
     noisy_xy = seq.xy + rng.normal(0.0, 0.8, size=seq.xy.shape)
     noisy = PoseSequence(xy=noisy_xy, fps=seq.fps)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    motion = refine_pose_sequence(noisy, model, PipelineConfig())
+    motion = refine_pose_sequence(noisy, model)
     got = motion.lengths
     # optimized lengths are near-constant over time and close in ratio
     # structure to the true skeleton
@@ -325,15 +328,6 @@ def test_load_erroneous_frames_forms(tmp_path):
 # exports
 
 
-def motion_from_sequence(seq: PoseSequence) -> RefinedMotion:
-    return RefinedMotion(
-        base=seq.xy[:, 0, :],
-        theta=pose_to_angles(seq),
-        lengths=pose_to_limb_lengths(seq),
-        fps=seq.fps,
-    )
-
-
 def read_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
@@ -343,29 +337,27 @@ def read_csv(path):
 def test_export_positions_roundtrip(tmp_path):
     rng = make_rng(77)
     seq = random_sequence(rng, 7, fps=50.0)
-    motion = motion_from_sequence(seq)
     path = tmp_path / "p.csv"
-    export_series(motion, "positions", path)
+    export_series(seq, "positions", path)
     header, rows = read_csv(path)
     assert header[:2] == ["frame", "time_s"]
     assert header[2:4] == ["nose_x", "nose_y"]
     assert len(header) == 2 + 26
     assert len(rows) == 7
     values = np.array([[float(v) for v in row[2:]] for row in rows]).reshape(7, 13, 2)
-    assert np.max(np.abs(values - seq.xy)) <= 1e-9  # reconstruction error only
+    assert np.array_equal(values, seq.xy)  # the parsed coordinates, repr floats
     assert float(rows[3][1]) == pytest.approx(3 / 50.0, rel=1e-12)
 
 
 def test_export_angles_exact(tmp_path):
     rng = make_rng(78)
     seq = random_sequence(rng, 5)
-    motion = motion_from_sequence(seq)
     path = tmp_path / "a.csv"
-    export_series(motion, "angles", path)
+    export_series(seq, "angles", path)
     header, rows = read_csv(path)
     assert header[2:] == [f"angle_{name}" for name in EDGE_NAMES]
     values = np.array([[float(v) for v in row[2:]] for row in rows])
-    assert np.array_equal(values, motion.theta)  # repr floats roundtrip
+    assert np.array_equal(values, pose_to_angles(seq))  # repr floats roundtrip
 
 
 def test_export_velocities_of_linear_motion(tmp_path):
@@ -375,7 +367,7 @@ def test_export_velocities_of_linear_motion(tmp_path):
     lengths = np.full((6, N_LIMBS), 10.0)
     motion = RefinedMotion(base=base, theta=theta, lengths=lengths, fps=10.0)
     path = tmp_path / "v.csv"
-    export_series(motion, "velocities", path)
+    export_series(motion.positions(), "velocities", path)
     header, rows = read_csv(path)
     assert header[2:4] == ["nose_vx", "nose_vy"]
     values = np.array([[float(v) for v in row[2:]] for row in rows])
@@ -386,6 +378,5 @@ def test_export_velocities_of_linear_motion(tmp_path):
 
 def test_export_rejects_unknown_kind(tmp_path):
     rng = make_rng(79)
-    motion = motion_from_sequence(random_sequence(rng, 4))
     with pytest.raises(ShapeError, match="positions"):
-        export_series(motion, "torques", tmp_path / "t.csv")
+        export_series(random_sequence(rng, 4), "torques", tmp_path / "t.csv")

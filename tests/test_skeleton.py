@@ -21,7 +21,6 @@ from poserefine import (
     pose_to_angles,
     pose_to_limb_lengths,
     reconstruct_sequence,
-    unwrap_joint_angles,
     velocity_series,
     wrap_angle,
 )
@@ -250,16 +249,6 @@ def test_reconstruct_rejects_non_positive_lengths():
 def test_reconstruct_sequence_shape_errors():
     with pytest.raises(ShapeError):
         reconstruct_sequence(np.zeros((5, 2)), np.zeros((4, 12)), np.ones((5, 12)))
-
-
-def test_unwrap_congruence_and_continuity():
-    rng = make_rng(15)
-    theta = wrap_angle(np.cumsum(rng.uniform(-2.5, 2.5, size=(60, N_LIMBS)), axis=0))
-    un = unwrap_joint_angles(theta)
-    assert np.array_equal(un[0], theta[0])
-    assert np.max(np.abs(np.diff(un, axis=0))) <= np.pi + 1e-12
-    k = np.round((un - theta) / (2 * np.pi))
-    assert np.max(np.abs(un - theta - 2 * np.pi * k)) <= 1e-9
 
 
 def test_velocity_of_linear_motion_is_constant():

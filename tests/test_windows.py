@@ -14,7 +14,6 @@ from poserefine import (
     refine_batch,
     refine_sequence,
     stitch_windows,
-    unwrap_joint_angles,
     wrap_angle,
 )
 
@@ -138,9 +137,20 @@ def test_refine_sequence_identity_model_is_exact():
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
     theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(47, N_LIMBS)), axis=0))
     out = refine_sequence(theta, model)
-    assert np.array_equal(out, unwrap_joint_angles(theta))
+    assert np.array_equal(out, np.unwrap(theta, axis=0))
     # a wrap of the output recovers the original branch values
     assert np.max(np.abs(wrap_angle(out) - theta)) <= 1e-9
+
+
+def test_refine_sequence_unwraps_congruently_and_continuously():
+    rng = make_rng(15)
+    model = RefinerModel.identity(hidden=4, d_att=3, window=10)
+    theta = wrap_angle(np.cumsum(rng.uniform(-2.5, 2.5, size=(60, N_LIMBS)), axis=0))
+    un = refine_sequence(theta, model)
+    assert np.array_equal(un[0], theta[0])
+    assert np.max(np.abs(np.diff(un, axis=0))) <= np.pi + 1e-12
+    k = np.round((un - theta) / (2 * np.pi))
+    assert np.max(np.abs(un - theta - 2 * np.pi * k)) <= 1e-9
 
 
 def test_refine_sequence_identity_model_short_input():
@@ -148,7 +158,7 @@ def test_refine_sequence_identity_model_short_input():
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
     theta = rng.uniform(-1.0, 1.0, size=(4, N_LIMBS))
     out = refine_sequence(theta, model)
-    assert np.array_equal(out, unwrap_joint_angles(theta))
+    assert np.array_equal(out, np.unwrap(theta, axis=0))
 
 
 def test_refine_sequence_shapes_and_validation():
@@ -181,7 +191,7 @@ def test_short_clip_is_refined_as_its_reflection():
     rng = make_rng(66)
     model = RefinerModel.init_random(hidden=4, d_att=3, window=7, seed=2)
     theta = rng.uniform(-1.0, 1.0, size=(3, N_LIMBS))
-    x0, x1, x2 = unwrap_joint_angles(theta)
+    x0, x1, x2 = np.unwrap(theta, axis=0)
     padded = np.stack([x0, x1, x2, x1, x0, x1, x2])
     out = refine_sequence(theta, model)
     assert out.shape == (3, N_LIMBS)
@@ -199,7 +209,7 @@ def test_short_clip_is_refined_as_its_reflection():
 def per_joint_reference(theta, model) -> np.ndarray:
     """float64 oracle: each joint's windows in one float64 call, then each
     frame stitched from its nearest-centre window."""
-    unwrapped = unwrap_joint_angles(theta)
+    unwrapped = np.unwrap(theta, axis=0)
     starts = plan_windows(len(theta), model.window)
     out = np.empty_like(unwrapped)
     for j in range(theta.shape[1]):
@@ -229,4 +239,4 @@ def test_identity_model_is_exact_across_forward_chunks():
     theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(150, N_LIMBS)), axis=0))
     # 48 windows of 12 joints: three forward calls
     assert 2 * MAX_BATCH_ROWS < len(plan_windows(150, 10)) * N_LIMBS <= 3 * MAX_BATCH_ROWS
-    assert np.array_equal(refine_sequence(theta, model), unwrap_joint_angles(theta))
+    assert np.array_equal(refine_sequence(theta, model), np.unwrap(theta, axis=0))
