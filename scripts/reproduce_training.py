@@ -56,12 +56,7 @@ def main() -> int:
 
     _, truth, noisy = pr.load_split(manifest, "test")
     # scored in float32, the precision refine runs the network in
-    pred = np.concatenate(
-        [
-            pr.refine_batch(noisy[i : i + 256], model, dtype=np.float32)
-            for i in range(0, len(noisy), 256)
-        ]
-    )
+    pred = pr.refine_batch(noisy, model, dtype=np.float32)
     noisy_mse = float(np.mean(pr.wrap_angle(noisy - truth) ** 2))
     refined_mse = float(np.mean(pr.wrap_angle(pred - truth) ** 2))
 

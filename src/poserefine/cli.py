@@ -57,9 +57,11 @@ def _cmd_train(args) -> int:
     manifest = ds.DatasetManifest.load(args.manifest)
 
     def progress(stats):
+        # val_mse is NaN when there are no validation windows
+        val = "" if math.isnan(stats.val_mse) else f" val {stats.val_mse:.6f}"
         print(
-            f"epoch {stats.epoch}: train {stats.train_mse:.6f} "
-            f"val {stats.val_mse:.6f} ({stats.wall_time_s:.1f}s)",
+            f"epoch {stats.epoch}: train {stats.train_mse:.6f}{val} "
+            f"({stats.wall_time_s:.1f}s)",
             file=sys.stderr,
         )
 

@@ -30,12 +30,27 @@ The input projections are computed a few steps at a time into one
 reused buffer rather than for the whole window.  Attention and the
 output head read the top layer's (L, B, 2H) output through a
 batch-major view.
+
+`refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, which
+bound the forward pass's working memory.  A batch of several blocks is
+drained by one thread per available CPU, the calling thread among them,
+while OpenBLAS is held to one thread: numpy releases the GIL in the
+step's matmuls and ufuncs, so the blocks' time loops overlap, and a BLAS
+that also spread each small matmul over the cores would oversubscribe
+them.  Rows are independent, so the blocks give the same values on any
+number of threads.  A batch of one block, such as a short clip's 12
+windows, is one direct forward call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +65,11 @@ _VERSION = 1
 MAX_WINDOW = 65535
 # time steps whose input projections are computed together, per direction
 _PROJ_BLOCK = 8
+# rows per forward call in refine_batch: a block bounds the forward pass's
+# working memory, and separate blocks can run on separate cores
+_BLOCK_ROWS = 112
+# held while refine_batch has BLAS pinned to one thread
+_BLAS_LOCK = threading.Lock()
 
 
 def parameter_shapes(hidden: int, d_att: int) -> dict:
@@ -428,17 +448,109 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     return grads
 
 
+@functools.cache
+def _blas_thread_control():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or
+    None if it is not found.  Looked up once, on the first parallel call."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(os.listdir(libdir))
+    except OSError:
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        lib = ctypes.CDLL(os.path.join(libdir, name))
+        # numpy 2 wheels, numpy 1 wheels, then an unsuffixed build
+        for symbol in (
+            "scipy_openblas_{}_num_threads64_",
+            "openblas_{}_num_threads64_",
+            "openblas_{}_num_threads",
+        ):
+            get = getattr(lib, symbol.format("get"), None)
+            put = getattr(lib, symbol.format("set"), None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; sched_getaffinity is not on every OS."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS to one thread; yields whether it could be held.
+
+    The lock spans the save, the parallel section and the restore, so
+    concurrent callers take turns and none restores another's setting.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield False
+        return
+    get, put = control
+    with _BLAS_LOCK:
+        before = get()
+        if before == 1:
+            yield True
+            return
+        put(1)
+        try:
+            yield True
+        finally:
+            put(before)
+
+
 def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
     """Refine a batch of windows, shape (B, L) -> float64 (B, L).
 
-    The network computes in dtype and keeps no backward cache.
+    The network computes in dtype and keeps no backward cache.  Blocks
+    of at most _BLOCK_ROWS rows run in parallel as the module docstring
+    describes, or all on the calling thread if BLAS cannot be held to
+    one thread.
     """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
         raise ShapeError(
             f"batch must be (n, {model.window}), got {noisy.shape}"
         )
-    out, _ = _forward(noisy, model, dtype, keep_cache=False)
+    blocks = range(0, len(noisy), _BLOCK_ROWS)
+    if len(blocks) <= 1:
+        return _forward(noisy, model, dtype, keep_cache=False)[0]
+    out = np.empty_like(noisy)
+    todo = iter(blocks)
+    claim = threading.Lock()
+
+    def drain():
+        # workers call only _forward: nothing a caller may have wrapped
+        while True:
+            with claim:
+                lo = next(todo, None)
+            if lo is None:
+                return
+            part = slice(lo, lo + _BLOCK_ROWS)
+            out[part] = _forward(noisy[part], model, dtype, keep_cache=False)[0]
+
+    with _one_blas_thread() as held:
+        workers = min(_cpu_count(), len(blocks)) if held else 1
+        if workers == 1:
+            drain()
+            return out
+        # loaded here: `import poserefine` does not need it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread drains blocks too, so workers - 1 are started
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
     return out
 
 
@@ -543,6 +655,8 @@ def load_model(path) -> RefinerModel:
         n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
         raw = reader.take(8 * n_vals)
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise CorruptModelError(f"tensor {name!r} has non-finite values")
     if reader.pos != len(reader.data):
         raise CorruptModelError("trailing bytes after the tensor table")
     if set(params) != set(expected):

@@ -11,9 +11,10 @@ the refiner sees context on both sides.  A series shorter than the window
 is reflect-padded to one window first.
 
 The windows of every joint are stacked into one (n_windows * n_joints, L)
-array and refined in float32 in chunks of at most MAX_BATCH_ROWS rows, so
-a short clip takes one forward call instead of one per joint, and a
-3000-frame clip at the shipped window of 100 takes six.
+array and refined in float32 by one refine_batch call, so a clip takes
+one call instead of one per joint.  refine_batch bounds its own memory:
+it splits the rows into blocks and, for a long clip, runs them on every
+available core.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ShapeError
 from .refiner import RefinerModel, refine_batch
-
-# rows per forward call: the chunk bounds the forward pass's working memory
-MAX_BATCH_ROWS = 256
 
 
 def plan_windows(n_frames: int, length: int) -> list:
@@ -92,9 +90,6 @@ def refine_sequence(theta: np.ndarray, model: RefinerModel) -> np.ndarray:
     # one row per (window, joint), window-major
     rows = sliding_window_view(unwrapped, model.window, axis=0)[starts]
     rows = rows.reshape(-1, model.window)
-    refined = np.empty_like(rows)
-    for lo in range(0, len(rows), MAX_BATCH_ROWS):
-        part = slice(lo, lo + MAX_BATCH_ROWS)
-        refined[part] = refine_batch(rows[part], model, dtype=np.float32)
+    refined = refine_batch(rows, model, dtype=np.float32)
     refined = refined.reshape(len(starts), n_joints, model.window)
     return stitch_windows(refined.transpose(0, 2, 1), starts)[:n]

@@ -178,7 +178,11 @@ def test_train_without_validation_windows_writes_strict_json(tmp_path, capsys, c
     assert [entry["val_mse"] for entry in log["entries"]] == [None]
     assert log["best_val_mse"] is None
     train_mse = log["entries"][0]["train_mse"]
-    assert f"best epoch 0: train mse {train_mse:.6f}\n" in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert f"best epoch 0: train mse {train_mse:.6f}\n" in printed.out
+    # the per-epoch progress line names no validation score
+    assert f"epoch 0: train {train_mse:.6f} (" in printed.err
+    assert "val" not in printed.out + printed.err
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +222,18 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
     got = parse_keypoints(out)
     want = parse_keypoints(keypoint_file)
     assert np.max(np.abs(got.xy - want.xy)) <= 1e-6
+
+
+def test_refine_names_the_non_finite_model_tensor(tmp_path, capsys, keypoint_file):
+    model = RefinerModel.identity(hidden=4, d_att=3, window=20)
+    model.params["head.b_o"][0] = np.nan
+    model_path = tmp_path / "nan.jarm"
+    save_model(model, model_path)
+    out = tmp_path / "out.json"
+    argv = ["refine", "--input", str(keypoint_file), "--model", str(model_path)]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert "error: tensor 'head.b_o' has non-finite values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BAD_REFINE_VALUES = {

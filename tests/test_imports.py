@@ -1,7 +1,11 @@
 """Unused imports in the package modules, found with ast: no linter is a
-test dependency."""
+test dependency; and what `import poserefine` loads and starts."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,22 @@ def test_unused_import_check_sees_a_leftover_name():
         "    return os.path.join(wrap_angle(x))\n"
     )
     assert unused_imports(source) == ["N_LIMBS"]
+
+
+def test_import_starts_no_thread_pool_and_looks_up_no_blas():
+    # refine_batch loads the thread pool and finds OpenBLAS on its first
+    # call with several blocks; importing the package does neither
+    script = (
+        "import json, sys, threading\n"
+        "import poserefine\n"
+        "print(json.dumps([\n"
+        "    'concurrent.futures' in sys.modules,\n"
+        "    threading.active_count(),\n"
+        "    poserefine.refiner._blas_thread_control.cache_info().currsize,\n"
+        "]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [False, 1, 0]

@@ -1,6 +1,9 @@
 """Refiner network: forward oracles, gradients, serialization."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +25,9 @@ from poserefine import (
     save_train_log,
     train_on_arrays,
 )
+from poserefine import refiner
 from poserefine.refiner import (
+    _BLOCK_ROWS,
     _PROJ_BLOCK,
     MAX_WINDOW,
     _attention_forward,
@@ -193,6 +198,119 @@ def test_refine_batch_rows_are_independent():
     got = refine_batch(x, model)
     for i in range(x.shape[0]):
         assert np.max(np.abs(got[i] - refine_batch(x[i : i + 1], model)[0])) <= 1e-12
+
+
+def blockwise(x, model, dtype) -> np.ndarray:
+    """Oracle: each block of rows through its own forward call, in turn."""
+    return np.concatenate(
+        [
+            _forward(x[lo : lo + _BLOCK_ROWS], model, dtype, keep_cache=False)[0]
+            for lo in range(0, len(x), _BLOCK_ROWS)
+        ]
+    )
+
+
+def record_forward_calls(monkeypatch) -> list:
+    """Patch refiner._forward to log (thread id, BLAS threads or None,
+    active thread count) for each call, then run it."""
+    calls = []
+    control = refiner._blas_thread_control()
+    forward = refiner._forward
+
+    def logged(*args, **kwargs):
+        blas = control[0]() if control is not None else None
+        calls.append((threading.get_ident(), blas, threading.active_count()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(refiner, "_forward", logged)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
+    # seven full blocks and a partial one, on 1, 2 or 8 worker threads
+    # (more than this machine may have cores), switching threads often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    model = small_model(seed=15)
+    x = make_rng(73).uniform(-2.0, 2.0, size=(7 * _BLOCK_ROWS + 5, 12))
+    want = blockwise(x, model, dtype)
+    calls = record_forward_calls(monkeypatch)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = refine_batch(x, model, dtype=dtype)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    # the blocks ran on at most `workers` threads, the calling one
+    # included, with BLAS held to one thread
+    threads = {ident for ident, _, _ in calls}
+    assert len(calls) == 8
+    assert len(threads) <= workers
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    assert all(count <= before + workers - 1 for _, _, count in calls)
+    assert all(blas in (None, 1) for _, blas, _ in calls)
+
+
+def test_refine_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = small_model(seed=18)
+    x = make_rng(77).uniform(-2.0, 2.0, size=(2 * _BLOCK_ROWS + 1, 12))
+    assert np.array_equal(refine_batch(x, model), blockwise(x, model, np.float64))
+
+
+def test_concurrent_callers_get_the_serial_results_and_blas_is_restored():
+    control = refiner._blas_thread_control()
+    if control is None:
+        pytest.skip("the OpenBLAS thread setting of numpy is not found")
+    get, put = control
+    model = small_model(seed=16)
+    rng = make_rng(75)
+    batches = [rng.uniform(-2.0, 2.0, size=(2 * _BLOCK_ROWS + 3, 12)) for _ in range(2)]
+    want = [refine_batch(x, model, dtype=np.float32) for x in batches]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def call(i):
+        start.wait()
+        got[i] = refine_batch(batches[i], model, dtype=np.float32)
+
+    before = get()
+    # two BLAS threads, so that each caller has a setting to save and restore
+    put(2)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert get() == 2
+    finally:
+        put(before)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_one_block_starts_no_thread_and_leaves_blas_alone(monkeypatch):
+    def refuse():
+        raise AssertionError("a one-block call looked up BLAS")
+
+    calls = record_forward_calls(monkeypatch)
+    monkeypatch.setattr(refiner, "_blas_thread_control", refuse)
+    model = small_model(seed=17)
+    x = make_rng(76).uniform(-2.0, 2.0, size=(_BLOCK_ROWS, 12))
+    before = threading.active_count()
+    refine_batch(x, model, dtype=np.float32)
+    assert [(ident, count) for ident, _, count in calls] == [
+        (threading.get_ident(), before)
+    ]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -523,4 +641,14 @@ def test_load_rejects_trailing_bytes(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"\x00\x01")
     with pytest.raises(CorruptModelError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_rejects_non_finite_weights(tmp_path, value):
+    model = RefinerModel.identity(hidden=4, d_att=3, window=20)
+    model.params["head.b_o"][0] = value
+    path = tmp_path / "m.jarm"
+    save_model(model, path)
+    with pytest.raises(CorruptModelError, match="'head.b_o' has non-finite values"):
         load_model(path)

@@ -17,7 +17,7 @@ from poserefine import (
     wrap_angle,
 )
 
-from poserefine.windows import MAX_BATCH_ROWS
+from poserefine.refiner import _BLOCK_ROWS
 
 from conftest import make_rng
 
@@ -223,9 +223,9 @@ def per_joint_reference(theta, model) -> np.ndarray:
 def test_joint_batched_float32_matches_float64_per_joint_reference():
     rng = make_rng(67)
     model = RefinerModel.init_random(hidden=8, d_att=4, window=10, seed=3)
-    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(90, N_LIMBS)), axis=0))
-    # 28 windows of 12 joints: the rows take two forward calls
-    assert MAX_BATCH_ROWS < len(plan_windows(90, 10)) * N_LIMBS <= 2 * MAX_BATCH_ROWS
+    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(50, N_LIMBS)), axis=0))
+    # 15 windows of 12 joints: the rows make two forward blocks
+    assert _BLOCK_ROWS < len(plan_windows(50, 10)) * N_LIMBS <= 2 * _BLOCK_ROWS
     out = refine_sequence(theta, model)
     want = per_joint_reference(theta, model)
     assert np.max(np.abs(out - want)) <= 1e-5
@@ -236,7 +236,7 @@ def test_joint_batched_float32_matches_float64_per_joint_reference():
 def test_identity_model_is_exact_across_forward_chunks():
     rng = make_rng(68)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
-    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(150, N_LIMBS)), axis=0))
-    # 48 windows of 12 joints: three forward calls
-    assert 2 * MAX_BATCH_ROWS < len(plan_windows(150, 10)) * N_LIMBS <= 3 * MAX_BATCH_ROWS
+    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(90, N_LIMBS)), axis=0))
+    # 28 windows of 12 joints: three forward blocks
+    assert 2 * _BLOCK_ROWS < len(plan_windows(90, 10)) * N_LIMBS <= 3 * _BLOCK_ROWS
     assert np.array_equal(refine_sequence(theta, model), np.unwrap(theta, axis=0))
