@@ -31,15 +31,19 @@ reused buffer rather than for the whole window.  Attention and the
 output head read the top layer's (L, B, 2H) output through a
 batch-major view.
 
-`refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, which
-bound the forward pass's working memory.  A batch of several blocks is
-drained by one thread per available CPU, the calling thread among them,
-while OpenBLAS is held to one thread: numpy releases the GIL in the
-step's matmuls and ufuncs, so the blocks' time loops overlap, and a BLAS
-that also spread each small matmul over the cores would oversubscribe
-them.  Rows are independent, so the blocks give the same values on any
+`refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, and
+`batch_gradients` into the fewest balanced blocks of at most
+_GRAD_BLOCK_ROWS (a 256-row training batch is two of 128); a block bounds
+the working memory of its forward, or forward and backward, call.  A
+batch of several blocks is drained by one thread per available CPU, the
+calling thread among them, while OpenBLAS is held to one thread: numpy
+releases the GIL in the step's matmuls and ufuncs, so the blocks' time
+loops overlap, and a BLAS that also spread each small matmul over the
+cores would oversubscribe them.  The partition does not depend on the
+number of CPUs, rows are independent, and the blocks' gradients are
+summed in block order, so both functions give the same bits on any
 number of threads.  A batch of one block, such as a short clip's 12
-windows, is one direct forward call.
+windows, is one direct call.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ _PROJ_BLOCK = 8
 # rows per forward call in refine_batch: a block bounds the forward pass's
 # working memory, and separate blocks can run on separate cores
 _BLOCK_ROWS = 112
-# held while refine_batch has BLAS pinned to one thread
+# the most rows per forward and backward call in batch_gradients: a
+# 256-row training batch is two blocks, which can run on separate cores
+_GRAD_BLOCK_ROWS = 128
+# held while parallel blocks have BLAS pinned to one thread
 _BLAS_LOCK = threading.Lock()
 
 
@@ -507,50 +514,65 @@ def _one_blas_thread():
             put(before)
 
 
+def _run_blocks(count: int, job) -> list:
+    """[job(0), ..., job(count - 1)], the jobs run as the module docstring
+    describes, or all on the calling thread if BLAS cannot be held to one
+    thread.  A single job runs directly, with no thread and no BLAS lookup.
+    Jobs on a worker thread may call only private functions, so a public
+    function a caller has wrapped runs on the calling thread alone.
+    """
+    if count <= 1:
+        return [job(i) for i in range(count)]
+    results = [None] * count
+    todo = iter(range(count))
+    claim = threading.Lock()
+
+    def drain():
+        while True:
+            with claim:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = job(i)
+
+    with _one_blas_thread() as held:
+        workers = min(_cpu_count(), count) if held else 1
+        if workers == 1:
+            drain()
+            return results
+        # loaded here: `import poserefine` does not need it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread drains jobs too, so workers - 1 are started
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
+    return results
+
+
 def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
     """Refine a batch of windows, shape (B, L) -> float64 (B, L).
 
-    The network computes in dtype and keeps no backward cache.  Blocks
-    of at most _BLOCK_ROWS rows run in parallel as the module docstring
-    describes, or all on the calling thread if BLAS cannot be held to
-    one thread.
+    The network computes in dtype and keeps no backward cache.  Each block
+    of at most _BLOCK_ROWS rows is one forward call.
     """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
         raise ShapeError(
             f"batch must be (n, {model.window}), got {noisy.shape}"
         )
-    blocks = range(0, len(noisy), _BLOCK_ROWS)
-    if len(blocks) <= 1:
+    starts = range(0, len(noisy), _BLOCK_ROWS)
+    if len(starts) <= 1:
         return _forward(noisy, model, dtype, keep_cache=False)[0]
     out = np.empty_like(noisy)
-    todo = iter(blocks)
-    claim = threading.Lock()
 
-    def drain():
-        # workers call only _forward: nothing a caller may have wrapped
-        while True:
-            with claim:
-                lo = next(todo, None)
-            if lo is None:
-                return
-            part = slice(lo, lo + _BLOCK_ROWS)
-            out[part] = _forward(noisy[part], model, dtype, keep_cache=False)[0]
+    def block(i):
+        part = slice(starts[i], starts[i] + _BLOCK_ROWS)
+        out[part] = _forward(noisy[part], model, dtype, keep_cache=False)[0]
 
-    with _one_blas_thread() as held:
-        workers = min(_cpu_count(), len(blocks)) if held else 1
-        if workers == 1:
-            drain()
-            return out
-        # loaded here: `import poserefine` does not need it
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread drains blocks too, so workers - 1 are started
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
-            drain()
-            for helper in helpers:
-                helper.result()
+    _run_blocks(len(starts), block)
     return out
 
 
@@ -564,24 +586,45 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
+def _gradient_blocks(rows: int) -> list:
+    """Row bounds of batch_gradients' blocks: the fewest balanced blocks of
+    at most _GRAD_BLOCK_ROWS rows, whatever the number of CPUs."""
+    count = max(1, -(-rows // _GRAD_BLOCK_ROWS))
+    return [rows * i // count for i in range(count + 1)]
+
+
 def batch_gradients(
     noisy: np.ndarray, truth: np.ndarray, model: RefinerModel, dtype=np.float64
 ):
     """Loss and float64 parameter gradients of the batch MSE; (B, L) inputs.
 
-    The forward and backward compute in dtype.  The loss is taken from
-    the float64 output, and the gradients are cast to float64 on return.
+    The forward and backward compute in dtype, one call of each per block
+    of rows (see _gradient_blocks), and the blocks run as the module
+    docstring describes.  The loss is the mean of the blocks' float64
+    output errors, and the blocks' gradients are cast to float64 and
+    summed in block order, so the result does not depend on the number
+    of threads.
     """
     noisy = np.asarray(noisy, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if noisy.shape != truth.shape or noisy.ndim != 2:
         raise ShapeError("noisy and truth must both be (n, window)")
-    out, cache = _forward(noisy, model, dtype, keep_cache=True)
-    diff = out - truth
-    loss = float(np.mean(diff * diff))
-    dout = (2.0 / diff.size) * diff
-    grads = _backward(dout, cache, model)
-    return loss, {name: g.astype(np.float64, copy=False) for name, g in grads.items()}
+    bounds = _gradient_blocks(len(noisy))
+    diff = np.empty_like(noisy)
+    scale = 2.0 / noisy.size
+
+    def block(i):
+        part = slice(bounds[i], bounds[i + 1])
+        out, cache = _forward(noisy[part], model, dtype, keep_cache=True)
+        np.subtract(out, truth[part], out=diff[part])
+        return _backward(scale * diff[part], cache, model)
+
+    first, *rest = _run_blocks(len(bounds) - 1, block)
+    grads = {name: g.astype(np.float64) for name, g in first.items()}
+    for block_grads in rest:
+        for name, g in block_grads.items():
+            grads[name] += g
+    return float(np.mean(diff * diff)), grads
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Gradients and validation run the network in float32, the precision
 `refine` uses; Adam's moments, the parameters and the gradients it
-receives stay float64.
+receives stay float64.  Each batch's gradients, and the whole validation
+split in one call, run on every available core in fixed row blocks (see
+`refiner`), so a seed gives the same model on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -156,15 +158,10 @@ def train_on_arrays(
     best_params = {k: v.copy() for k, v in model.params.items()}
     since_best = 0
 
-    def eval_in_batches(idx):
+    def evaluate(idx):
         if idx.size == 0:
             return float("nan")
-        total = 0.0
-        for lo in range(0, idx.size, config.batch_size):
-            part = idx[lo : lo + config.batch_size]
-            pred = refine_batch(noisy[part], model, dtype=np.float32)
-            total += mse_loss(pred, truth[part]) * part.size
-        return total / idx.size
+        return mse_loss(refine_batch(noisy[idx], model, dtype=np.float32), truth[idx])
 
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
@@ -180,7 +177,7 @@ def train_on_arrays(
             opt.step(model.params, grads)
             total += loss * part.size
         train_mse = total / order.size
-        val_mse = eval_in_batches(val_idx)
+        val_mse = evaluate(val_idx)
         monitored = train_mse if n_val == 0 else val_mse
         if not np.isfinite(monitored):
             raise TrainingDivergedError(epoch)

@@ -28,6 +28,7 @@ from poserefine import (
 from poserefine import refiner
 from poserefine.refiner import (
     _BLOCK_ROWS,
+    _GRAD_BLOCK_ROWS,
     _PROJ_BLOCK,
     MAX_WINDOW,
     _attention_forward,
@@ -35,6 +36,7 @@ from poserefine.refiner import (
     _bigru_backward,
     _bigru_forward,
     _forward,
+    _gradient_blocks,
 )
 
 from conftest import make_rng
@@ -212,15 +214,15 @@ def blockwise(x, model, dtype) -> np.ndarray:
 
 def record_forward_calls(monkeypatch) -> list:
     """Patch refiner._forward to log (thread id, BLAS threads or None,
-    active thread count) for each call, then run it."""
+    active thread count, rows) for each call, then run it."""
     calls = []
     control = refiner._blas_thread_control()
     forward = refiner._forward
 
-    def logged(*args, **kwargs):
+    def logged(x, *args, **kwargs):
         blas = control[0]() if control is not None else None
-        calls.append((threading.get_ident(), blas, threading.active_count()))
-        return forward(*args, **kwargs)
+        calls.append((threading.get_ident(), blas, threading.active_count(), len(x)))
+        return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(refiner, "_forward", logged)
     return calls
@@ -247,13 +249,13 @@ def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, work
     assert np.array_equal(got, want)
     # the blocks ran on at most `workers` threads, the calling one
     # included, with BLAS held to one thread
-    threads = {ident for ident, _, _ in calls}
+    threads = {ident for ident, _, _, _ in calls}
     assert len(calls) == 8
     assert len(threads) <= workers
     if workers == 1:
         assert threads == {threading.get_ident()}
-    assert all(count <= before + workers - 1 for _, _, count in calls)
-    assert all(blas in (None, 1) for _, blas, _ in calls)
+    assert all(count <= before + workers - 1 for _, _, count, _ in calls)
+    assert all(blas in (None, 1) for _, blas, _, _ in calls)
 
 
 def test_refine_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
@@ -307,7 +309,7 @@ def test_one_block_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     x = make_rng(76).uniform(-2.0, 2.0, size=(_BLOCK_ROWS, 12))
     before = threading.active_count()
     refine_batch(x, model, dtype=np.float32)
-    assert [(ident, count) for ident, _, count in calls] == [
+    assert [(ident, count) for ident, _, count, _ in calls] == [
         (threading.get_ident(), before)
     ]
     assert threading.active_count() == before
@@ -520,6 +522,112 @@ def test_float32_backward_computes_in_float32():
     assert dx1 is None
 
 
+def test_gradient_blocks_are_the_fewest_balanced_blocks():
+    # a training batch of 256 is two blocks of 128, and the last, short
+    # batch of an epoch stays one block
+    assert _GRAD_BLOCK_ROWS == 128
+    assert _gradient_blocks(256) == [0, 128, 256]
+    assert _gradient_blocks(102) == [0, 102]
+    assert _gradient_blocks(128) == [0, 128]
+    assert _gradient_blocks(129) == [0, 64, 129]
+    assert _gradient_blocks(3 * 128 + 5) == [0, 97, 194, 291, 389]
+
+
+def blockwise_gradients(noisy, truth, model, dtype):
+    """Oracle: each block's forward and backward call in turn; the loss
+    over the joined output errors, the gradients summed in float64."""
+    rows = len(noisy)
+    count = -(-rows // _GRAD_BLOCK_ROWS)
+    bounds = [rows * i // count for i in range(count + 1)]
+    diffs = []
+    grads = {name: np.zeros(value.shape) for name, value in model.params.items()}
+    for lo, hi in zip(bounds, bounds[1:]):
+        out, cache = _forward(noisy[lo:hi], model, dtype, keep_cache=True)
+        diffs.append(out - truth[lo:hi])
+        block = _backward((2.0 / noisy.size) * diffs[-1], cache, model)
+        for name, g in block.items():
+            grads[name] += g.astype(np.float64)
+    diff = np.concatenate(diffs)
+    return float(np.mean(diff * diff)), grads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_gradients_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
+    # four balanced blocks on 1, 2 or 8 worker threads, switching often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    model = small_model(seed=19)
+    rng = make_rng(78)
+    noisy = rng.uniform(-2.0, 2.0, size=(3 * _GRAD_BLOCK_ROWS + 5, 12))
+    truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+    want_loss, want = blockwise_gradients(noisy, truth, model, dtype)
+    calls = record_forward_calls(monkeypatch)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        loss, grads = batch_gradients(noisy, truth, model, dtype=dtype)
+    finally:
+        sys.setswitchinterval(interval)
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for name, g in grads.items():
+        assert g.dtype == np.float64
+        assert np.array_equal(g, want[name]), name
+    # the blocks ran on at most `workers` threads, the calling one
+    # included, with BLAS held to one thread
+    assert sorted(rows for _, _, _, rows in calls) == [97, 97, 97, 98]
+    threads = {ident for ident, _, _, _ in calls}
+    assert len(threads) <= workers
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    assert all(count <= before + workers - 1 for _, _, count, _ in calls)
+    assert all(blas in (None, 1) for _, blas, _, _ in calls)
+
+
+def test_batch_gradients_restores_the_blas_thread_count(monkeypatch):
+    control = refiner._blas_thread_control()
+    if control is None:
+        pytest.skip("the OpenBLAS thread setting of numpy is not found")
+    get, put = control
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = small_model(seed=20)
+    rng = make_rng(79)
+    noisy = rng.uniform(-2.0, 2.0, size=(2 * _GRAD_BLOCK_ROWS, 12))
+    truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+    calls = record_forward_calls(monkeypatch)
+    before = get()
+    # two BLAS threads, so that there is a setting to save and restore
+    put(2)
+    try:
+        batch_gradients(noisy, truth, model, dtype=np.float32)
+        assert get() == 2
+    finally:
+        put(before)
+    assert [(blas, rows) for _, blas, _, rows in calls] == [(1, 128), (1, 128)]
+
+
+def test_one_block_batch_gradients_starts_no_thread_and_leaves_blas_alone(monkeypatch):
+    def refuse():
+        raise AssertionError("a one-block call looked up BLAS")
+
+    calls = record_forward_calls(monkeypatch)
+    monkeypatch.setattr(refiner, "_blas_thread_control", refuse)
+    model = small_model(seed=21)
+    rng = make_rng(80)
+    noisy = rng.uniform(-2.0, 2.0, size=(_GRAD_BLOCK_ROWS, 12))
+    truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+    before = threading.active_count()
+    loss, grads = batch_gradients(noisy, truth, model, dtype=np.float32)
+    assert [(ident, count, rows) for ident, _, count, rows in calls] == [
+        (threading.get_ident(), before, _GRAD_BLOCK_ROWS)
+    ]
+    assert threading.active_count() == before
+    want_loss, want = blockwise_gradients(noisy, truth, model, np.float32)
+    assert loss == want_loss
+    assert all(np.array_equal(g, want[name]) for name, g in grads.items())
+
+
 def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
     # one training batch of the shipped shapes; in float64 the caches and
     # the gate gradients peak at about 450 MB
@@ -536,22 +644,29 @@ def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
     assert peak < 260e6
 
 
-def test_training_is_bitwise_repeatable(tmp_path):
+def test_training_is_bitwise_repeatable(monkeypatch, tmp_path):
+    # 270 training windows: a 256-row batch of two gradient blocks, then
+    # 14; the same seed must give the same bits on one and on two CPUs
     rng = make_rng(64)
-    truth = np.sin(np.linspace(0.0, 6.0, 12))[None] + rng.uniform(-1.0, 1.0, size=(64, 1))
+    truth = np.sin(np.linspace(0.0, 6.0, 12))[None] + rng.uniform(-1.0, 1.0, size=(300, 1))
     noisy = truth + rng.normal(0.0, 0.2, size=truth.shape)
-    config = TrainConfig(hidden=4, d_att=3, batch_size=16, max_epochs=3, seed=5)
+    config = TrainConfig(hidden=4, d_att=3, batch_size=256, max_epochs=3, seed=5)
+    calls = record_forward_calls(monkeypatch)
     runs = []
-    for tag in ("a", "b"):
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         model, log = train_on_arrays(noisy, truth, config)
-        save_train_log(log, tmp_path / f"{tag}.json")
-        runs.append((model.params, (tmp_path / f"{tag}.json").read_bytes()))
+        save_train_log(log, tmp_path / f"{cpus}.json")
+        runs.append((model.params, (tmp_path / f"{cpus}.json").read_bytes()))
     (params_a, log_a), (params_b, log_b) = runs
     assert log_a == log_b
     assert set(params_a) == set(params_b)
     for name, value in params_a.items():
         assert value.dtype == np.float64
         assert np.array_equal(value, params_b[name]), name
+    # per epoch: two blocks of 128, one of 14, then the 30 validation rows
+    assert [rows for _, _, _, rows in calls] == 2 * 3 * [128, 128, 14, 30]
+
 
 def test_non_finite_windows_diverge_in_epoch_zero():
     rng = make_rng(61)
