@@ -4,8 +4,8 @@ Generates 20,000 train / 4,000 test windows with the default noise
 model, trains the default H=64 refiner for 4 epochs, and reports the
 held-out MSE ratio and the outlier correction rate at tau = 10 deg.
 With seed 0 throughout this reproduces ratio 0.091 and rate 0.956 in
-about a minute and a half on a 2-vCPU x86_64 VM (82 s of training, its
-gradient blocks on both cores, with BLAS pinned to one thread).
+about a minute and a quarter on a 2-vCPU x86_64 VM (70 s of training,
+its gradient blocks on both cores, with BLAS pinned to one thread).
 """
 
 import argparse

@@ -67,6 +67,8 @@ class NoiseSpec:
             raise InvalidRangeError("sigmas must be non-negative")
         if self.secondary_max < 0:
             raise InvalidRangeError("secondary_max must be >= 0")
+        if self.seed < 0:
+            raise InvalidRangeError("seed must be >= 0")
 
 
 @dataclass

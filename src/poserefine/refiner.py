@@ -22,14 +22,19 @@ The public functions take batch-major (B, L) windows, but the GRU layers
 run time-major, and one time loop per layer advances both directions.
 The states of a layer are one (L+1, 2, B, H) array, h[t, d] being
 direction d's state after t steps, and each step's gates are one
-(2, 2, B, H) block indexed [gate, direction].  Every numpy call of a
-step therefore covers both directions and reads and writes contiguous
-(B, H) blocks; the step loops are most of the refine time, and most of a
-step's cost is per-call overhead and memory traffic, not arithmetic.
-The input projections are computed a few steps at a time into one
-reused buffer rather than for the whole window.  Attention and the
-output head read the top layer's (L, B, 2H) output through a
-batch-major view.
+(2, 2, B, H) block indexed [gate, direction]; the backward step's gate
+gradients are likewise one reused (3, 2, B, H) block, copied once per
+step into the direction-major (2, L, B, 3H) array that the weight
+gradient GEMMs read after the loop.  Every numpy call of a step
+therefore covers both directions and reads and writes contiguous
+(B, H) blocks; the step loops are most of the refine and training time,
+and most of a step's cost is per-call overhead and memory traffic, not
+arithmetic.  The input projections are computed a few steps at a time
+into one reused buffer rather than for the whole window.  Attention and
+the output head read the top layer's (L, B, 2H) output through a
+batch-major view.  Their backward builds no (B, L, 2H) or (B, L, d_att)
+temporary: the key gradient is rank one in time, and the top layer's
+output gradient is one batched (B, L, 4) @ (B, 4, 2H) product.
 
 `refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, and
 `batch_gradients` into the fewest balanced blocks of at most
@@ -252,11 +257,14 @@ def _bigru_backward(
     dout is (L, B, 2H) in the cache's dtype, and the whole backward
     computes in that dtype.  The step loop runs both directions back from
     their last step, reading the forward cache's (L+1, 2, B, H) states and
-    contiguous gate blocks.  The gate pre-activation gradients are one
-    direction-major (2, L, B, 3H) array, z, r and h side by side, so each
-    direction's input weight gradients, its bias gradients and its input
-    gradient are one GEMM or one sum each over its L·B rows in that
-    direction's step order.  dx is None unless need_dx.
+    contiguous gate blocks.  Each step's gate pre-activation gradients are
+    computed in one reused, contiguous (3, 2, B, H) buffer indexed [gate,
+    direction], then copied once into the direction-major (2, L, B, 3H)
+    array da, z, r and h side by side; the step's recurrent product reads
+    its z and r columns from there.  After the loop each direction's input
+    weight gradients, its bias gradients and its input gradient are one
+    GEMM or one sum each over its L·B rows of da, in that direction's step
+    order.  dx is None unless need_dx.
     """
     x = cache["x"]
     h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
@@ -270,8 +278,14 @@ def _bigru_backward(
     u_h_t = np.ascontiguousarray(u_h.transpose(0, 2, 1))
 
     da = np.empty((2, length, b, 3 * hidden), dtype)
+    # da's rows of one step as (2, B, 3, H): the step's gates are copied in
+    da_gates = da.reshape(2, length, b, 3, hidden)
+    # one step's gate gradients, indexed [gate, direction]
+    g = np.empty((3, 2, b, hidden), dtype)
+    da_z, da_r, da_h = g
     dh = np.zeros((2, b, hidden), dtype)  # gradient of the states, carried backwards
     drh = np.empty((2, b, hidden), dtype)
+    omz = np.empty((2, b, hidden), dtype)
     tmp = np.empty((2, b, hidden), dtype)
     for t in range(length - 1, -1, -1):
         z = zr_all[t, 0]
@@ -281,16 +295,12 @@ def _bigru_backward(
         # step t of the backward direction read time L-1-t
         dh[0] += dout[t, :, :hidden]
         dh[1] += dout[length - 1 - t, :, hidden:]
-        da_zr = da[:, t, :, : 2 * hidden]
-        da_z = da[:, t, :, :hidden]
-        da_r = da[:, t, :, hidden : 2 * hidden]
-        da_h = da[:, t, :, 2 * hidden :]
+        np.subtract(1.0, z, out=omz)
         # dz = dh*(hc-hp); da_z = dz*z*(1-z)
         np.subtract(hc, hp, out=da_z)
         da_z *= dh
         da_z *= z
-        np.subtract(1.0, z, out=tmp)
-        da_z *= tmp
+        da_z *= omz
         # da_h = dh*z*(1-hc^2)
         np.multiply(dh, z, out=da_h)
         np.multiply(hc, hc, out=tmp)
@@ -302,12 +312,12 @@ def _bigru_backward(
         da_r *= r
         np.subtract(1.0, r, out=tmp)
         da_r *= tmp
+        da_gates[:, t] = g.transpose(1, 2, 0, 3)
         # dh becomes the gradient of the previous states
-        np.subtract(1.0, z, out=tmp)
-        dh *= tmp
+        dh *= omz
         drh *= r
         dh += drh
-        np.matmul(da_zr, u_zr_t, out=tmp)
+        np.matmul(da[:, t, :, : 2 * hidden], u_zr_t, out=tmp)
         dh += tmp
 
     grads = {}
@@ -351,31 +361,31 @@ def _attention_forward(h2: np.ndarray, wq: np.ndarray, wk: np.ndarray):
     e = np.exp(shifted)
     alpha = e / e.sum(axis=1, keepdims=True)
     context = np.einsum("bl,blh->bh", alpha, h2)
-    return {
-        "hbar": hbar,
-        "q": q,
-        "k": k,
-        "alpha": alpha,
-        "context": context,
-        "scale": scale,
-    }
+    return {"hbar": hbar, "q": q, "alpha": alpha, "context": context, "scale": scale}
 
 
-def _attention_backward(h2, att, wq, wk, dh2, dcontext):
-    """Fold attention gradients into dh2 (modified in place) and weight grads."""
+def _attention_backward(h2, att, wq, wk, dcontext):
+    """Attention's weight gradients and its terms of the h2 gradient.
+
+    h2 is the time-major (L, B, 2H) top layer output.  The keys enter the
+    scores only through dscores[b, l] * q[b], so with
+    s[b] = sum_l dscores[b, l] * h2[l, b] the query gradient is s @ W_k and
+    the key weight gradient s^T @ q; no (B, L, d_att) key gradient is
+    built.  Returns (dwq, dwk, dscores, q @ W_k^T, dhbar): h2[l, b]'s
+    gradient gets alpha[b, l] * dcontext[b] + dscores[b, l] * (q @ W_k^T)[b]
+    + dhbar[b] / L, which _backward adds in one product.
+    """
     alpha = att["alpha"]
-    dalpha = np.einsum("bh,blh->bl", dcontext, h2)
-    dh2 += alpha[:, :, None] * dcontext[:, None, :]
+    q = att["q"]
+    dalpha = np.einsum("bh,lbh->bl", dcontext, h2)
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     dscores = dscores * att["scale"]
-    dk = dscores[:, :, None] * att["q"][:, None, :]
-    dq = np.einsum("bld,bl->bd", att["k"], dscores)
-    dwk = np.tensordot(h2, dk, axes=([0, 1], [0, 1]))
-    dh2 += dk @ wk.T
+    s = np.einsum("bl,lbh->bh", dscores, h2)
+    dq = s @ wk
+    dwk = s.T @ q
     dwq = att["hbar"].T @ dq
     dhbar = dq @ wq.T
-    dh2 += dhbar[:, None, :] / h2.shape[1]
-    return dwq, dwk
+    return dwq, dwk, dscores, q @ wk.T, dhbar
 
 
 def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool):
@@ -427,20 +437,27 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     dhead = np.pi * dout.T.astype(dtype)  # (L, B)
     db_o = dhead.sum()
     dwo_h = dhead.reshape(-1) @ h2.reshape(-1, 2 * model.hidden)
-    dh2 = dhead[:, :, None] * wo_h
     dhead_sum = dhead.sum(axis=0)
     dwo_c = att["context"].T @ dhead_sum
     dcontext = dhead_sum[:, None] * wo_c
-
-    # the batch-major views write attention's gradient into dh2 in place
-    dwq, dwk = _attention_backward(
-        h2.transpose(1, 0, 2),
-        att,
-        p["att.W_q"],
-        p["att.W_k"],
-        dh2.transpose(1, 0, 2),
-        dcontext,
+    dwq, dwk, dscores, qk, dhbar = _attention_backward(
+        h2, att, p["att.W_q"], p["att.W_k"], dcontext
     )
+
+    # dh2[l, b] = sum_j coef[b, l, j] * rows[b, j]: the head's, the
+    # context's, the scores' and the mean's terms in one batched product
+    length, b, _ = h2.shape
+    coef = np.empty((b, length, 4), dtype)
+    coef[:, :, 0] = dhead.T
+    coef[:, :, 1] = att["alpha"]
+    coef[:, :, 2] = dscores
+    coef[:, :, 3] = 1.0 / length
+    rows = np.empty((b, 4, 2 * model.hidden), dtype)
+    rows[:, 0] = wo_h
+    rows[:, 1] = dcontext
+    rows[:, 2] = qk
+    rows[:, 3] = dhbar
+    dh2 = (coef @ rows).transpose(1, 0, 2)
     dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2, need_dx=True)
     # the first layer's input gradient would be the normalized input's
     _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1, need_dx=False)

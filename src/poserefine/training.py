@@ -39,6 +39,8 @@ class TrainConfig:
             raise ShapeError("validation_fraction must be in [0, 1)")
         if not (self.learning_rate > 0):
             raise ShapeError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ShapeError("seed must be >= 0")
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,30 @@ def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, role, content
         "refine --output": ["--input", keypoint_file, "--model", model, "--output", bad],
     }[role]
     assert main([role.split()[0]] + [str(a) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["synth-flag", "train-flag", "manifest-base-seed"])
+def test_negative_seed_exits_two(tmp_path, capsys, corpus, case):
+    # numpy's generators refuse a negative seed, so the settings refuse it
+    # before anything is generated, trained or written
+    out = tmp_path / "out"
+    manifest = corpus / "manifest.json"
+    if case == "manifest-base-seed":
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        manifest = copy / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["base_seed"] = -1
+        manifest.write_text(json.dumps(doc))
+    small = ["--hidden", "3", "--d-att", "2", "--epochs", "1", "--batch", "16"]
+    argv = {
+        "synth-flag": ["synth", "--out", out, *SYNTH_TINY[:-1], "-5"],
+        "train-flag": ["train", "--manifest", manifest, "--out", out, *small, "--seed", "-1"],
+        "manifest-base-seed": ["train", "--manifest", manifest, "--out", out, *small],
+    }[case]
+    assert main([str(a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 

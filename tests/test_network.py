@@ -366,8 +366,9 @@ def test_float32_forward_computes_in_float32_and_returns_float64():
     for layer in (cache["cache1"], cache["cache2"]):
         arrays.extend(layer.values())
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    # h2, five attention arrays, and x, h, zr, hc of two layers
-    assert len(arrays) == 1 + 5 + 2 * 4
+    # h2, four attention arrays (hbar, q, alpha, context), and x, h, zr,
+    # hc of two layers
+    assert len(arrays) == 1 + 4 + 2 * 4
     assert all(a.dtype == np.float32 for a in arrays)
     assert type(cache["att"]["scale"]) is float
     assert out.dtype == np.float64
@@ -520,6 +521,153 @@ def test_float32_backward_computes_in_float32():
     assert all(g.dtype == np.float32 for g in layer_grads.values())
     dx1, _ = _bigru_backward(cache["cache1"], model, "l1", dx, need_dx=False)
     assert dx1 is None
+
+
+def gru_direction_backward(seq, cell, dstates):
+    """Oracle: BPTT through one GRU direction run step by step over seq
+    (B, T, d_in), given the gradient of every step's state (B, T, H).
+    Returns dx (B, T, d_in) and the cell's nine gradients."""
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    steps = []
+    h = np.zeros((seq.shape[0], cell["U_z"].shape[0]))
+    for t in range(seq.shape[1]):
+        x = seq[:, t]
+        z = sigmoid(x @ cell["W_z"] + h @ cell["U_z"] + cell["b_z"])
+        r = sigmoid(x @ cell["W_r"] + h @ cell["U_r"] + cell["b_r"])
+        hc = np.tanh(x @ cell["W_h"] + (r * h) @ cell["U_h"] + cell["b_h"])
+        steps.append((x, h, z, r, hc))
+        h = (1.0 - z) * h + z * hc
+    grads = {name: np.zeros_like(value) for name, value in cell.items()}
+    dx = np.zeros_like(seq)
+    dh = np.zeros_like(h)
+    for t in range(seq.shape[1] - 1, -1, -1):
+        x, hp, z, r, hc = steps[t]
+        dh = dh + dstates[:, t]
+        da = {
+            "z": dh * (hc - hp) * z * (1.0 - z),
+            "h": dh * z * (1.0 - hc * hc),
+        }
+        drh = da["h"] @ cell["U_h"].T
+        da["r"] = drh * hp * r * (1.0 - r)
+        dh_prev = dh * (1.0 - z) + drh * r
+        for g in "zrh":
+            grads[f"W_{g}"] += x.T @ da[g]
+            grads[f"U_{g}"] += (r * hp if g == "h" else hp).T @ da[g]
+            grads[f"b_{g}"] += da[g].sum(axis=0)
+            dx[:, t] += da[g] @ cell[f"W_{g}"].T
+            if g != "h":
+                dh_prev = dh_prev + da[g] @ cell[f"U_{g}"].T
+        dh = dh_prev
+    return dx, grads
+
+
+def test_bigru_backward_matches_stepwise_oracle():
+    rng = make_rng(81)
+    model = small_model(seed=22)
+    hidden = model.hidden
+    for layer, d_in in (("l1", 1), ("l2", 2 * hidden)):
+        for length in (2, 7, 17):
+            for batch in (1, 3):
+                seq = rng.normal(size=(batch, length, d_in))
+                dout = rng.normal(size=(batch, length, 2 * hidden))
+                dx_f, want = gru_direction_backward(
+                    seq, model.cell(f"{layer}.fwd"), dout[:, :, :hidden]
+                )
+                # the backward direction reads the window reversed
+                dx_b, want_b = gru_direction_backward(
+                    seq[:, ::-1], model.cell(f"{layer}.bwd"), dout[:, ::-1, hidden:]
+                )
+                want_dx = dx_f + dx_b[:, ::-1]
+                want = {f"{layer}.fwd.{name}": g for name, g in want.items()}
+                want.update({f"{layer}.bwd.{name}": g for name, g in want_b.items()})
+                _, cache = _bigru_forward(
+                    seq.transpose(1, 0, 2), model, layer, keep_cache=True
+                )
+                for need_dx in (True, False):
+                    dx, grads = _bigru_backward(
+                        cache, model, layer, dout.transpose(1, 0, 2), need_dx
+                    )
+                    assert set(grads) == set(want)
+                    for name, g in grads.items():
+                        scale = np.abs(want[name]).max()
+                        assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
+                    if need_dx:
+                        got_dx = dx.transpose(1, 0, 2)
+                        scale = np.abs(want_dx).max()
+                        assert np.abs(got_dx - want_dx).max() <= 1e-12 * scale
+                    else:
+                        assert dx is None
+
+
+def head_attention_backward_oracle(dout, h2, model):
+    """Oracle: the output head and attention backward with the key
+    gradient (B, L, d_att) and the h2 gradient's terms as full (B, L, 2H)
+    arrays.  h2 is batch-major (B, L, 2H); returns the four weight
+    gradients and h2's gradient, batch-major."""
+    wq, wk = model.params["att.W_q"], model.params["att.W_k"]
+    wo = model.params["head.W_o"][:, 0]
+    wo_h, wo_c = wo[: 2 * model.hidden], wo[2 * model.hidden :]
+    length = h2.shape[1]
+    # the forward, recomputed from h2
+    scale = 1.0 / math.sqrt(model.d_att)
+    hbar = h2.mean(axis=1)
+    q = hbar @ wq
+    k = h2 @ wk
+    scores = np.einsum("bld,bd->bl", k, q) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    context = np.einsum("bl,blh->bh", alpha, h2)
+    # the backward
+    dhead = np.pi * dout
+    dcontext = dhead.sum(axis=1)[:, None] * wo_c
+    dalpha = np.einsum("bh,blh->bl", dcontext, h2)
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True)) * scale
+    dk = dscores[:, :, None] * q[:, None, :]
+    dq = np.einsum("bld,bl->bd", k, dscores)
+    dh2 = dhead[:, :, None] * wo_h
+    dh2 = dh2 + alpha[:, :, None] * dcontext[:, None, :]
+    dh2 = dh2 + dk @ wk.T
+    dh2 = dh2 + (dq @ wq.T)[:, None, :] / length
+    grads = {
+        "att.W_q": hbar.T @ dq,
+        "att.W_k": np.tensordot(h2, dk, axes=([0, 1], [0, 1])),
+        "head.W_o": np.concatenate(
+            [np.einsum("bl,blh->h", dhead, h2), context.T @ dhead.sum(axis=1)]
+        )[:, None],
+        "head.b_o": np.array([dhead.sum()]),
+    }
+    return grads, dh2
+
+
+def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
+    # d_att = 3 differs from 2H = 8, and B = 5 from L = 12
+    rng = make_rng(82)
+    model = small_model(seed=23)
+    assert model.d_att != 2 * model.hidden
+    x = rng.uniform(-2.0, 2.0, size=(5, 12))
+    dout = rng.normal(size=(5, 12))
+    seen = {}
+    real = refiner._bigru_backward
+
+    def record(cache, model, layer, dout, need_dx):
+        seen.setdefault(layer, dout.copy())
+        return real(cache, model, layer, dout, need_dx)
+
+    monkeypatch.setattr(refiner, "_bigru_backward", record)
+    _, cache = _forward(x, model, np.float64, keep_cache=True)
+    grads = _backward(dout, cache, model)
+    want, want_dh2 = head_attention_backward_oracle(
+        dout, cache["h2"].transpose(1, 0, 2), model
+    )
+    for name, g in want.items():
+        assert grads[name].shape == g.shape
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    # the gradient layer 2 receives, time-major (L, B, 2H)
+    got_dh2 = seen["l2"].transpose(1, 0, 2)
+    assert np.abs(got_dh2 - want_dh2).max() <= 1e-12 * np.abs(want_dh2).max()
 
 
 def test_gradient_blocks_are_the_fewest_balanced_blocks():
