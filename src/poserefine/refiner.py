@@ -38,17 +38,32 @@ output gradient is one batched (B, L, 4) @ (B, 4, 2H) product.
 
 `refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, and
 `batch_gradients` into the fewest balanced blocks of at most
-_GRAD_BLOCK_ROWS (a 256-row training batch is two of 128); a block bounds
-the working memory of its forward, or forward and backward, call.  A
-batch of several blocks is drained by one thread per available CPU, the
-calling thread among them, while OpenBLAS is held to one thread: numpy
-releases the GIL in the step's matmuls and ufuncs, so the blocks' time
-loops overlap, and a BLAS that also spread each small matmul over the
-cores would oversubscribe them.  The partition does not depend on the
+_GRAD_BLOCK_ROWS, and at least two from _GRAD_SPLIT_ROWS rows on (a
+256-row training batch is two of 128, its epoch's 102-row last batch two
+of 51); a block bounds the working memory of its forward, or forward and
+backward, call.  A batch of several blocks is drained by one thread per
+available CPU, the calling thread among them, while OpenBLAS is held to
+one thread: numpy releases the GIL in the step's matmuls and ufuncs, so
+the blocks' time loops overlap, and a BLAS that also spread each small
+matmul over the cores would oversubscribe them.  The partition does not depend on the
 number of CPUs, rows are independent, and the blocks' gradients are
 summed in block order, so both functions give the same bits on any
 number of threads.  A batch of one block, such as a short clip's 12
 windows, is one direct call.
+
+A block takes its large arrays by role from an arena: each layer's
+states, gates, candidate state and output, the projection block, and the
+backward's gate gradients, output gradient and after-loop copies.
+Without a Workspace every take is a new array, freed once the call is
+done with it.  A Workspace keeps one _Arena per worker thread from call
+to call, in which a role's arrays are views of one buffer, and roles
+whose lifetimes do not overlap, such as the two layers' gate gradients,
+share memory.  A training run passes one Workspace to every gradient
+step and validation call, so its first step pages the memory in and the
+later steps reuse it; freed, it would be faulted back in at every step.
+A worker's arena holds one block's training working set, about 102 MB
+for 128 float32 rows at H=64, L=100, and is freed with the Workspace
+when the run returns.
 """
 
 from __future__ import annotations
@@ -80,6 +95,9 @@ _BLOCK_ROWS = 112
 # the most rows per forward and backward call in batch_gradients: a
 # 256-row training batch is two blocks, which can run on separate cores
 _GRAD_BLOCK_ROWS = 128
+# the fewest rows that batch_gradients splits into two blocks, so that a
+# short batch, such as an epoch's last, runs on two cores
+_GRAD_SPLIT_ROWS = 64
 # held while parallel blocks have BLAS pinned to one thread
 _BLAS_LOCK = threading.Lock()
 
@@ -155,6 +173,65 @@ class RefinerModel:
         }
 
 
+class _Arena:
+    """One worker's working memory: a flat byte buffer per role.
+
+    take(role, shape, dtype) returns an uninitialised C-contiguous array
+    over the start of the role's buffer, which grows when a call needs
+    more, so a role's arrays alias each other.  The roles are each
+    layer's states, gates, candidate state and output ("l1.h" .. "l2.out"),
+    which a training block's cache holds, and the forward's projection
+    block "proj", which the backward reuses for one direction's previous
+    states once the forward is done.  The backward adds the top layer's
+    output gradient "dout", which the after-loop copies reuse once its
+    step loop is done, the gate gradients "da" that the two layers take in
+    turn, the step buffers "step", and the top layer's input gradient "dx".
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, role: str, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[role] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+class _Fresh:
+    """The arena of a call without a Workspace: each take is a new array,
+    freed as soon as the call lets go of it."""
+
+    @staticmethod
+    def take(role: str, shape: tuple, dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+_FRESH = _Fresh()
+
+
+class Workspace:
+    """Working memory kept from call to call of batch_gradients and
+    refine_batch, one arena per worker thread of a call.
+
+    A call without one takes fresh memory for every block.  A training
+    run passes one Workspace to all its gradient steps and validation
+    calls, so each worker's arrays are paged in by the first step and
+    reused, not freed and faulted back in at every step; the memory is
+    freed with the Workspace.  Calls that share a Workspace must not run
+    at the same time.
+    """
+
+    def __init__(self):
+        self._arenas = {}
+
+    def arena(self, worker: int) -> _Arena:
+        # setdefault is one step, so workers may call it concurrently
+        return self._arenas.setdefault(worker, _Arena())
+
+
 def _sigmoid_inplace(x: np.ndarray) -> None:
     # tanh form avoids overflow for large |x|
     x *= 0.5
@@ -178,7 +255,9 @@ def _layer_weights(model: RefinerModel, layer: str, dtype):
     return w, u_zr, u_h, bias[:, :, None, :]
 
 
-def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool):
+def _bigru_forward(
+    x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool, mem=_FRESH
+):
     """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H).
 
     One time loop advances both directions: h is (L+1, 2, B, H), where
@@ -199,7 +278,9 @@ def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: b
     The step computes in x.dtype.  With keep_cache the cache holds x, h,
     the gates zr (L, 2, 2, B, H) and the candidate state hc (L, 2, B, H);
     without it the gates and candidate state are one step's buffer each,
-    reused at every step, and the cache is None.
+    reused at every step, and the cache is None.  The states, gates,
+    candidate state, projections and output are taken from the arena mem
+    (fresh memory by default).
     """
     length, b, d_in = x.shape
     dtype = x.dtype
@@ -209,13 +290,17 @@ def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: b
     # broadcast product gives the same values several times faster
     project = np.multiply if d_in == 1 else np.matmul
 
-    h = np.zeros((length + 1, 2, b, hidden), dtype)
+    # without a cache, a layer's states are dead once its output is written,
+    # so both layers take the first layer's roles
+    owner = layer if keep_cache else "l1"
+    h = mem.take(f"{owner}.h", (length + 1, 2, b, hidden), dtype)
+    h[0] = 0.0
     steps = length if keep_cache else 1
-    zr_all = np.empty((steps, 2, 2, b, hidden), dtype)
-    hc_all = np.empty((steps, 2, b, hidden), dtype)
+    zr_all = mem.take(f"{owner}.zr", (steps, 2, 2, b, hidden), dtype)
+    hc_all = mem.take(f"{owner}.hc", (steps, 2, b, hidden), dtype)
     rh = np.empty((2, b, hidden), dtype)
     block = min(_PROJ_BLOCK, length)
-    proj = np.empty((block, 3, 2, b, hidden), dtype)
+    proj = mem.take("proj", (block, 3, 2, b, hidden), dtype)
     for t in range(length):
         k = t % block
         if k == 0:
@@ -242,7 +327,7 @@ def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: b
         np.subtract(hc, hp, out=hn)
         hn *= zr[0]
         hn += hp
-    out = np.empty((length, b, 2 * hidden), dtype)
+    out = mem.take(f"{layer}.out", (length, b, 2 * hidden), dtype)
     out[:, :, :hidden] = h[1:, 0]
     out[:, :, hidden:] = h[length:0:-1, 1]
     cache = {"x": x, "h": h, "zr": zr_all, "hc": hc_all} if keep_cache else None
@@ -250,7 +335,7 @@ def _bigru_forward(x: np.ndarray, model: RefinerModel, layer: str, keep_cache: b
 
 
 def _bigru_backward(
-    cache, model: RefinerModel, layer: str, dout: np.ndarray, need_dx: bool
+    cache, model: RefinerModel, layer: str, dout: np.ndarray, need_dx: bool, mem=_FRESH
 ):
     """BPTT through both directions of one layer; returns (dx, grads).
 
@@ -265,6 +350,11 @@ def _bigru_backward(
     weight gradients, its bias gradients and its input gradient are one
     GEMM or one sum each over its L·B rows of da, in that direction's step
     order.  dx is None unless need_dx.
+
+    The step buffers, da, the after-loop copies and dx are taken from the
+    arena mem (fresh memory by default).  dout is read only in the step loop,
+    so the after-loop copies may take the "dout" role that _backward's
+    dout lives in.
     """
     x = cache["x"]
     h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
@@ -277,16 +367,15 @@ def _bigru_backward(
     u_zr_t = np.ascontiguousarray(u_zr.transpose(1, 0, 3, 2).reshape(2, 2 * hidden, hidden))
     u_h_t = np.ascontiguousarray(u_h.transpose(0, 2, 1))
 
-    da = np.empty((2, length, b, 3 * hidden), dtype)
+    da = mem.take("da", (2, length, b, 3 * hidden), dtype)
     # da's rows of one step as (2, B, 3, H): the step's gates are copied in
     da_gates = da.reshape(2, length, b, 3, hidden)
+    step = mem.take("step", (7, 2, b, hidden), dtype)
     # one step's gate gradients, indexed [gate, direction]
-    g = np.empty((3, 2, b, hidden), dtype)
+    g = step[:3]
     da_z, da_r, da_h = g
-    dh = np.zeros((2, b, hidden), dtype)  # gradient of the states, carried backwards
-    drh = np.empty((2, b, hidden), dtype)
-    omz = np.empty((2, b, hidden), dtype)
-    tmp = np.empty((2, b, hidden), dtype)
+    dh, drh, omz, tmp = step[3:]
+    dh[...] = 0.0  # gradient of the states, carried backwards
     for t in range(length - 1, -1, -1):
         z = zr_all[t, 0]
         r = zr_all[t, 1]
@@ -321,16 +410,26 @@ def _bigru_backward(
         dh += tmp
 
     grads = {}
-    dxs = []
+    dx = None
     for d, direction in enumerate(_DIRECTIONS):
         # this direction's input and previous states, in its step order
-        x2 = (x if d == 0 else x[::-1]).reshape(length * b, d_in)
-        h_prev = h[:-1, d]
-        rh = zr_all[:, 1, d] * h_prev
+        if d == 0:
+            x2 = x.reshape(length * b, d_in)
+        else:
+            x2 = mem.take("dout", (length * b, d_in), dtype)
+            x2.reshape(length, b, d_in)[...] = x[::-1]
+        # the previous states, in the forward's projection buffer, which is
+        # free by now
+        states = mem.take("proj", (length, b, hidden), dtype)
+        states[...] = h[:-1, d]
+        h_prev = states.reshape(length * b, hidden)
         da_all = da[d].reshape(length * b, 3 * hidden)
         dw = x2.T @ da_all
-        du_zr = h_prev.reshape(length * b, hidden).T @ da_all[:, : 2 * hidden]
+        du_zr = h_prev.T @ da_all[:, : 2 * hidden]
         db = da_all.sum(axis=0)
+        # r * h_prev, over h_prev
+        np.multiply(zr_all[:, 1, d], states, out=states)
+        rh = h_prev
         prefix = f"{layer}.{direction}"
         for k, g in enumerate(_GATES):
             cols = slice(k * hidden, (k + 1) * hidden)
@@ -338,15 +437,17 @@ def _bigru_backward(
             grads[f"{prefix}.b_{g}"] = db[cols]
         grads[f"{prefix}.U_z"] = du_zr[:, :hidden]
         grads[f"{prefix}.U_r"] = du_zr[:, hidden:]
-        grads[f"{prefix}.U_h"] = rh.reshape(length * b, hidden).T @ da_all[:, 2 * hidden :]
+        grads[f"{prefix}.U_h"] = rh.T @ da_all[:, 2 * hidden :]
         if need_dx:
             # (3H, d_in): the rows of W_z^T, W_r^T and W_h^T stacked
             w_all_t = w[d].transpose(0, 2, 1).reshape(3 * hidden, d_in)
-            dxs.append((da_all @ w_all_t).reshape(length, b, d_in))
-    if not need_dx:
-        return None, grads
-    dx, dx_back = dxs
-    dx += dx_back[::-1]
+            # direction 1's input gradient goes into x2's memory, read by dw
+            dx_d = mem.take("dx" if d == 0 else "dout", (length * b, d_in), dtype)
+            np.matmul(da_all, w_all_t, out=dx_d)
+            if d == 0:
+                dx = dx_d.reshape(length, b, d_in)
+            else:
+                dx += dx_d.reshape(length, b, d_in)[::-1]
     return dx, grads
 
 
@@ -388,20 +489,22 @@ def _attention_backward(h2, att, wq, wk, dcontext):
     return dwq, dwk, dscores, q @ wk.T, dhbar
 
 
-def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool):
+def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool, mem=_FRESH):
     """Full forward pass on a float64 batch (B, L); returns (refined, cache).
 
     The network computes in dtype: the normalized input is cast once and
     transposed to (L, B, 1) for the GRU layers, and attention and the head
     read h2 (L, B, 2H) through a batch-major view.  The residual is added
     onto the float64 x, so the output is float64 and an all-zero model
-    returns x exactly.  Without keep_cache the GRU caches are None.
+    returns x exactly.  Without keep_cache the GRU caches are None.  The
+    GRU layers take their arrays from the arena mem (fresh memory by
+    default); the refined output is a new array.
     """
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
     u_tm = np.ascontiguousarray(u.T, dtype=dtype)[:, :, None]
-    h1, cache1 = _bigru_forward(u_tm, model, "l1", keep_cache)
-    h2, cache2 = _bigru_forward(h1, model, "l2", keep_cache)
+    h1, cache1 = _bigru_forward(u_tm, model, "l1", keep_cache, mem)
+    h2, cache2 = _bigru_forward(h1, model, "l2", keep_cache, mem)
     h2_bm = h2.transpose(1, 0, 2)
     p = {
         name: model.params[name].astype(dtype, copy=False)
@@ -416,12 +519,15 @@ def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool):
     return out, {"x": x, "h2": h2, "cache1": cache1, "cache2": cache2, "att": att}
 
 
-def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
+def _backward(dout: np.ndarray, cache, model: RefinerModel, mem=_FRESH) -> dict:
     """Parameter gradients from dout (B, L), computed in the cache's dtype.
 
     dout and the weights are cast to that dtype once here: a float64
     operand in any product below would promote the rest of the backward
-    to float64.  The gradients come back in that dtype too.
+    to float64.  The gradients come back in that dtype too, as new arrays.
+    The top layer's output gradient and both layers' backward take their
+    arrays from the arena mem (fresh memory by default).  It may be the arena
+    the cache came from: none of the cache's arrays has a backward role.
     """
     h2 = cache["h2"]  # (L, B, 2H)
     att = cache["att"]
@@ -457,10 +563,15 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel) -> dict:
     rows[:, 1] = dcontext
     rows[:, 2] = qk
     rows[:, 3] = dhbar
-    dh2 = (coef @ rows).transpose(1, 0, 2)
-    dh1, grads2 = _bigru_backward(cache["cache2"], model, "l2", dh2, need_dx=True)
+    dh2 = mem.take("dout", (b, length, 2 * model.hidden), dtype)
+    np.matmul(coef, rows, out=dh2)
+    dh1, grads2 = _bigru_backward(
+        cache["cache2"], model, "l2", dh2.transpose(1, 0, 2), need_dx=True, mem=mem
+    )
     # the first layer's input gradient would be the normalized input's
-    _, grads1 = _bigru_backward(cache["cache1"], model, "l1", dh1, need_dx=False)
+    _, grads1 = _bigru_backward(
+        cache["cache1"], model, "l1", dh1, need_dx=False, mem=mem
+    )
 
     grads = {}
     grads.update(grads1)
@@ -532,48 +643,58 @@ def _one_blas_thread():
 
 
 def _run_blocks(count: int, job) -> list:
-    """[job(0), ..., job(count - 1)], the jobs run as the module docstring
-    describes, or all on the calling thread if BLAS cannot be held to one
-    thread.  A single job runs directly, with no thread and no BLAS lookup.
-    Jobs on a worker thread may call only private functions, so a public
-    function a caller has wrapped runs on the calling thread alone.
+    """[job(0, w), ..., job(count - 1, w)], the jobs run as the module
+    docstring describes, or all on the calling thread if BLAS cannot be
+    held to one thread; w is the index of the worker that runs the job,
+    0 for the calling thread, so no two jobs with the same w overlap.  A
+    single job runs directly, with no thread and no BLAS lookup.  Jobs on
+    a worker thread may call only private functions, so a public function
+    a caller has wrapped runs on the calling thread alone.
     """
     if count <= 1:
-        return [job(i) for i in range(count)]
+        return [job(i, 0) for i in range(count)]
     results = [None] * count
     todo = iter(range(count))
     claim = threading.Lock()
 
-    def drain():
+    def drain(worker):
         while True:
             with claim:
                 i = next(todo, None)
             if i is None:
                 return
-            results[i] = job(i)
+            results[i] = job(i, worker)
 
     with _one_blas_thread() as held:
         workers = min(_cpu_count(), count) if held else 1
         if workers == 1:
-            drain()
+            drain(0)
             return results
         # loaded here: `import poserefine` does not need it
         from concurrent.futures import ThreadPoolExecutor
 
         # the calling thread drains jobs too, so workers - 1 are started
         with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
-            drain()
+            helpers = [pool.submit(drain, w) for w in range(1, workers)]
+            drain(0)
             for helper in helpers:
                 helper.result()
     return results
 
 
-def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
+def _worker_arena(workspace, worker: int):
+    """The worker's arena of a Workspace, or fresh memory without one."""
+    return _FRESH if workspace is None else workspace.arena(worker)
+
+
+def refine_batch(
+    noisy: np.ndarray, model: RefinerModel, dtype=np.float64, workspace=None
+) -> np.ndarray:
     """Refine a batch of windows, shape (B, L) -> float64 (B, L).
 
     The network computes in dtype and keeps no backward cache.  Each block
-    of at most _BLOCK_ROWS rows is one forward call.
+    of at most _BLOCK_ROWS rows is one forward call, in the memory of the
+    Workspace if one is given.
     """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
@@ -582,12 +703,14 @@ def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np
         )
     starts = range(0, len(noisy), _BLOCK_ROWS)
     if len(starts) <= 1:
-        return _forward(noisy, model, dtype, keep_cache=False)[0]
+        mem = _worker_arena(workspace, 0)
+        return _forward(noisy, model, dtype, keep_cache=False, mem=mem)[0]
     out = np.empty_like(noisy)
 
-    def block(i):
+    def block(i, worker):
         part = slice(starts[i], starts[i] + _BLOCK_ROWS)
-        out[part] = _forward(noisy[part], model, dtype, keep_cache=False)[0]
+        mem = _worker_arena(workspace, worker)
+        out[part] = _forward(noisy[part], model, dtype, keep_cache=False, mem=mem)[0]
 
     _run_blocks(len(starts), block)
     return out
@@ -605,36 +728,42 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def _gradient_blocks(rows: int) -> list:
     """Row bounds of batch_gradients' blocks: the fewest balanced blocks of
-    at most _GRAD_BLOCK_ROWS rows, whatever the number of CPUs."""
-    count = max(1, -(-rows // _GRAD_BLOCK_ROWS))
+    at most _GRAD_BLOCK_ROWS rows, and at least two from _GRAD_SPLIT_ROWS
+    rows on, whatever the number of CPUs."""
+    count = max(2 if rows >= _GRAD_SPLIT_ROWS else 1, -(-rows // _GRAD_BLOCK_ROWS))
     return [rows * i // count for i in range(count + 1)]
 
 
 def batch_gradients(
-    noisy: np.ndarray, truth: np.ndarray, model: RefinerModel, dtype=np.float64
+    noisy: np.ndarray,
+    truth: np.ndarray,
+    model: RefinerModel,
+    dtype=np.float64,
+    workspace=None,
 ):
     """Loss and float64 parameter gradients of the batch MSE; (B, L) inputs.
 
     The forward and backward compute in dtype, one call of each per block
-    of rows (see _gradient_blocks), and the blocks run as the module
-    docstring describes.  The loss is the mean of the blocks' float64
-    output errors, and the blocks' gradients are cast to float64 and
-    summed in block order, so the result does not depend on the number
-    of threads.
+    of rows (see _gradient_blocks), in the memory of the Workspace if one
+    is given, and the blocks run as the module docstring describes.  The
+    loss is the mean of the blocks' float64 output errors, and the blocks'
+    gradients are cast to float64 and summed in block order, so the result
+    does not depend on the number of threads or on the Workspace.
     """
     noisy = np.asarray(noisy, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    if noisy.shape != truth.shape or noisy.ndim != 2:
-        raise ShapeError("noisy and truth must both be (n, window)")
+    if noisy.shape != truth.shape or noisy.ndim != 2 or noisy.size == 0:
+        raise ShapeError("noisy and truth must both be (n, window) with n, window >= 1")
     bounds = _gradient_blocks(len(noisy))
     diff = np.empty_like(noisy)
     scale = 2.0 / noisy.size
 
-    def block(i):
+    def block(i, worker):
         part = slice(bounds[i], bounds[i + 1])
-        out, cache = _forward(noisy[part], model, dtype, keep_cache=True)
+        mem = _worker_arena(workspace, worker)
+        out, cache = _forward(noisy[part], model, dtype, keep_cache=True, mem=mem)
         np.subtract(out, truth[part], out=diff[part])
-        return _backward(scale * diff[part], cache, model)
+        return _backward(scale * diff[part], cache, model, mem=mem)
 
     first, *rest = _run_blocks(len(bounds) - 1, block)
     grads = {name: g.astype(np.float64) for name, g in first.items()}

@@ -25,12 +25,14 @@ from poserefine import (
     save_train_log,
     train_on_arrays,
 )
-from poserefine import refiner
+from poserefine import refiner, training
 from poserefine.refiner import (
     _BLOCK_ROWS,
     _GRAD_BLOCK_ROWS,
+    _GRAD_SPLIT_ROWS,
     _PROJ_BLOCK,
     MAX_WINDOW,
+    Workspace,
     _attention_forward,
     _backward,
     _bigru_backward,
@@ -652,9 +654,9 @@ def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
     seen = {}
     real = refiner._bigru_backward
 
-    def record(cache, model, layer, dout, need_dx):
+    def record(cache, model, layer, dout, need_dx, **kwargs):
         seen.setdefault(layer, dout.copy())
-        return real(cache, model, layer, dout, need_dx)
+        return real(cache, model, layer, dout, need_dx, **kwargs)
 
     monkeypatch.setattr(refiner, "_bigru_backward", record)
     _, cache = _forward(x, model, np.float64, keep_cache=True)
@@ -671,22 +673,25 @@ def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
 
 
 def test_gradient_blocks_are_the_fewest_balanced_blocks():
-    # a training batch of 256 is two blocks of 128, and the last, short
-    # batch of an epoch stays one block
+    # a training batch of 256 is two blocks of 128, and a batch of 64 rows
+    # or more, such as an epoch's last, short batch, is at least two blocks
     assert _GRAD_BLOCK_ROWS == 128
+    assert _GRAD_SPLIT_ROWS == 64
     assert _gradient_blocks(256) == [0, 128, 256]
-    assert _gradient_blocks(102) == [0, 102]
-    assert _gradient_blocks(128) == [0, 128]
+    assert _gradient_blocks(102) == [0, 51, 102]
+    assert _gradient_blocks(128) == [0, 64, 128]
+    assert _gradient_blocks(64) == [0, 32, 64]
+    assert _gradient_blocks(63) == [0, 63]
+    assert _gradient_blocks(1) == [0, 1]
     assert _gradient_blocks(129) == [0, 64, 129]
     assert _gradient_blocks(3 * 128 + 5) == [0, 97, 194, 291, 389]
 
 
 def blockwise_gradients(noisy, truth, model, dtype):
-    """Oracle: each block's forward and backward call in turn; the loss
-    over the joined output errors, the gradients summed in float64."""
-    rows = len(noisy)
-    count = -(-rows // _GRAD_BLOCK_ROWS)
-    bounds = [rows * i // count for i in range(count + 1)]
+    """Oracle: each block's forward and backward call in turn, in fresh
+    memory; the loss over the joined output errors, the gradients summed
+    in float64."""
+    bounds = _gradient_blocks(len(noisy))
     diffs = []
     grads = {name: np.zeros(value.shape) for name, value in model.params.items()}
     for lo, hi in zip(bounds, bounds[1:]):
@@ -763,17 +768,130 @@ def test_one_block_batch_gradients_starts_no_thread_and_leaves_blas_alone(monkey
     monkeypatch.setattr(refiner, "_blas_thread_control", refuse)
     model = small_model(seed=21)
     rng = make_rng(80)
-    noisy = rng.uniform(-2.0, 2.0, size=(_GRAD_BLOCK_ROWS, 12))
+    noisy = rng.uniform(-2.0, 2.0, size=(_GRAD_SPLIT_ROWS - 1, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
     before = threading.active_count()
     loss, grads = batch_gradients(noisy, truth, model, dtype=np.float32)
     assert [(ident, count, rows) for ident, _, count, rows in calls] == [
-        (threading.get_ident(), before, _GRAD_BLOCK_ROWS)
+        (threading.get_ident(), before, _GRAD_SPLIT_ROWS - 1)
     ]
     assert threading.active_count() == before
     want_loss, want = blockwise_gradients(noisy, truth, model, np.float32)
     assert loss == want_loss
     assert all(np.array_equal(g, want[name]) for name, g in grads.items())
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_batch_gradients_rejects_an_empty_batch(rows):
+    # no rows, or rows of no frames: the loss would divide by zero
+    model = small_model()
+    empty = np.zeros((rows, 0 if rows else 12))
+    with pytest.raises(ShapeError):
+        batch_gradients(empty, empty, model)
+
+
+def poison(workspace):
+    """Fill every buffer of every arena with NaN bytes, in float32 and
+    float64 alike, so a read of memory that a call did not write first
+    shows in its result."""
+    for arena in workspace._arenas.values():
+        for buf in arena._buffers.values():
+            buf.fill(0xFF)
+
+
+def test_workspace_steps_match_calls_in_fresh_memory(monkeypatch):
+    # one run's steps, with the row count going 256 -> 102 -> 256, in
+    # float32 and then in float64, each step followed by a validation call
+    # and with the memory poisoned in between: every step and every
+    # validation must equal its blocks' calls in fresh memory, bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = small_model(seed=24)
+    rng = make_rng(83)
+    workspace = Workspace()
+    for dtype in (np.float32, np.float64):
+        for rows in (256, 102, 256):
+            noisy = rng.uniform(-2.0, 2.0, size=(rows, 12))
+            truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+            want_loss, want = blockwise_gradients(noisy, truth, model, dtype)
+            loss, grads = batch_gradients(noisy, truth, model, dtype=dtype, workspace=workspace)
+            assert loss == want_loss
+            for name, g in grads.items():
+                assert np.array_equal(g, want[name]), (np.dtype(dtype).name, rows, name)
+            poison(workspace)
+            val = noisy[: rows // 2]
+            refined = refine_batch(val, model, dtype=np.float32, workspace=workspace)
+            assert np.array_equal(refined, blockwise(val, model, np.float32))
+            poison(workspace)
+    # the blocks ran on both workers, each in its own arena
+    assert sorted(workspace._arenas) == [0, 1]
+
+
+def test_concurrent_training_runs_equal_the_runs_one_after_the_other(monkeypatch):
+    # each run keeps its own workspace: two runs at once, switching threads
+    # often, give the bits that they give one after the other
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = make_rng(84)
+    jobs = []
+    for seed in (6, 7):
+        truth = np.sin(np.linspace(0.0, 6.0, 12))[None] + rng.uniform(-1.0, 1.0, size=(200, 1))
+        noisy = truth + rng.normal(0.0, 0.2, size=truth.shape)
+        config = TrainConfig(hidden=4, d_att=3, batch_size=128, max_epochs=2, seed=seed)
+        jobs.append((noisy, truth, config))
+    want = [train_on_arrays(*job) for job in jobs]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        got[i] = train_on_arrays(*jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (model, log), (want_model, want_log) in zip(got, want):
+        assert [(e.train_mse, e.val_mse) for e in log.entries] == [
+            (e.train_mse, e.val_mse) for e in want_log.entries
+        ]
+        for name, value in want_model.params.items():
+            assert np.array_equal(model.params[name], value), name
+
+
+def test_training_steps_after_the_first_reuse_their_memory(monkeypatch):
+    # the first step takes each block's working memory; later steps of the
+    # run, and its validation, reuse it and allocate far less
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real = training.batch_gradients
+    new_bytes = []
+
+    def traced(*args, **kwargs):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = real(*args, **kwargs)
+        new_bytes.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(training, "batch_gradients", traced)
+    rng = make_rng(85)
+    truth = np.sin(np.linspace(0.0, 6.0, 40))[None] + rng.uniform(-1.0, 1.0, size=(1100, 1))
+    noisy = truth + rng.normal(0.0, 0.2, size=truth.shape)
+    config = TrainConfig(hidden=16, d_att=8, batch_size=256, max_epochs=2, seed=8)
+    tracemalloc.start()
+    try:
+        train_on_arrays(noisy, truth, config)
+    finally:
+        tracemalloc.stop()
+    # per epoch, three steps of 256 rows and one of 222
+    first, *rest = new_bytes
+    assert len(rest) == 7
+    assert max(rest) < 0.2 * first
 
 
 def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
