@@ -19,8 +19,6 @@ import resource
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import poserefine as pr
@@ -68,24 +66,7 @@ def main() -> int:
     )
     pr.save_model(model, os.path.join(args.out, "model.jarm"))
 
-    _, truth, noisy = pr.load_split(manifest, "test")
-    # scored in float32, the precision refine runs the network in
-    pred = pr.refine_batch(noisy, model, dtype=np.float32)
-    noisy_mse = float(np.mean(pr.wrap_angle(noisy - truth) ** 2))
-    refined_mse = float(np.mean(pr.wrap_angle(pred - truth) ** 2))
-
-    # correction rate per (test window, corrupted frame) event, at tau = 10 deg
-    n_events = n_corrected = 0
-    for i in range(len(noisy)):
-        events = pr.record_events(manifest, "test", i)
-        report = pr.evaluate_metrics(
-            pred[i][:, None],
-            truth[i][:, None],
-            {int(f): None for f in events.all_frames()},
-        )
-        n_events += report.n_erroneous
-        n_corrected += report.n_corrected
-
+    score = pr.score_windows(manifest, "test", model)
     summary = {
         "seed": args.seed,
         "train_count": args.train_count,
@@ -96,12 +77,7 @@ def main() -> int:
         "train_s": round(t2 - t1, 1),
         "train_minor_faults": minor_faults,
         "train_system_s": round(system_s, 1),
-        "noisy_mse": noisy_mse,
-        "refined_mse": refined_mse,
-        "mse_ratio": refined_mse / noisy_mse,
-        "correction_rate": n_corrected / n_events,
-        "corrected": n_corrected,
-        "events": n_events,
+        **score,
     }
     print(json.dumps(summary, indent=2))
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

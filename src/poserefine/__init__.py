@@ -50,6 +50,7 @@ from .pipeline import (
     parse_keypoints,
     refine_keypoint_file,
     refine_pose_sequence,
+    score_windows,
     write_keypoints,
 )
 from .refiner import (

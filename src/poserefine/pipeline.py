@@ -6,7 +6,8 @@ trajectory, fit one limb-length vector to the subject's median proportions
 with a trained window model, then rebuild keypoints from root + angles +
 the fitted lengths, the same in every frame.  Stages take plain values;
 the one setting, the root smoother's half-width, defaults to HALF_WIDTH.
-Also home to the evaluation metrics and the CSV exports of a sequence.
+Also home to the evaluation metrics, the scorer of a corpus split's
+windows, and the CSV exports of a sequence.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import estimate_ratios, optimize_limb_lengths, smooth_base_trajectory
-from .errors import SchemaError, ShapeError
+from .dataset import DatasetManifest, load_split, record_events
+from .errors import InsufficientDataError, SchemaError, ShapeError
 from .jsonio import json_index, json_number, read_json
-from .refiner import RefinerModel, load_model
+from .refiner import RefinerModel, load_model, refine_batch
 from .skeleton import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
@@ -261,6 +263,38 @@ def evaluate_metrics(
         correction_rate=(corrected / n_err) if n_err else 1.0,
         tau=float(tau),
     )
+
+
+def score_windows(manifest: DatasetManifest, split: str, model: RefinerModel) -> dict:
+    """Refine a corpus split's windows and score them against truth.
+
+    The network runs in float32, the precision refine uses.  Returns the
+    wrapped angle MSE before and after ("noisy_mse", "refined_mse") and
+    their ratio ("mse_ratio"), and the correction rate at evaluate_metrics'
+    default tau ("correction_rate") over the split's events ("events"),
+    of which "corrected" were; an event is one corrupted frame of a
+    window, re-derived from the record's seed.
+    """
+    _, truth, noisy = load_split(manifest, split)
+    if len(noisy) == 0:
+        raise InsufficientDataError(f"split {split!r} has no windows to score")
+    pred = refine_batch(noisy, model, dtype=np.float32)
+    noisy_mse = float(np.mean(wrap_angle(noisy - truth) ** 2))
+    refined_mse = float(np.mean(wrap_angle(pred - truth) ** 2))
+    events = corrected = 0
+    for i, (refined, clean) in enumerate(zip(pred, truth)):
+        frames = dict.fromkeys(record_events(manifest, split, i).all_frames().tolist())
+        report = evaluate_metrics(refined[:, None], clean[:, None], frames)
+        events += report.n_erroneous
+        corrected += report.n_corrected
+    return {
+        "noisy_mse": noisy_mse,
+        "refined_mse": refined_mse,
+        "mse_ratio": refined_mse / noisy_mse,
+        "correction_rate": corrected / events if events else 1.0,
+        "corrected": corrected,
+        "events": events,
+    }
 
 
 def load_erroneous_frames(path) -> dict:

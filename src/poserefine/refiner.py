@@ -45,25 +45,25 @@ backward, call.  A batch of several blocks is drained by one thread per
 available CPU, the calling thread among them, while OpenBLAS is held to
 one thread: numpy releases the GIL in the step's matmuls and ufuncs, so
 the blocks' time loops overlap, and a BLAS that also spread each small
-matmul over the cores would oversubscribe them.  The partition does not depend on the
-number of CPUs, rows are independent, and the blocks' gradients are
-summed in block order, so both functions give the same bits on any
-number of threads.  A batch of one block, such as a short clip's 12
-windows, is one direct call.
+matmul over the cores would oversubscribe them.  The partition does not
+depend on the number of CPUs, rows are independent, and the blocks'
+gradients are summed in block order, so both functions give the same
+bits on any number of threads.  A batch of one block, such as a short
+clip's 12 windows, is one direct call.
 
 A block takes its large arrays by role from an arena: each layer's
 states, gates, candidate state and output, the projection block, and the
-backward's gate gradients, output gradient and after-loop copies.
-Without a Workspace every take is a new array, freed once the call is
-done with it.  A Workspace keeps one _Arena per worker thread from call
-to call, in which a role's arrays are views of one buffer, and roles
-whose lifetimes do not overlap, such as the two layers' gate gradients,
-share memory.  A training run passes one Workspace to every gradient
-step and validation call, so its first step pages the memory in and the
-later steps reuse it; freed, it would be faulted back in at every step.
-A worker's arena holds one block's training working set, about 102 MB
-for 128 float32 rows at H=64, L=100, and is freed with the Workspace
-when the run returns.
+backward's gate gradients, output gradient and after-loop copies.  A
+role's arrays are views of one buffer, and roles whose lifetimes do not
+overlap, such as the two layers' gate gradients, share memory.  Each
+thread that calls refine_batch or batch_gradients holds one _Arena per
+worker index of its calls, so concurrent callers never share one, and a
+thread's arenas last for its life: a long file's blocks and a training
+run's steps page their memory in once and reuse it, where freed memory
+would be faulted back in at every block or step.  A buffer grows to the
+largest block its role has served on that thread, so a thread that has
+trained keeps one block's training working set per worker, about 102 MB
+for 128 float32 rows at H=64, L=100, until it ends.
 """
 
 from __future__ import annotations
@@ -200,36 +200,14 @@ class _Arena:
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
-class _Fresh:
-    """The arena of a call without a Workspace: each take is a new array,
-    freed as soon as the call lets go of it."""
-
-    @staticmethod
-    def take(role: str, shape: tuple, dtype) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-
-_FRESH = _Fresh()
-
-
-class Workspace:
-    """Working memory kept from call to call of batch_gradients and
-    refine_batch, one arena per worker thread of a call.
-
-    A call without one takes fresh memory for every block.  A training
-    run passes one Workspace to all its gradient steps and validation
-    calls, so each worker's arrays are paged in by the first step and
-    reused, not freed and faulted back in at every step; the memory is
-    freed with the Workspace.  Calls that share a Workspace must not run
-    at the same time.
-    """
+class _ThreadArenas(threading.local):
+    """Each thread's own arenas, by worker index, dropped when it ends."""
 
     def __init__(self):
-        self._arenas = {}
+        self.by_worker = {}
 
-    def arena(self, worker: int) -> _Arena:
-        # setdefault is one step, so workers may call it concurrently
-        return self._arenas.setdefault(worker, _Arena())
+
+_THREAD_ARENAS = _ThreadArenas()
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -256,7 +234,7 @@ def _layer_weights(model: RefinerModel, layer: str, dtype):
 
 
 def _bigru_forward(
-    x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool, mem=_FRESH
+    x: np.ndarray, model: RefinerModel, layer: str, keep_cache: bool, mem
 ):
     """Both directions of one layer over x (L, B, d_in); out is (L, B, 2H).
 
@@ -279,8 +257,7 @@ def _bigru_forward(
     the gates zr (L, 2, 2, B, H) and the candidate state hc (L, 2, B, H);
     without it the gates and candidate state are one step's buffer each,
     reused at every step, and the cache is None.  The states, gates,
-    candidate state, projections and output are taken from the arena mem
-    (fresh memory by default).
+    candidate state, projections and output are taken from the arena mem.
     """
     length, b, d_in = x.shape
     dtype = x.dtype
@@ -335,7 +312,7 @@ def _bigru_forward(
 
 
 def _bigru_backward(
-    cache, model: RefinerModel, layer: str, dout: np.ndarray, need_dx: bool, mem=_FRESH
+    cache, model: RefinerModel, layer: str, dout: np.ndarray, need_dx: bool, mem
 ):
     """BPTT through both directions of one layer; returns (dx, grads).
 
@@ -352,9 +329,8 @@ def _bigru_backward(
     order.  dx is None unless need_dx.
 
     The step buffers, da, the after-loop copies and dx are taken from the
-    arena mem (fresh memory by default).  dout is read only in the step loop,
-    so the after-loop copies may take the "dout" role that _backward's
-    dout lives in.
+    arena mem.  dout is read only in the step loop, so the after-loop
+    copies may take the "dout" role that _backward's dout lives in.
     """
     x = cache["x"]
     h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
@@ -489,7 +465,7 @@ def _attention_backward(h2, att, wq, wk, dcontext):
     return dwq, dwk, dscores, q @ wk.T, dhbar
 
 
-def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool, mem=_FRESH):
+def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool, mem):
     """Full forward pass on a float64 batch (B, L); returns (refined, cache).
 
     The network computes in dtype: the normalized input is cast once and
@@ -497,8 +473,8 @@ def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool, mem=_F
     read h2 (L, B, 2H) through a batch-major view.  The residual is added
     onto the float64 x, so the output is float64 and an all-zero model
     returns x exactly.  Without keep_cache the GRU caches are None.  The
-    GRU layers take their arrays from the arena mem (fresh memory by
-    default); the refined output is a new array.
+    GRU layers take their arrays from the arena mem; the refined output is
+    a new array.
     """
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
@@ -519,15 +495,15 @@ def _forward(x: np.ndarray, model: RefinerModel, dtype, keep_cache: bool, mem=_F
     return out, {"x": x, "h2": h2, "cache1": cache1, "cache2": cache2, "att": att}
 
 
-def _backward(dout: np.ndarray, cache, model: RefinerModel, mem=_FRESH) -> dict:
+def _backward(dout: np.ndarray, cache, model: RefinerModel, mem) -> dict:
     """Parameter gradients from dout (B, L), computed in the cache's dtype.
 
     dout and the weights are cast to that dtype once here: a float64
     operand in any product below would promote the rest of the backward
     to float64.  The gradients come back in that dtype too, as new arrays.
     The top layer's output gradient and both layers' backward take their
-    arrays from the arena mem (fresh memory by default).  It may be the arena
-    the cache came from: none of the cache's arrays has a backward role.
+    arrays from the arena mem.  It may be the arena the cache came from:
+    none of the cache's arrays has a backward role.
     """
     h2 = cache["h2"]  # (L, B, 2H)
     att = cache["att"]
@@ -643,58 +619,53 @@ def _one_blas_thread():
 
 
 def _run_blocks(count: int, job) -> list:
-    """[job(0, w), ..., job(count - 1, w)], the jobs run as the module
+    """[job(0, mem), ..., job(count - 1, mem)], the jobs run as the module
     docstring describes, or all on the calling thread if BLAS cannot be
-    held to one thread; w is the index of the worker that runs the job,
-    0 for the calling thread, so no two jobs with the same w overlap.  A
-    single job runs directly, with no thread and no BLAS lookup.  Jobs on
-    a worker thread may call only private functions, so a public function
-    a caller has wrapped runs on the calling thread alone.
+    held to one thread; mem is the calling thread's arena of the worker
+    that runs the job, worker 0 being the calling thread, so no two jobs
+    that overlap share an arena.  A single job runs directly, with no
+    thread and no BLAS lookup.  Jobs on a worker thread may call only
+    private functions, so a public function a caller has wrapped runs on
+    the calling thread alone.
     """
+    arenas = _THREAD_ARENAS.by_worker
     if count <= 1:
-        return [job(i, 0) for i in range(count)]
+        return [job(i, arenas.setdefault(0, _Arena())) for i in range(count)]
     results = [None] * count
     todo = iter(range(count))
     claim = threading.Lock()
 
-    def drain(worker):
+    def drain(mem):
         while True:
             with claim:
                 i = next(todo, None)
             if i is None:
                 return
-            results[i] = job(i, worker)
+            results[i] = job(i, mem)
 
     with _one_blas_thread() as held:
         workers = min(_cpu_count(), count) if held else 1
+        mems = [arenas.setdefault(w, _Arena()) for w in range(workers)]
         if workers == 1:
-            drain(0)
+            drain(mems[0])
             return results
         # loaded here: `import poserefine` does not need it
         from concurrent.futures import ThreadPoolExecutor
 
         # the calling thread drains jobs too, so workers - 1 are started
         with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain, w) for w in range(1, workers)]
-            drain(0)
+            helpers = [pool.submit(drain, mem) for mem in mems[1:]]
+            drain(mems[0])
             for helper in helpers:
                 helper.result()
     return results
 
 
-def _worker_arena(workspace, worker: int):
-    """The worker's arena of a Workspace, or fresh memory without one."""
-    return _FRESH if workspace is None else workspace.arena(worker)
-
-
-def refine_batch(
-    noisy: np.ndarray, model: RefinerModel, dtype=np.float64, workspace=None
-) -> np.ndarray:
+def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
     """Refine a batch of windows, shape (B, L) -> float64 (B, L).
 
     The network computes in dtype and keeps no backward cache.  Each block
-    of at most _BLOCK_ROWS rows is one forward call, in the memory of the
-    Workspace if one is given.
+    of at most _BLOCK_ROWS rows is one forward call.
     """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
@@ -702,14 +673,10 @@ def refine_batch(
             f"batch must be (n, {model.window}), got {noisy.shape}"
         )
     starts = range(0, len(noisy), _BLOCK_ROWS)
-    if len(starts) <= 1:
-        mem = _worker_arena(workspace, 0)
-        return _forward(noisy, model, dtype, keep_cache=False, mem=mem)[0]
     out = np.empty_like(noisy)
 
-    def block(i, worker):
+    def block(i, mem):
         part = slice(starts[i], starts[i] + _BLOCK_ROWS)
-        mem = _worker_arena(workspace, worker)
         out[part] = _forward(noisy[part], model, dtype, keep_cache=False, mem=mem)[0]
 
     _run_blocks(len(starts), block)
@@ -739,16 +706,15 @@ def batch_gradients(
     truth: np.ndarray,
     model: RefinerModel,
     dtype=np.float64,
-    workspace=None,
 ):
     """Loss and float64 parameter gradients of the batch MSE; (B, L) inputs.
 
     The forward and backward compute in dtype, one call of each per block
-    of rows (see _gradient_blocks), in the memory of the Workspace if one
-    is given, and the blocks run as the module docstring describes.  The
-    loss is the mean of the blocks' float64 output errors, and the blocks'
-    gradients are cast to float64 and summed in block order, so the result
-    does not depend on the number of threads or on the Workspace.
+    of rows (see _gradient_blocks), and the blocks run as the module
+    docstring describes.  The loss is the mean of the blocks' float64
+    output errors, and the blocks' gradients are cast to float64 and
+    summed in block order, so the result does not depend on the number of
+    threads.
     """
     noisy = np.asarray(noisy, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -758,9 +724,8 @@ def batch_gradients(
     diff = np.empty_like(noisy)
     scale = 2.0 / noisy.size
 
-    def block(i, worker):
+    def block(i, mem):
         part = slice(bounds[i], bounds[i + 1])
-        mem = _worker_arena(workspace, worker)
         out, cache = _forward(noisy[part], model, dtype, keep_cache=True, mem=mem)
         np.subtract(out, truth[part], out=diff[part])
         return _backward(scale * diff[part], cache, model, mem=mem)

@@ -5,8 +5,8 @@ Gradients and validation run the network in float32, the precision
 receives stay float64.  Each batch's gradients, and the whole validation
 split in one call, run on every available core in fixed row blocks (see
 `refiner`), so a seed gives the same model on any number of CPUs.  They
-all work in one `refiner.Workspace`, so each block's arrays are paged in
-by the first step and reused by the rest of the run.
+all work in the calling thread's arenas (see `refiner`), so each block's
+arrays are paged in by the first step and reused by the rest of the run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DatasetManifest, load_split
 from .errors import InsufficientDataError, ShapeError, TrainingDivergedError
-from .refiner import RefinerModel, Workspace, batch_gradients, mse_loss, refine_batch
+from .refiner import RefinerModel, batch_gradients, mse_loss, refine_batch
 
 
 @dataclass
@@ -161,14 +161,11 @@ def train_on_arrays(
     log = TrainLog(seed=config.seed, config=asdict(config))
     best_params = {k: v.copy() for k, v in model.params.items()}
     since_best = 0
-    # the steps' and validations' working memory, freed when the run returns
-    workspace = Workspace()
 
     def evaluate(idx):
         if idx.size == 0:
             return float("nan")
-        refined = refine_batch(noisy[idx], model, dtype=np.float32, workspace=workspace)
-        return mse_loss(refined, truth[idx])
+        return mse_loss(refine_batch(noisy[idx], model, dtype=np.float32), truth[idx])
 
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
@@ -177,7 +174,7 @@ def train_on_arrays(
         for lo in range(0, order.size, config.batch_size):
             part = order[lo : lo + config.batch_size]
             loss, grads = batch_gradients(
-                noisy[part], truth[part], model, dtype=np.float32, workspace=workspace
+                noisy[part], truth[part], model, dtype=np.float32
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)

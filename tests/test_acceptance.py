@@ -17,17 +17,16 @@ from poserefine import (
     RefinerModel,
     TrainConfig,
     batch_gradients,
-    evaluate_metrics,
     generate_dataset,
     load_split,
     optimize_limb_lengths,
     parse_keypoints,
     plan_windows,
     pose_to_angles,
-    record_events,
     refine_batch,
     refine_keypoint_file,
     save_model,
+    score_windows,
     stitch_windows,
     train_model,
     wrap_angle,
@@ -244,31 +243,11 @@ def test_desk_scale_end_to_end(desk_scale):
     manifest, model, log, gen_s, train_s = desk_scale
     assert train_s <= 1800.0  # 30-minute CPU budget
 
-    joints, truth, noisy = load_split(manifest, "test")
+    _, truth, _ = load_split(manifest, "test")
     assert len(truth) == 4000
-    # scored in float32, the precision refine runs the network in
-    pred = np.concatenate(
-        [
-            refine_batch(noisy[i : i + 256], model, dtype=np.float32)
-            for i in range(0, len(noisy), 256)
-        ]
-    )
-    noisy_mse = float(np.mean(wrap_angle(noisy - truth) ** 2))
-    refined_mse = float(np.mean(wrap_angle(pred - truth) ** 2))
-    ratio = refined_mse / noisy_mse
-
-    # correction rate per (test window, corrupted frame) event, at tau = 10 deg
-    n_events = n_corrected = 0
-    for i in range(len(noisy)):
-        events = record_events(manifest, "test", i)
-        report = evaluate_metrics(
-            pred[i][:, None],
-            truth[i][:, None],
-            {int(f): None for f in events.all_frames()},
-        )
-        n_events += report.n_erroneous
-        n_corrected += report.n_corrected
-    rate = n_corrected / n_events
+    score = score_windows(manifest, "test", model)
+    ratio = score["mse_ratio"]
+    rate = score["correction_rate"]
 
     # regression bounds frozen after the first successful run with this
     # exact seed pair (dataset seed 0, training seed 0, 4 epochs), which

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from poserefine.refiner import (
     _GRAD_SPLIT_ROWS,
     _PROJ_BLOCK,
     MAX_WINDOW,
-    Workspace,
+    _Arena,
     _attention_forward,
     _backward,
     _bigru_backward,
@@ -147,14 +148,16 @@ def test_bigru_layer_matches_stepwise_oracle():
     for length, batch in [(12, 2)] + [(n, b) for n in lengths for b in (1, 3)]:
         x = rng.normal(size=(batch, length, 1))
         # the layer runs time-major: (L, B, d_in) in, (L, B, 2H) out
-        got = _bigru_forward(x.transpose(1, 0, 2), model, "l1", keep_cache=False)[0]
-        got = got.transpose(1, 0, 2)
+        got = _bigru_forward(
+            x.transpose(1, 0, 2), model, "l1", keep_cache=False, mem=_Arena()
+        )[0].transpose(1, 0, 2)
         assert got.shape == (batch, length, 2 * model.hidden)
         assert np.max(np.abs(got - oracle(x, "l1"))) <= 1e-12
 
         # second layer consumes the first layer's features
-        got2 = _bigru_forward(got.transpose(1, 0, 2), model, "l2", keep_cache=False)[0]
-        got2 = got2.transpose(1, 0, 2)
+        got2 = _bigru_forward(
+            got.transpose(1, 0, 2), model, "l2", keep_cache=False, mem=_Arena()
+        )[0].transpose(1, 0, 2)
         assert np.max(np.abs(got2 - oracle(got, "l2"))) <= 1e-12
 
 
@@ -184,8 +187,9 @@ def test_full_forward_matches_public_composition():
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     mu = x.mean(axis=1, keepdims=True)
     u = (x - mu) / np.pi
-    h1 = _bigru_forward(u.T[:, :, None], model, "l1", keep_cache=False)[0]
-    h2 = _bigru_forward(h1, model, "l2", keep_cache=False)[0].transpose(1, 0, 2)
+    h1 = _bigru_forward(u.T[:, :, None], model, "l1", keep_cache=False, mem=_Arena())[0]
+    h2 = _bigru_forward(h1, model, "l2", keep_cache=False, mem=_Arena())[0]
+    h2 = h2.transpose(1, 0, 2)
     att = _attention_forward(h2, model.params["att.W_q"], model.params["att.W_k"])
     context = att["context"]
     feats = np.concatenate([h2, np.broadcast_to(context[:, None, :], h2.shape)], axis=2)
@@ -208,7 +212,9 @@ def blockwise(x, model, dtype) -> np.ndarray:
     """Oracle: each block of rows through its own forward call, in turn."""
     return np.concatenate(
         [
-            _forward(x[lo : lo + _BLOCK_ROWS], model, dtype, keep_cache=False)[0]
+            _forward(
+                x[lo : lo + _BLOCK_ROWS], model, dtype, keep_cache=False, mem=_Arena()
+            )[0]
             for lo in range(0, len(x), _BLOCK_ROWS)
         ]
     )
@@ -323,8 +329,8 @@ def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
     rng = make_rng(70)
     model = small_model(seed=13, hidden=5)
     x = rng.normal(size=(12, 6, 2 * model.hidden)).astype(dtype)  # (L, B, d_in)
-    want, cache = _bigru_forward(x, model, "l2", keep_cache=True)
-    got, no_cache = _bigru_forward(x, model, "l2", keep_cache=False)
+    want, cache = _bigru_forward(x, model, "l2", keep_cache=True, mem=_Arena())
+    got, no_cache = _bigru_forward(x, model, "l2", keep_cache=False, mem=_Arena())
     assert no_cache is None
     assert got.dtype == dtype
     assert np.array_equal(got, want)
@@ -343,6 +349,13 @@ def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
     assert np.array_equal(want[:, :, model.hidden :], cache["h"][12:0:-1, 1])
 
 
+def on_a_new_thread(fn):
+    """fn() on a new thread, which starts with no arenas, so its calls
+    are cold whatever this thread ran before; returns fn's result."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=300)
+
+
 def test_float32_refine_batch_peak_memory_stays_below_48_mb():
     # one full chunk of the shipped shapes: a whole-window (L, B, 3H)
     # projection per direction would add about 20 MB each
@@ -350,11 +363,60 @@ def test_float32_refine_batch_peak_memory_stays_below_48_mb():
     x = make_rng(72).uniform(-1.0, 1.0, size=(256, 100))
     tracemalloc.start()
     try:
-        refine_batch(x, model, dtype=np.float32)
+        on_a_new_thread(lambda: refine_batch(x, model, dtype=np.float32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 48e6
+
+
+def test_a_second_refine_batch_call_reuses_the_first_ones_memory(monkeypatch):
+    # a long file's refine_batch calls on one thread: the first pages in
+    # both workers' arenas, the second allocates little beyond its output
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = RefinerModel.init_random(hidden=16, d_att=8, window=100, seed=2)
+    x = make_rng(86).uniform(-1.0, 1.0, size=(256, 100))
+
+    def two_calls():
+        new_bytes = []
+        for _ in range(2):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            refine_batch(x, model, dtype=np.float32)
+            new_bytes.append(tracemalloc.get_traced_memory()[1] - before)
+        return new_bytes
+
+    tracemalloc.start()
+    try:
+        first, second = on_a_new_thread(two_calls)
+    finally:
+        tracemalloc.stop()
+    assert second < 0.2 * first
+
+
+def test_a_threads_arenas_are_released_when_it_ends(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = RefinerModel.init_random(hidden=16, d_att=8, window=100, seed=3)
+    x = make_rng(87).uniform(-1.0, 1.0, size=(256, 100))
+    held = []
+
+    def call():
+        refine_batch(x, model, dtype=np.float32)
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    # the arenas outlive the call, and go with the thread
+    assert held[0] - before > 4e6
+    assert abs(after - before) < 1e6
 
 
 def test_float32_forward_computes_in_float32_and_returns_float64():
@@ -363,7 +425,7 @@ def test_float32_forward_computes_in_float32_and_returns_float64():
     rng = make_rng(71)
     model = small_model(seed=14)
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
-    out, cache = _forward(x, model, np.float32, keep_cache=True)
+    out, cache = _forward(x, model, np.float32, keep_cache=True, mem=_Arena())
     arrays = [cache["h2"], *cache["att"].values()]
     for layer in (cache["cache1"], cache["cache2"]):
         arrays.extend(layer.values())
@@ -510,18 +572,20 @@ def test_float32_backward_computes_in_float32():
     model = small_model(seed=15)
     x = rng.uniform(-2.0, 2.0, size=(3, 12))
     truth = x + rng.normal(0.0, 0.3, size=(3, 12))
-    out, cache = _forward(x, model, np.float32, keep_cache=True)
-    grads = _backward((2.0 / x.size) * (out - truth), cache, model)
+    out, cache = _forward(x, model, np.float32, keep_cache=True, mem=_Arena())
+    grads = _backward((2.0 / x.size) * (out - truth), cache, model, mem=_Arena())
     assert set(grads) == set(model.params)
     assert all(g.dtype == np.float32 for g in grads.values())
     for layer in ("cache1", "cache2"):
         assert all(a.dtype == np.float32 for a in cache[layer].values())
     dout = rng.normal(size=(12, 3, 2 * model.hidden)).astype(np.float32)
-    dx, layer_grads = _bigru_backward(cache["cache2"], model, "l2", dout, need_dx=True)
+    dx, layer_grads = _bigru_backward(
+        cache["cache2"], model, "l2", dout, need_dx=True, mem=_Arena()
+    )
     assert dx.dtype == np.float32
     assert dx.shape == cache["cache2"]["x"].shape
     assert all(g.dtype == np.float32 for g in layer_grads.values())
-    dx1, _ = _bigru_backward(cache["cache1"], model, "l1", dx, need_dx=False)
+    dx1, _ = _bigru_backward(cache["cache1"], model, "l1", dx, need_dx=False, mem=_Arena())
     assert dx1 is None
 
 
@@ -586,11 +650,11 @@ def test_bigru_backward_matches_stepwise_oracle():
                 want = {f"{layer}.fwd.{name}": g for name, g in want.items()}
                 want.update({f"{layer}.bwd.{name}": g for name, g in want_b.items()})
                 _, cache = _bigru_forward(
-                    seq.transpose(1, 0, 2), model, layer, keep_cache=True
+                    seq.transpose(1, 0, 2), model, layer, keep_cache=True, mem=_Arena()
                 )
                 for need_dx in (True, False):
                     dx, grads = _bigru_backward(
-                        cache, model, layer, dout.transpose(1, 0, 2), need_dx
+                        cache, model, layer, dout.transpose(1, 0, 2), need_dx, mem=_Arena()
                     )
                     assert set(grads) == set(want)
                     for name, g in grads.items():
@@ -659,8 +723,8 @@ def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
         return real(cache, model, layer, dout, need_dx, **kwargs)
 
     monkeypatch.setattr(refiner, "_bigru_backward", record)
-    _, cache = _forward(x, model, np.float64, keep_cache=True)
-    grads = _backward(dout, cache, model)
+    _, cache = _forward(x, model, np.float64, keep_cache=True, mem=_Arena())
+    grads = _backward(dout, cache, model, mem=_Arena())
     want, want_dh2 = head_attention_backward_oracle(
         dout, cache["h2"].transpose(1, 0, 2), model
     )
@@ -695,9 +759,9 @@ def blockwise_gradients(noisy, truth, model, dtype):
     diffs = []
     grads = {name: np.zeros(value.shape) for name, value in model.params.items()}
     for lo, hi in zip(bounds, bounds[1:]):
-        out, cache = _forward(noisy[lo:hi], model, dtype, keep_cache=True)
+        out, cache = _forward(noisy[lo:hi], model, dtype, keep_cache=True, mem=_Arena())
         diffs.append(out - truth[lo:hi])
-        block = _backward((2.0 / noisy.size) * diffs[-1], cache, model)
+        block = _backward((2.0 / noisy.size) * diffs[-1], cache, model, mem=_Arena())
         for name, g in block.items():
             grads[name] += g.astype(np.float64)
     diff = np.concatenate(diffs)
@@ -790,45 +854,49 @@ def test_batch_gradients_rejects_an_empty_batch(rows):
         batch_gradients(empty, empty, model)
 
 
-def poison(workspace):
+def poison(arenas):
     """Fill every buffer of every arena with NaN bytes, in float32 and
     float64 alike, so a read of memory that a call did not write first
     shows in its result."""
-    for arena in workspace._arenas.values():
+    for arena in arenas.values():
         for buf in arena._buffers.values():
             buf.fill(0xFF)
 
 
-def test_workspace_steps_match_calls_in_fresh_memory(monkeypatch):
-    # one run's steps, with the row count going 256 -> 102 -> 256, in
+def test_arena_steps_match_calls_in_fresh_memory(monkeypatch):
+    # one thread's steps, with the row count going 256 -> 102 -> 256, in
     # float32 and then in float64, each step followed by a validation call
     # and with the memory poisoned in between: every step and every
     # validation must equal its blocks' calls in fresh memory, bit for bit
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     model = small_model(seed=24)
     rng = make_rng(83)
-    workspace = Workspace()
-    for dtype in (np.float32, np.float64):
-        for rows in (256, 102, 256):
-            noisy = rng.uniform(-2.0, 2.0, size=(rows, 12))
-            truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
-            want_loss, want = blockwise_gradients(noisy, truth, model, dtype)
-            loss, grads = batch_gradients(noisy, truth, model, dtype=dtype, workspace=workspace)
-            assert loss == want_loss
-            for name, g in grads.items():
-                assert np.array_equal(g, want[name]), (np.dtype(dtype).name, rows, name)
-            poison(workspace)
-            val = noisy[: rows // 2]
-            refined = refine_batch(val, model, dtype=np.float32, workspace=workspace)
-            assert np.array_equal(refined, blockwise(val, model, np.float32))
-            poison(workspace)
-    # the blocks ran on both workers, each in its own arena
-    assert sorted(workspace._arenas) == [0, 1]
+
+    def steps():
+        arenas = refiner._THREAD_ARENAS.by_worker
+        for dtype in (np.float32, np.float64):
+            for rows in (256, 102, 256):
+                noisy = rng.uniform(-2.0, 2.0, size=(rows, 12))
+                truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+                want_loss, want = blockwise_gradients(noisy, truth, model, dtype)
+                loss, grads = batch_gradients(noisy, truth, model, dtype=dtype)
+                assert loss == want_loss
+                for name, g in grads.items():
+                    assert np.array_equal(g, want[name]), (np.dtype(dtype).name, rows, name)
+                poison(arenas)
+                val = noisy[: rows // 2]
+                refined = refine_batch(val, model, dtype=np.float32)
+                assert np.array_equal(refined, blockwise(val, model, np.float32))
+                poison(arenas)
+        # the blocks ran on both workers, each in its own arena
+        assert sorted(arenas) == [0, 1]
+
+    on_a_new_thread(steps)
 
 
 def test_concurrent_training_runs_equal_the_runs_one_after_the_other(monkeypatch):
-    # each run keeps its own workspace: two runs at once, switching threads
-    # often, give the bits that they give one after the other
+    # each run's thread keeps its own arenas: two runs at once, switching
+    # threads often, give the bits that they give one after the other
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     rng = make_rng(84)
     jobs = []
@@ -885,7 +953,7 @@ def test_training_steps_after_the_first_reuse_their_memory(monkeypatch):
     config = TrainConfig(hidden=16, d_att=8, batch_size=256, max_epochs=2, seed=8)
     tracemalloc.start()
     try:
-        train_on_arrays(noisy, truth, config)
+        on_a_new_thread(lambda: train_on_arrays(noisy, truth, config))
     finally:
         tracemalloc.stop()
     # per epoch, three steps of 256 rows and one of 222
@@ -903,7 +971,7 @@ def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
     y = x + rng.normal(0.0, 0.1, size=x.shape)
     tracemalloc.start()
     try:
-        batch_gradients(x, y, model, dtype=np.float32)
+        on_a_new_thread(lambda: batch_gradients(x, y, model, dtype=np.float32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

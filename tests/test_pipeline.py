@@ -11,6 +11,8 @@ from poserefine import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
     N_LIMBS,
+    InsufficientDataError,
+    NoiseSpec,
     PoseSequence,
     RefinedMotion,
     RefinerModel,
@@ -18,13 +20,18 @@ from poserefine import (
     ShapeError,
     evaluate_metrics,
     export_series,
+    generate_dataset,
     load_erroneous_frames,
+    load_split,
     parse_keypoints,
     pose_to_angles,
     pose_to_limb_lengths,
     refine_keypoint_file,
+    record_events,
     refine_pose_sequence,
     save_model,
+    score_windows,
+    wrap_angle,
     write_keypoints,
 )
 
@@ -298,6 +305,32 @@ def test_evaluate_metrics_validation():
     for joints in ([99], [], [-1], [0, 12]):
         with pytest.raises(ShapeError, match="joints"):
             evaluate_metrics(np.zeros((3, 12)), np.ones((3, 12)), erroneous={2: joints})
+
+
+def test_score_windows_of_the_identity_model(tmp_path):
+    # the identity model leaves every window as it was: ratio exactly 1,
+    # and an event is corrected where the noise itself stayed within tau
+    manifest = generate_dataset(
+        tmp_path / "corpus", train_count=1, test_count=40, noise=NoiseSpec(seed=3),
+        window=20, frames_per_cycle=25, cycles=2,
+    )
+    model = RefinerModel.identity(hidden=4, d_att=3, window=20)
+    score = score_windows(manifest, "test", model)
+    assert score["mse_ratio"] == 1.0
+    assert score["refined_mse"] == score["noisy_mse"] > 0.0
+    _, truth, noisy = load_split(manifest, "test")
+    within = np.abs(wrap_angle(noisy - truth)) <= math.radians(10.0)
+    frames = [record_events(manifest, "test", i).all_frames() for i in range(40)]
+    assert score["events"] == sum(len(f) for f in frames) > 0
+    assert score["corrected"] == sum(int(within[i, f].sum()) for i, f in enumerate(frames))
+    assert score["correction_rate"] == score["corrected"] / score["events"]
+    # a split with no windows has nothing to score
+    empty = generate_dataset(
+        tmp_path / "empty", train_count=1, test_count=0, window=20,
+        frames_per_cycle=25, cycles=2,
+    )
+    with pytest.raises(InsufficientDataError):
+        score_windows(empty, "test", model)
 
 
 def test_load_erroneous_frames_forms(tmp_path):

@@ -1,5 +1,7 @@
 """The scripts under scripts/ still run against the package's public API."""
 
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,8 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "reproduce_training.py":
+        # scored by pipeline.score_windows on the tiny test split
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert math.isfinite(summary["mse_ratio"])
+        assert math.isfinite(summary["correction_rate"])
