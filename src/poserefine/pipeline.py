@@ -146,14 +146,26 @@ def _walk_coordinates(path, frames: list) -> np.ndarray:
     return xy
 
 
+# one frame's entry, its coordinates fixed-point at six decimals
+_FRAME_FORMAT = '{"xy":[' + ",".join(["[%.6f,%.6f]"] * N_KEYPOINTS) + "]}"
+
+
 def write_keypoints(seq: PoseSequence, path) -> None:
-    doc = {
-        "fps": seq.fps,
-        "keypoints": list(KEYPOINT_NAMES),
-        "frames": [{"xy": frame} for frame in seq.xy.tolist()],
-    }
+    """Write seq as a one-line keypoint JSON file.
+
+    Each coordinate is written with six decimals, correctly rounded, so it
+    is within 5e-7 px of the value in memory; fps and the names are written
+    by json.dumps.  The text is built in full before the file is opened.
+    """
+    # the header object without its closing brace, which follows the frames
+    head = json.dumps(
+        {"fps": seq.fps, "keypoints": list(KEYPOINT_NAMES)}, separators=(",", ":")
+    )[:-1]
+    frames = seq.xy.reshape(seq.n_frames, -1).tolist()
+    body = ",".join([_FRAME_FORMAT % tuple(frame) for frame in frames])
+    text = head + ',"frames":[' + body + "]}\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

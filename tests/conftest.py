@@ -1,10 +1,13 @@
 """Shared fixtures and pose generators for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from poserefine import (
+    KEYPOINT_NAMES,
     N_LIMBS,
     PoseSequence,
     pose_to_angles,
@@ -75,6 +78,29 @@ def smooth_sequence(rng: np.random.Generator, n_frames: int, fps: float = 30.0) 
     theta = mean + 0.6 * np.sin(2.0 * np.pi * t[:, None] / 60.0 + phase)
     lengths = np.broadcast_to(rng.uniform(20.0, 80.0, size=N_LIMBS), (n_frames, N_LIMBS)).copy()
     return reconstruct_sequence(base, theta, lengths, fps)
+
+
+def write_exact_keypoints(seq: PoseSequence, path) -> None:
+    """A keypoint file that holds seq's coordinates bit for bit.
+
+    write_keypoints rounds to six decimals, and the rounded coordinates no
+    longer have constant limb lengths, so smooth_sequence's poses would stop
+    being a fixed point of conditioning.  Tests that compare a refined file
+    with its input to 1e-6 write the input with this instead.
+    """
+    doc = {
+        "fps": seq.fps,
+        "keypoints": list(KEYPOINT_NAMES),
+        "frames": [{"xy": frame} for frame in seq.xy.tolist()],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def rounded_coordinates(xy) -> np.ndarray:
+    """xy as a keypoint file stores it: each value at six decimals."""
+    xy = np.asarray(xy, dtype=float)
+    return np.array([float(f"{v:.6f}") for v in xy.ravel()]).reshape(xy.shape)
 
 
 @pytest.fixture

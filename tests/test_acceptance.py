@@ -44,7 +44,9 @@ from conftest import (
     pose_lengths,
     random_pose,
     rebuild_pose,
+    rounded_coordinates,
     smooth_sequence,
+    write_exact_keypoints,
 )
 
 
@@ -343,10 +345,11 @@ def test_pipeline_contract(tmp_path):
     src = tmp_path / "in.json"
     dst = tmp_path / "out.json"
     model_path = tmp_path / "ident.jarm"
-    write_keypoints(seq, src)
+    write_exact_keypoints(seq, src)
     save_model(RefinerModel.identity(hidden=4, d_att=3, window=30), model_path)
     motion = refine_keypoint_file(src, model_path, dst)
     assert motion.n_frames == seq.n_frames
     back = parse_keypoints(dst)  # output satisfies the keypoint schema
     assert back.n_frames == seq.n_frames
+    assert np.array_equal(back.xy, rounded_coordinates(motion.positions().xy))
     assert np.max(np.abs(back.xy - seq.xy)) <= 1e-6

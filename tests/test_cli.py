@@ -28,7 +28,7 @@ from poserefine import (
 from poserefine import cli
 from poserefine.cli import main
 
-from conftest import make_rng, smooth_sequence
+from conftest import make_rng, smooth_sequence, write_exact_keypoints
 
 SYNTH_TINY = [
     "--train-count", "48",
@@ -191,7 +191,7 @@ def keypoint_file(tmp_path_factory):
     rng = make_rng(80)
     seq = smooth_sequence(rng, 50)
     path = tmp_path_factory.mktemp("kp") / "input.json"
-    write_keypoints(seq, path)
+    write_exact_keypoints(seq, path)
     return path
 
 
@@ -328,7 +328,7 @@ def test_export_of_coincident_joints_needs_no_angles(tmp_path, capsys, keypoint_
     with open(tmp_path / "positions.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     values = np.array([[float(v) for v in row[2:]] for row in rows])
-    assert np.array_equal(values.reshape(xy.shape), xy)
+    assert np.array_equal(values.reshape(xy.shape), parse_keypoints(src).xy)
     out = tmp_path / "angles.csv"
     assert main(argv + [str(out), "--what", "angles"]) == 2
     assert "coincident keypoints on limb left_shoulder_to_left_elbow at frame 3" in (

@@ -35,7 +35,13 @@ from poserefine import (
     write_keypoints,
 )
 
-from conftest import make_rng, random_sequence, smooth_sequence
+from conftest import (
+    make_rng,
+    random_sequence,
+    rounded_coordinates,
+    smooth_sequence,
+    write_exact_keypoints,
+)
 
 
 def test_parse_write_roundtrip(tmp_path):
@@ -45,12 +51,35 @@ def test_parse_write_roundtrip(tmp_path):
     write_keypoints(seq, path)
     back = parse_keypoints(path)
     assert back.fps == seq.fps
-    assert np.array_equal(back.xy, seq.xy)  # repr-based JSON floats roundtrip
+    # coordinates are written with six correctly rounded decimals
+    assert np.array_equal(back.xy, rounded_coordinates(seq.xy))
+
+
+def test_write_parse_write_is_byte_identical(tmp_path):
+    rng = make_rng(72)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    write_keypoints(random_sequence(rng, 11, fps=30.0), first)
+    write_keypoints(parse_keypoints(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_written_keypoints_are_strict_json(tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    xy = np.ones((3, 13, 2))
+    xy[1, 4] = [1e20, -1e20]
+    xy[2, 0] = [-0.0, 5e-324]
+    path = tmp_path / "kp.json"
+    write_keypoints(PoseSequence(xy=xy, fps=29.97), path)
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc["frames"][1]["xy"][4] == [1e20, -1e20]
 
 
 def test_write_keypoints_bytes_are_pinned(tmp_path):
     xy = np.ones((2, 13, 2))
     xy[0, 0] = [-0.0, 1e-17]
+    xy[0, 1] = [1.0000005, 5e-07]  # correctly rounded, which np.round does not promise
     xy[1, 12] = [0.1 + 0.2, 123456789.125]
     path = tmp_path / "kp.json"
     write_keypoints(PoseSequence(xy=xy, fps=25), path)
@@ -59,11 +88,13 @@ def test_write_keypoints_bytes_are_pinned(tmp_path):
         '"left_wrist","right_wrist","left_hip","right_hip","left_knee",'
         '"right_knee","left_ankle","right_ankle"'
     )
-    ones = ",".join(["[1.0,1.0]"] * 12)
+    one = "[1.000000,1.000000]"
     expected = (
         '{"fps":25.0,"keypoints":[' + names + '],"frames":['
-        '{"xy":[[-0.0,1e-17],' + ones + ']},'
-        '{"xy":[' + ones + ',[0.30000000000000004,123456789.125]]}]}\n'
+        '{"xy":[[-0.000000,0.000000],[1.000001,0.000000],'
+        + ",".join([one] * 11)
+        + "]},"
+        '{"xy":[' + ",".join([one] * 12) + ",[0.300000,123456789.125000]]}]}\n"
     )
     assert path.read_bytes() == expected.encode()
 
@@ -204,12 +235,13 @@ def test_refine_keypoint_file_end_to_end(tmp_path):
     src = tmp_path / "in.json"
     dst = tmp_path / "out.json"
     mpath = tmp_path / "m.jarm"
-    write_keypoints(seq, src)
+    write_exact_keypoints(seq, src)
     save_model(RefinerModel.identity(hidden=4, d_att=3, window=20), mpath)
     motion = refine_keypoint_file(src, mpath, dst)
     assert motion.n_frames == 60
     back = parse_keypoints(dst)  # output passes schema validation
     assert back.n_frames == 60
+    assert np.array_equal(back.xy, rounded_coordinates(motion.positions().xy))
     assert np.max(np.abs(back.xy - seq.xy)) <= 1e-6
 
 
