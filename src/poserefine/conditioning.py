@@ -30,20 +30,30 @@ def savgol_smooth(series: np.ndarray, half_width: int) -> np.ndarray:
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ShapeError(f"series must be 1-D, got shape {y.shape}")
+    return _savgol_columns(y[:, None], half_width)[:, 0]
+
+
+def _savgol_columns(y: np.ndarray, half_width: int) -> np.ndarray:
+    """savgol_smooth of each column of y (n, k), with the same bits.
+
+    The columns share the interior kernel and the edge fits' moment sums
+    and 3x3 solves, which depend only on n and half_width.
+    """
     w = int(half_width)
     if w < 1:
         raise ShapeError(f"half_width must be >= 1, got {half_width}")
-    n = y.size
+    n = len(y)
     if n < 3:
         raise InsufficientDataError(f"smoothing needs >= 3 frames, got {n}")
-    out = np.empty(n)
+    out = np.empty(y.shape)
 
     if n >= 2 * w + 1:
         # interior: one projection row reused as a convolution kernel
         t = np.arange(-w, w + 1, dtype=float)
         cols = np.stack([np.ones_like(t), t, t * t], axis=1)
-        proj = np.linalg.solve(cols.T @ cols, cols.T)[0]
-        out[w : n - w] = np.convolve(y, proj[::-1], mode="valid")
+        kernel = np.linalg.solve(cols.T @ cols, cols.T)[0][::-1]
+        for column, series in zip(out.T, y.T):
+            column[w : n - w] = np.convolve(series, kernel, mode="valid")
         edge = np.r_[0:w, n - w : n]
     else:
         edge = np.arange(n)
@@ -56,22 +66,26 @@ def savgol_smooth(series: np.ndarray, half_width: int) -> np.ndarray:
 
 
 def _fits_from_start(y: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
-    """savgol_smooth's fits at the indices `at`, whose windows start at 0.
+    """savgol_smooth's fits of each column of y (n, k) at the indices `at`,
+    whose windows start at 0; returns (len(at), k).
 
     Index i fits y[0 : hi + 1], hi = min(i + w, n - 1), with degree
-    min(2, hi), all indices at once.  In the coordinate v = j / hi the
-    normal matrix is about (hi + 1) times the 3x3 Hilbert matrix, so it is
-    well conditioned, and each sum over a window [0, hi] is one entry of a
-    running sum.  The value at i is a · [Σy, Σy·v, Σy·v²], where a solves
-    M a = [1, v_i, v_i²]; a linear fit replaces M's quadratic row and
-    column by the identity's and the target's last entry by 0, so a2 = 0.
+    min(2, hi), all indices and columns at once.  In the coordinate
+    v = j / hi the normal matrix is about (hi + 1) times the 3x3 Hilbert
+    matrix, so it is well conditioned, and each sum over a window [0, hi]
+    is one entry of a running sum.  The value at i is
+    a · [Σy, Σy·v, Σy·v²], where a solves M a = [1, v_i, v_i²]; a linear
+    fit replaces M's quadratic row and column by the identity's and the
+    target's last entry by 0, so a2 = 0.  M and a depend only on i, so
+    the columns share them.
     """
-    hi = np.minimum(at + w, y.size - 1)
+    hi = np.minimum(at + w, len(y) - 1)
     top = int(hi.max(initial=0)) + 1
     powers = np.arange(top, dtype=float)[:, None] ** np.arange(5)
     scale = hi[:, None].astype(float) ** np.arange(5)
     moments = np.cumsum(powers, axis=0)[hi] / scale
-    sums = np.cumsum(y[:top, None] * powers[:, :3], axis=0)[hi] / scale[:, :3]
+    sums = np.cumsum(y[:top, :, None] * powers[:, None, :3], axis=0)[hi]
+    sums /= scale[:, None, :3]
     normal = moments[:, np.add.outer(np.arange(3), np.arange(3))]
     v = at / hi
     target = np.stack([np.ones_like(v), v, v * v], axis=1)
@@ -80,17 +94,16 @@ def _fits_from_start(y: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
     normal[linear, :, 2] = 0.0
     normal[linear, 2, 2] = 1.0
     target[linear, 2] = 0.0
-    coef = np.linalg.solve(normal, target[:, :, None])[:, :, 0]
-    return np.sum(coef * sums, axis=1)
+    coef = np.linalg.solve(normal, target[:, :, None])[:, None, :, 0]
+    return np.sum(coef * sums, axis=2)
 
 
 def smooth_base_trajectory(seq: PoseSequence, half_width: int) -> np.ndarray:
-    """Smooth the root keypoint trajectory; returns (n_frames, 2)."""
-    nose = seq.xy[:, 0, :]
-    return np.stack(
-        [savgol_smooth(nose[:, 0], half_width), savgol_smooth(nose[:, 1], half_width)],
-        axis=1,
-    )
+    """Smooth the root keypoint trajectory; returns (n_frames, 2).
+
+    x and y are each smoothed as savgol_smooth would, in one pass.
+    """
+    return _savgol_columns(seq.xy[:, 0, :], half_width)
 
 
 def estimate_ratios(raw_lengths: np.ndarray) -> np.ndarray:

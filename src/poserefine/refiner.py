@@ -13,7 +13,9 @@ mode, which the test suite checks against central finite differences in
 float64.  It and `refine_batch` run the network in the dtype they are
 given, float64 by default; training and `refine` pass float32.  Inference
 keeps no backward cache: the gates and candidate state live in one
-per-step buffer each.  Inputs and outputs stay float64; the network's
+per-step buffer each, and the two layers take the same states and output
+buffers, the second layer writing its output over its input once its
+time loop has read it.  Inputs and outputs stay float64; the network's
 correction is added onto the float64 input, so a float32 run rounds only
 that.  The loss is taken from that float64 output, and the gradients are
 returned as float64 for the float64 weights and Adam moments.
@@ -29,8 +31,11 @@ gradient GEMMs read after the loop.  Every numpy call of a step
 therefore covers both directions and reads and writes contiguous
 (B, H) blocks; the step loops are most of the refine and training time,
 and most of a step's cost is per-call overhead and memory traffic, not
-arithmetic.  The input projections are computed a few steps at a time
-into one reused buffer rather than for the whole window.  Attention and
+arithmetic.  So the forward builds its step views once per call, and it
+halves the z and r weights and biases once, so that each step's sigmoid
+is tanh, +1 and ×0.5, with the same bits as halving at every step.  The
+input projections are computed a few steps at a time into one reused
+buffer rather than for the whole window.  Attention and
 the output head read the top layer's (L, B, 2H) output through a
 batch-major view.  Their backward builds no (B, L, 2H) or (B, L, d_att)
 temporary: the key gradient is rank one in time, and the top layer's
@@ -52,7 +57,8 @@ bits on any number of threads.  A batch of one block, such as a short
 clip's 12 windows, is one direct call.
 
 A block takes its large arrays by role from an arena: each layer's
-states, gates, candidate state and output, the projection block, and the
+states, gates, candidate state and output (without a cache, the first
+layer's roles serve both layers), the projection block, and the
 backward's gate gradients, output gradient and after-loop copies.  A
 role's arrays are views of one buffer, and roles whose lifetimes do not
 overlap, such as the two layers' gate gradients, share memory.  Each
@@ -62,8 +68,9 @@ thread's arenas last for its life: a long file's blocks and a training
 run's steps page their memory in once and reuse it, where freed memory
 would be faulted back in at every block or step.  A buffer grows to the
 largest block its role has served on that thread, so a thread that has
-trained keeps one block's training working set per worker, about 102 MB
-for 128 float32 rows at H=64, L=100, until it ends.
+refined keeps about 13 MB per worker for 112 float32 rows at H=64,
+L=100, and one that has trained keeps one block's training working set
+per worker, about 102 MB for 128 rows, until it ends.
 """
 
 from __future__ import annotations
@@ -180,7 +187,8 @@ class _Arena:
     over the start of the role's buffer, which grows when a call needs
     more, so a role's arrays alias each other.  The roles are each
     layer's states, gates, candidate state and output ("l1.h" .. "l2.out"),
-    which a training block's cache holds, and the forward's projection
+    which a training block's cache holds (a forward without a cache takes
+    only the "l1." roles), and the forward's projection
     block "proj", which the backward reuses for one direction's previous
     states once the forward is done.  The backward adds the top layer's
     output gradient "dout", which the after-loop copies reuse once its
@@ -208,14 +216,6 @@ class _ThreadArenas(threading.local):
 
 
 _THREAD_ARENAS = _ThreadArenas()
-
-
-def _sigmoid_inplace(x: np.ndarray) -> None:
-    # tanh form avoids overflow for large |x|
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
 
 
 def _layer_weights(model: RefinerModel, layer: str, dtype):
@@ -253,22 +253,38 @@ def _bigru_forward(
     The output is written once from h: the forward half, then the backward
     half reversed.
 
+    sigmoid(a) = (tanh(a / 2) + 1) / 2, and halving is exact in binary
+    floating point, so the z and r rows of W, U_zr and the bias are halved
+    once here and the step takes tanh of the halved pre-activation: the
+    same bits as halving it at every step.  The views each step reads and
+    writes are built once per call, and the step's numpy calls take their
+    output positionally, so the time loop allocates nothing.
+
     The step computes in x.dtype.  With keep_cache the cache holds x, h,
     the gates zr (L, 2, 2, B, H) and the candidate state hc (L, 2, B, H);
     without it the gates and candidate state are one step's buffer each,
     reused at every step, and the cache is None.  The states, gates,
     candidate state, projections and output are taken from the arena mem.
+    Without a cache both layers take the first layer's roles, the output
+    too: the second layer reads its input, the first layer's output, only
+    in the time loop, and writes its own output over it after the loop.
     """
     length, b, d_in = x.shape
     dtype = x.dtype
     hidden = model.hidden
     w, u_zr, u_h, bias = _layer_weights(model, layer, dtype)
+    # the z and r pre-activations, halved for the sigmoid's tanh form, which
+    # cannot overflow
+    w[:, :2] *= 0.5
+    u_zr *= 0.5
+    bias[:2] *= 0.5
     # a (rows, 1) @ (1, H) matmul takes numpy's loop without BLAS; the
     # broadcast product gives the same values several times faster
     project = np.multiply if d_in == 1 else np.matmul
+    matmul, add, multiply, subtract, tanh = (
+        np.matmul, np.add, np.multiply, np.subtract, np.tanh
+    )
 
-    # without a cache, a layer's states are dead once its output is written,
-    # so both layers take the first layer's roles
     owner = layer if keep_cache else "l1"
     h = mem.take(f"{owner}.h", (length + 1, 2, b, hidden), dtype)
     h[0] = 0.0
@@ -278,6 +294,13 @@ def _bigru_forward(
     rh = np.empty((2, b, hidden), dtype)
     block = min(_PROJ_BLOCK, length)
     proj = mem.take("proj", (block, 3, 2, b, hidden), dtype)
+    states = list(h)
+    # step t's gates, z, r and candidate state; without a cache every step
+    # takes the one slot
+    slots = [(zr, zr[0], zr[1], hc) for zr, hc in zip(zr_all, hc_all)]
+    slots *= length // steps
+    # a projection row's z/r and candidate parts
+    inputs = [(p[:2], p[2]) for p in proj]
     for t in range(length):
         k = t % block
         if k == 0:
@@ -287,24 +310,23 @@ def _bigru_forward(
             back = x[length - t - n : length - t][::-1]
             project(back[:, None], w[1], out=proj[:n, :, 1])
             proj[:n] += bias
-        xp = proj[k]
-        hp = h[t]
-        slot = t if keep_cache else 0
-        zr = zr_all[slot]
-        np.matmul(hp, u_zr, out=zr)
-        zr += xp[:2]
-        _sigmoid_inplace(zr)
-        np.multiply(zr[1], hp, out=rh)
-        hc = hc_all[slot]
-        np.matmul(rh, u_h, out=hc)
-        hc += xp[2]
-        np.tanh(hc, out=hc)
+        xzr, xh = inputs[k]
+        hp, hn = states[t], states[t + 1]
+        zr, z, r, hc = slots[t]
+        matmul(hp, u_zr, zr)
+        add(zr, xzr, zr)
+        tanh(zr, zr)
+        add(zr, 1.0, zr)
+        multiply(zr, 0.5, zr)
+        multiply(r, hp, rh)
+        matmul(rh, u_h, hc)
+        add(hc, xh, hc)
+        tanh(hc, hc)
         # h_new = hp + z * (hc - hp)
-        hn = h[t + 1]
-        np.subtract(hc, hp, out=hn)
-        hn *= zr[0]
-        hn += hp
-    out = mem.take(f"{layer}.out", (length, b, 2 * hidden), dtype)
+        subtract(hc, hp, hn)
+        multiply(hn, z, hn)
+        add(hn, hp, hn)
+    out = mem.take(f"{owner}.out", (length, b, 2 * hidden), dtype)
     out[:, :, :hidden] = h[1:, 0]
     out[:, :, hidden:] = h[length:0:-1, 1]
     cache = {"x": x, "h": h, "zr": zr_all, "hc": hc_all} if keep_cache else None
@@ -762,25 +784,36 @@ def save_model(model: RefinerModel, path) -> None:
 
 
 class _Reader:
+    """Fields read in place from a model file's bytes, at a moving offset."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
+    def _advance(self, count: int) -> int:
+        """The offset of the next count bytes, which are then consumed."""
+        start = self.pos
+        if start + count > len(self.data):
             raise CorruptModelError("model file is truncated")
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
+        self.pos = start + count
+        return start
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def floats(self, shape: tuple) -> np.ndarray:
+        """A new float64 array of the next little-endian doubles."""
+        count = math.prod(shape)
+        start = self._advance(8 * count)
+        raw = np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
+        return raw.astype(np.float64).reshape(shape)
 
 
 def load_model(path) -> RefinerModel:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
-    if reader.take(4) != _MAGIC:
+    (magic,) = reader.unpack("4s")
+    if magic != _MAGIC:
         raise ModelFormatError("bad magic; not a refiner model file")
     version, hidden, d_att, window = reader.unpack("<IIII")
     if version != _VERSION:
@@ -797,7 +830,8 @@ def load_model(path) -> RefinerModel:
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         # an undecodable name becomes U+FFFD, which no expected tensor has
-        name = reader.take(name_len).decode("utf-8", errors="replace")
+        (name,) = reader.unpack(f"{name_len}s")
+        name = name.decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<I")
         shape = reader.unpack(f"<{rank}I")
         if name not in expected:
@@ -806,9 +840,7 @@ def load_model(path) -> RefinerModel:
             raise CorruptModelError(
                 f"tensor {name!r} has shape {shape}, expected {expected[name]}"
             )
-        n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = reader.take(8 * n_vals)
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        params[name] = reader.floats(shape)
         if not np.isfinite(params[name]).all():
             raise CorruptModelError(f"tensor {name!r} has non-finite values")
     if reader.pos != len(reader.data):

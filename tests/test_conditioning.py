@@ -123,6 +123,19 @@ def test_smooth_base_trajectory_uses_root_keypoint():
     assert np.array_equal(out[:, 1], savgol_smooth(seq.xy[:, 0, 1], 9))
 
 
+@pytest.mark.parametrize("frames", [range(3, 101), [3000]])
+def test_smooth_base_trajectory_is_savgol_smooth_per_coordinate(frames):
+    # x and y share one pass; each must keep savgol_smooth's bits.  Below
+    # 101 frames every index is an edge fit at half-width 50; 3000 frames
+    # have an interior too
+    rng = make_rng(24)
+    for n in frames:
+        seq = random_sequence(rng, n)
+        out = smooth_base_trajectory(seq, 50)
+        for coord in range(2):
+            assert np.array_equal(out[:, coord], savgol_smooth(seq.xy[:, 0, coord], 50))
+
+
 # ---------------------------------------------------------------------------
 # ratio estimation
 

@@ -349,6 +349,29 @@ def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
     assert np.array_equal(want[:, :, model.hidden :], cache["h"][12:0:-1, 1])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [12, _BLOCK_ROWS])
+def test_forward_without_cache_on_one_arena_matches_the_cached_run(dtype, rows):
+    # without a cache the second layer writes its output over its input,
+    # the first layer's output, in the one arena
+    model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=5)
+    x = make_rng(88).uniform(-2.0, 2.0, size=(rows, 100))
+    mem = _Arena()
+    want = _forward(x, model, dtype, keep_cache=True, mem=mem)[0]
+    got = _forward(x, model, dtype, keep_cache=False, mem=mem)[0]
+    assert np.array_equal(got, want)
+
+
+def test_float32_forward_without_cache_keeps_one_layer_output():
+    # one block of the shipped shapes: states, projections, one step's gates
+    # and one (L, B, 2H) output, about 13.1 MB; a second output would add 5.7
+    model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=6)
+    x = make_rng(89).uniform(-2.0, 2.0, size=(_BLOCK_ROWS, 100))
+    mem = _Arena()
+    _forward(x, model, np.float32, keep_cache=False, mem=mem)
+    assert sum(buf.nbytes for buf in mem._buffers.values()) <= 14e6
+
+
 def on_a_new_thread(fn):
     """fn() on a new thread, which starts with no arenas, so its calls
     are cold whatever this thread ran before; returns fn's result."""
@@ -1072,6 +1095,16 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CorruptModelError):
         load_model(path)
+
+
+def test_load_rejects_every_proper_prefix(tmp_path):
+    path = tmp_path / "m.jarm"
+    save_model(RefinerModel.init_random(hidden=2, d_att=1, window=4, seed=0), path)
+    data = path.read_bytes()
+    for end in range(len(data)):
+        path.write_bytes(data[:end])
+        with pytest.raises((CorruptModelError, ModelFormatError)):
+            load_model(path)
 
 
 def test_load_rejects_undecodable_tensor_name(tmp_path):
