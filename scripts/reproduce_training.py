@@ -7,9 +7,10 @@ With seed 0 throughout this reproduces ratio 0.091 and rate 0.956 in
 about 70 s on a 2-vCPU x86_64 VM (60-66 s of training, its gradient
 blocks on both cores, with BLAS pinned to one thread).  Next to the
 training wall time it prints the minor page faults and system CPU time
-of the training phase, about 20 thousand and 2-3 s there; a training
-run that frees and re-allocates its working memory at every step shows
-up as millions of faults.
+of the training phase, about 20 thousand and 2-3 s there, and the
+process's peak RSS, about 231 MB there; a training run that frees and
+re-allocates its working memory at every step shows up as millions of
+faults.  summary.json records all three next to the scores.
 """
 
 import argparse
@@ -56,13 +57,15 @@ def main() -> int:
         ),
     )
     t2 = time.perf_counter()
-    # the kernel's share of training: page faults and system CPU time
+    # the kernel's share of training: page faults and system CPU time; and
+    # the process's peak resident set so far, which training sets
     after = resource.getrusage(resource.RUSAGE_SELF)
     minor_faults = after.ru_minflt - usage.ru_minflt
     system_s = after.ru_stime - usage.ru_stime
+    peak_rss_mb = after.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
     print(
         f"trained in {t2 - t1:.0f}s: {minor_faults} minor page faults,"
-        f" {system_s:.1f}s system CPU"
+        f" {system_s:.1f}s system CPU, peak RSS {peak_rss_mb:.0f} MB"
     )
     pr.save_model(model, os.path.join(args.out, "model.jarm"))
 
@@ -77,6 +80,7 @@ def main() -> int:
         "train_s": round(t2 - t1, 1),
         "train_minor_faults": minor_faults,
         "train_system_s": round(system_s, 1),
+        "peak_rss_mb": round(peak_rss_mb, 1),
         **score,
     }
     print(json.dumps(summary, indent=2))

@@ -274,6 +274,17 @@ class DatasetManifest:
             raise SchemaError(
                 f"manifest {path}: window must be in [2, {MAX_WINDOW}] and stride >= 1"
             )
+        if manifest.frames_per_cycle < 1 or manifest.cycles < 1:
+            raise SchemaError(f"manifest {path}: frames_per_cycle and cycles must be >= 1")
+        total = manifest.frames_per_cycle * manifest.cycles
+        if manifest.window > total:
+            raise SchemaError(
+                f"manifest {path}: window {manifest.window} exceeds the"
+                f" {total}-frame synthesized sequence"
+            )
+        unknown = sorted(set(manifest.counts) - set(_SPLIT_CODES))
+        if unknown:
+            raise SchemaError(f"manifest {path}: unknown splits {unknown}; expected train, test")
         uncounted = sorted(set(manifest.shards) - set(manifest.counts))
         if uncounted:
             raise SchemaError(f"manifest {path}: shards of {uncounted} have no count")

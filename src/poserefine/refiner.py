@@ -26,12 +26,14 @@ The states of a layer are one (L+1, 2, B, H) array, h[t, d] being
 direction d's state after t steps, and each step's gates are one
 (2, 2, B, H) block indexed [gate, direction]; the backward step's gate
 gradients are likewise one reused (3, 2, B, H) block, copied once per
-step into the direction-major (2, L, B, 3H) array that the weight
-gradient GEMMs read after the loop.  Every numpy call of a step
-therefore covers both directions and reads and writes contiguous
-(B, H) blocks; the step loops are most of the refine and training time,
-and most of a step's cost is per-call overhead and memory traffic, not
-arithmetic.  So the forward builds its step views once per call, and it
+step into a direction-major ring (2, _PROJ_BLOCK, B, 3H) that holds the
+last _PROJ_BLOCK steps, and every _PROJ_BLOCK steps the chunk's weight
+and input gradients are GEMMs over the ring, added into the layer's
+totals, so no whole-window (2, L, B, 3H) array is built.  Every numpy
+call of a step therefore covers both directions and reads and writes
+contiguous (B, H) blocks; the step loops are most of the refine and
+training time, and most of a step's cost is per-call overhead and memory
+traffic, not arithmetic.  So the forward builds its step views once per call, and it
 halves the z and r weights and biases once, so that each step's sigmoid
 is tanh, +1 and ×0.5, with the same bits as halving at every step.  The
 input projections are computed a few steps at a time into one reused
@@ -58,19 +60,22 @@ clip's 12 windows, is one direct call.
 
 A block takes its large arrays by role from an arena: each layer's
 states, gates, candidate state and output (without a cache, the first
-layer's roles serve both layers), the projection block, and the
-backward's gate gradients, output gradient and after-loop copies.  A
-role's arrays are views of one buffer, and roles whose lifetimes do not
-overlap, such as the two layers' gate gradients, share memory.  Each
-thread that calls refine_batch or batch_gradients holds one _Arena per
-worker index of its calls, so concurrent callers never share one, and a
-thread's arenas last for its life: a long file's blocks and a training
-run's steps page their memory in once and reuse it, where freed memory
-would be faulted back in at every block or step.  A buffer grows to the
+layer's roles serve both layers), the projection block, which the
+backward reuses for each chunk's copies, and the backward's gate
+gradient ring, step buffers and input gradient.  The top layer's output
+gradient takes the top layer's output role "l2.out", since the head and
+attention are done with that output by then.  A role's arrays are views
+of one buffer, and roles whose lifetimes do not overlap, such as the
+two layers' gate gradient rings, share memory.  Each thread that calls
+refine_batch or batch_gradients holds one _Arena per worker index of its
+calls, so concurrent callers never share one, and a thread's arenas
+last for its life: a long file's blocks and a training run's steps page
+their memory in once and reuse it, where freed memory would be faulted
+back in at every block or step.  A buffer grows to the
 largest block its role has served on that thread, so a thread that has
 refined keeps about 13 MB per worker for 112 float32 rows at H=64,
 L=100, and one that has trained keeps one block's training working set
-per worker, about 102 MB for 128 rows, until it ends.
+per worker, about 76 MB for 128 rows, until it ends.
 """
 
 from __future__ import annotations
@@ -188,12 +193,13 @@ class _Arena:
     more, so a role's arrays alias each other.  The roles are each
     layer's states, gates, candidate state and output ("l1.h" .. "l2.out"),
     which a training block's cache holds (a forward without a cache takes
-    only the "l1." roles), and the forward's projection
-    block "proj", which the backward reuses for one direction's previous
-    states once the forward is done.  The backward adds the top layer's
-    output gradient "dout", which the after-loop copies reuse once its
-    step loop is done, the gate gradients "da" that the two layers take in
-    turn, the step buffers "step", and the top layer's input gradient "dx".
+    only the "l1." roles), and the forward's projection block "proj",
+    which the backward reuses for each chunk's copies once the forward is
+    done.  The backward writes the top layer's output gradient into
+    "l2.out", whose output the head and attention have read by then, and
+    adds the ring of the last _PROJ_BLOCK steps' gate gradients "da" that
+    the two layers take in turn, the step buffers "step", and the top
+    layer's input gradient "dx".
     """
 
     def __init__(self):
@@ -343,16 +349,22 @@ def _bigru_backward(
     their last step, reading the forward cache's (L+1, 2, B, H) states and
     contiguous gate blocks.  Each step's gate pre-activation gradients are
     computed in one reused, contiguous (3, 2, B, H) buffer indexed [gate,
-    direction], then copied once into the direction-major (2, L, B, 3H)
-    array da, z, r and h side by side; the step's recurrent product reads
-    its z and r columns from there.  After the loop each direction's input
-    weight gradients, its bias gradients and its input gradient are one
-    GEMM or one sum each over its L·B rows of da, in that direction's step
-    order.  dx is None unless need_dx.
+    direction], then copied into slot t % _PROJ_BLOCK of the
+    direction-major ring da (2, _PROJ_BLOCK, B, 3H), z, r and h side by
+    side; the step's recurrent product reads its z and r columns from
+    there.  Chunks of steps start at multiples of _PROJ_BLOCK, so the
+    first chunk the loop meets, the window's last steps, may be partial.
+    When the loop has done a chunk's first step, each direction's input
+    weight, recurrent weight and bias gradients over the chunk's rows of
+    da are one GEMM or one sum each, added into the layer's totals, and
+    its input-gradient rows are one GEMM, added into dx, which starts at
+    zero.  dx is None unless need_dx.
 
-    The step buffers, da, the after-loop copies and dx are taken from the
-    arena mem.  dout is read only in the step loop, so the after-loop
-    copies may take the "dout" role that _backward's dout lives in.
+    The step buffers, da and dx are taken from the arena mem.  A chunk's
+    copies reuse the forward's projection buffer "proj", which is free by
+    now: direction 1's input rows in its step order, one direction's
+    previous states, overwritten by r * h_prev, and its input-gradient
+    rows.
     """
     x = cache["x"]
     h = cache["h"]  # (L+1, 2, B, H) with the zero initial states at index 0
@@ -361,13 +373,30 @@ def _bigru_backward(
     d_in = x.shape[2]
     dtype = h.dtype
     w, u_zr, u_h, _ = _layer_weights(model, layer, dtype)
-    # per direction, [U_z U_r]^T (2H, H) and U_h^T (H, H)
+    # per direction, [U_z U_r]^T (2H, H), U_h^T (H, H), and the rows of
+    # W_z^T, W_r^T and W_h^T stacked (3H, d_in)
     u_zr_t = np.ascontiguousarray(u_zr.transpose(1, 0, 3, 2).reshape(2, 2 * hidden, hidden))
     u_h_t = np.ascontiguousarray(u_h.transpose(0, 2, 1))
+    w_t = w.transpose(0, 1, 3, 2).reshape(2, 3 * hidden, d_in)
 
-    da = mem.take("da", (2, length, b, 3 * hidden), dtype)
+    block = min(_PROJ_BLOCK, length)
+    da = mem.take("da", (2, block, b, 3 * hidden), dtype)
     # da's rows of one step as (2, B, 3, H): the step's gates are copied in
-    da_gates = da.reshape(2, length, b, 3, hidden)
+    da_gates = da.reshape(2, block, b, 3, hidden)
+    rows = block * b
+    chunk = mem.take("proj", (rows * (2 * d_in + hidden),), dtype)
+    x_rev = chunk[: rows * d_in].reshape(block, b, d_in)
+    states = chunk[rows * d_in : rows * (d_in + hidden)].reshape(block, b, hidden)
+    dx_rows = chunk[rows * (d_in + hidden) :].reshape(block, b, d_in)
+    dw = np.zeros((2, d_in, 3 * hidden), dtype)
+    du_zr = np.zeros((2, hidden, 2 * hidden), dtype)
+    du_h = np.zeros((2, hidden, hidden), dtype)
+    db = np.zeros((2, 3 * hidden), dtype)
+    dx = None
+    if need_dx:
+        dx = mem.take("dx", (length, b, d_in), dtype)
+        dx[...] = 0.0
+
     step = mem.take("step", (7, 2, b, hidden), dtype)
     # one step's gate gradients, indexed [gate, direction]
     g = step[:3]
@@ -379,6 +408,7 @@ def _bigru_backward(
         r = zr_all[t, 1]
         hc = hc_all[t]
         hp = h[t]
+        k = t % block
         # step t of the backward direction read time L-1-t
         dh[0] += dout[t, :, :hidden]
         dh[1] += dout[length - 1 - t, :, hidden:]
@@ -399,53 +429,50 @@ def _bigru_backward(
         da_r *= r
         np.subtract(1.0, r, out=tmp)
         da_r *= tmp
-        da_gates[:, t] = g.transpose(1, 2, 0, 3)
+        da_gates[:, k] = g.transpose(1, 2, 0, 3)
         # dh becomes the gradient of the previous states
         dh *= omz
         drh *= r
         dh += drh
-        np.matmul(da[:, t, :, : 2 * hidden], u_zr_t, out=tmp)
+        np.matmul(da[:, k, :, : 2 * hidden], u_zr_t, out=tmp)
         dh += tmp
+        if k:
+            continue
+        # steps t .. t+n-1 are done: their GEMMs, in each direction's step order
+        n = min(block, length - t)
+        m = n * b
+        for d in range(2):
+            da_d = da[d, :n].reshape(m, 3 * hidden)
+            if d == 0:
+                x_d = x[t : t + n]
+            else:
+                x_d = x_rev[:n]
+                x_d[...] = x[length - t - n : length - t][::-1]
+            h_prev = states[:n].reshape(m, hidden)
+            states[:n] = h[t : t + n, d]
+            dw[d] += x_d.reshape(m, d_in).T @ da_d
+            du_zr[d] += h_prev.T @ da_d[:, : 2 * hidden]
+            db[d] += da_d.sum(axis=0)
+            # r * h_prev, over h_prev
+            np.multiply(zr_all[t : t + n, 1, d], states[:n], out=states[:n])
+            du_h[d] += h_prev.T @ da_d[:, 2 * hidden :]
+            if need_dx:
+                np.matmul(da_d, w_t[d], out=dx_rows[:n].reshape(m, d_in))
+                if d == 0:
+                    dx[t : t + n] += dx_rows[:n]
+                else:
+                    dx[length - t - n : length - t] += dx_rows[:n][::-1]
 
     grads = {}
-    dx = None
     for d, direction in enumerate(_DIRECTIONS):
-        # this direction's input and previous states, in its step order
-        if d == 0:
-            x2 = x.reshape(length * b, d_in)
-        else:
-            x2 = mem.take("dout", (length * b, d_in), dtype)
-            x2.reshape(length, b, d_in)[...] = x[::-1]
-        # the previous states, in the forward's projection buffer, which is
-        # free by now
-        states = mem.take("proj", (length, b, hidden), dtype)
-        states[...] = h[:-1, d]
-        h_prev = states.reshape(length * b, hidden)
-        da_all = da[d].reshape(length * b, 3 * hidden)
-        dw = x2.T @ da_all
-        du_zr = h_prev.T @ da_all[:, : 2 * hidden]
-        db = da_all.sum(axis=0)
-        # r * h_prev, over h_prev
-        np.multiply(zr_all[:, 1, d], states, out=states)
-        rh = h_prev
         prefix = f"{layer}.{direction}"
         for k, g in enumerate(_GATES):
             cols = slice(k * hidden, (k + 1) * hidden)
-            grads[f"{prefix}.W_{g}"] = dw[:, cols]
-            grads[f"{prefix}.b_{g}"] = db[cols]
-        grads[f"{prefix}.U_z"] = du_zr[:, :hidden]
-        grads[f"{prefix}.U_r"] = du_zr[:, hidden:]
-        grads[f"{prefix}.U_h"] = rh.T @ da_all[:, 2 * hidden :]
-        if need_dx:
-            # (3H, d_in): the rows of W_z^T, W_r^T and W_h^T stacked
-            w_all_t = w[d].transpose(0, 2, 1).reshape(3 * hidden, d_in)
-            # direction 1's input gradient goes into x2's memory, read by dw
-            dx_d = mem.take("dx" if d == 0 else "dout", (length * b, d_in), dtype)
-            np.matmul(da_all, w_all_t, out=dx_d)
-            if d == 0:
-                dx = dx_d.reshape(length, b, d_in)
-            else:
-                dx += dx_d.reshape(length, b, d_in)[::-1]
+            grads[f"{prefix}.W_{g}"] = dw[d, :, cols]
+            grads[f"{prefix}.b_{g}"] = db[d, cols]
+        grads[f"{prefix}.U_z"] = du_zr[d, :, :hidden]
+        grads[f"{prefix}.U_r"] = du_zr[d, :, hidden:]
+        grads[f"{prefix}.U_h"] = du_h[d]
     return dx, grads
 
 
@@ -525,7 +552,9 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel, mem) -> dict:
     to float64.  The gradients come back in that dtype too, as new arrays.
     The top layer's output gradient and both layers' backward take their
     arrays from the arena mem.  It may be the arena the cache came from:
-    none of the cache's arrays has a backward role.
+    the output gradient dh2 then takes the top layer's output "l2.out"
+    once the head and attention are done with it, and no other array of
+    the cache has a backward role.
     """
     h2 = cache["h2"]  # (L, B, 2H)
     att = cache["att"]
@@ -561,7 +590,8 @@ def _backward(dout: np.ndarray, cache, model: RefinerModel, mem) -> dict:
     rows[:, 1] = dcontext
     rows[:, 2] = qk
     rows[:, 3] = dhbar
-    dh2 = mem.take("dout", (b, length, 2 * model.hidden), dtype)
+    # h2 is dead now that coef and rows are built: dh2 takes its role
+    dh2 = mem.take("l2.out", (b, length, 2 * model.hidden), dtype)
     np.matmul(coef, rows, out=dh2)
     dh1, grads2 = _bigru_backward(
         cache["cache2"], model, "l2", dh2.transpose(1, 0, 2), need_dx=True, mem=mem

@@ -290,6 +290,11 @@ MALFORMED_MANIFEST_FIELDS = {
         "counts": {"train": 1},
         "shards": {"train": [{"name": "", "records": 1, "bytes": 0}]},
     },
+    # layouts that load_split accepts but record_events cannot replay
+    "cycles-zero": {"cycles": 0},
+    "frames-per-cycle-zero": {"frames_per_cycle": 0},
+    "window-past-sequence": {"frames_per_cycle": 5},
+    "split-holdout": {"counts": {"holdout": 0}, "shards": {"holdout": []}},
 }
 
 

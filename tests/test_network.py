@@ -372,6 +372,21 @@ def test_float32_forward_without_cache_keeps_one_layer_output():
     assert sum(buf.nbytes for buf in mem._buffers.values()) <= 14e6
 
 
+def test_float32_training_block_keeps_a_ring_of_gate_gradients():
+    # one 128-row training block of the shipped shapes: both layers'
+    # caches, about 65.6 MB, plus the backward's eight-step ring of gate
+    # gradients, its chunk copies, the step buffers and dx; a whole-window
+    # (2, L, B, 3H) da would add 18 MB, a separate dh2 buffer 6.6 MB
+    model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=7)
+    rng = make_rng(90)
+    x = rng.uniform(-2.0, 2.0, size=(_GRAD_BLOCK_ROWS, 100))
+    truth = x + rng.normal(0.0, 0.3, size=x.shape)
+    mem = _Arena()
+    out, cache = _forward(x, model, np.float32, keep_cache=True, mem=mem)
+    _backward((2.0 / x.size) * (out - truth), cache, model, mem=mem)
+    assert sum(buf.nbytes for buf in mem._buffers.values()) <= 80e6
+
+
 def on_a_new_thread(fn):
     """fn() on a new thread, which starts with no arenas, so its calls
     are cold whatever this thread ran before; returns fn's result."""
@@ -511,14 +526,20 @@ def test_batch_gradients_loss_matches_forward():
         assert g.shape == model.params[name].shape
 
 
-def test_every_parameter_gradient_matches_finite_differences():
+# the backward takes its weight gradients _PROJ_BLOCK = 8 steps at a time:
+# a window shorter than one chunk, exactly one, and a partial first chunk
+FD_WINDOWS = [5, 8, 12, 13]
+
+
+@pytest.mark.parametrize("window", FD_WINDOWS)
+def test_every_parameter_gradient_matches_finite_differences(window):
     # the 1e-5 scale floor keeps central-difference roundoff (about
     # eps * loss / h ~ 1e-11 absolute here) from dominating coordinates
     # whose true gradient is near zero
     rng = make_rng(58)
-    model = small_model(seed=9)
-    noisy = rng.normal(0.0, 1.0, size=(3, 12))
-    truth = noisy + rng.normal(0.0, 0.3, size=(3, 12))
+    model = small_model(seed=9, window=window)
+    noisy = rng.normal(0.0, 1.0, size=(3, window))
+    truth = noisy + rng.normal(0.0, 0.3, size=(3, window))
     grads = batch_gradients(noisy, truth, model)[1]
     h = 1e-6
     worst = 0.0
@@ -538,13 +559,14 @@ def test_every_parameter_gradient_matches_finite_differences():
     assert worst <= 1e-4
 
 
-def test_directional_derivative_matches_finite_differences():
+@pytest.mark.parametrize("window", FD_WINDOWS)
+def test_directional_derivative_matches_finite_differences(window):
     # a random full-gradient projection has O(1e-2) magnitude, far above
     # the finite-difference noise floor, so this pins the small entries too
     rng = make_rng(60)
-    model = small_model(seed=9)
-    noisy = rng.normal(0.0, 1.0, size=(3, 12))
-    truth = noisy + rng.normal(0.0, 0.3, size=(3, 12))
+    model = small_model(seed=9, window=window)
+    noisy = rng.normal(0.0, 1.0, size=(3, window))
+    truth = noisy + rng.normal(0.0, 0.3, size=(3, window))
     grads = batch_gradients(noisy, truth, model)[1]
     direction = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     analytic = sum(float(np.sum(grads[k] * direction[k])) for k in grads)

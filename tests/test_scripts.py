@@ -29,3 +29,4 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert math.isfinite(summary["mse_ratio"])
         assert math.isfinite(summary["correction_rate"])
+        assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
