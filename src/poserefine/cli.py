@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth", _cmd_synth, "generate a synthetic training corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--train-count", type=int, default=20000)
-    p.add_argument("--test-count", type=int, default=4000)
+    p.add_argument("--train-count", type=int)
+    p.add_argument("--test-count", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--stride", type=int)
     p.add_argument("--frames-per-cycle", type=int)

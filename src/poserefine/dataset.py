@@ -188,7 +188,6 @@ class DatasetManifest:
     stride: int
     frames_per_cycle: int
     cycles: int
-    base_seed: int
     noise: NoiseSpec
     templates: list
     counts: dict = field(default_factory=dict)  # split -> record count
@@ -202,7 +201,7 @@ class DatasetManifest:
             "stride": self.stride,
             "frames_per_cycle": self.frames_per_cycle,
             "cycles": self.cycles,
-            "base_seed": self.base_seed,
+            "base_seed": self.noise.seed,
             "noise_deg": {
                 "jitter_sigma_range": [deg(v) for v in self.noise.jitter_sigma_range],
                 "outlier_fraction": self.noise.outlier_fraction,
@@ -254,7 +253,6 @@ class DatasetManifest:
                 stride=json_index(doc["stride"]),
                 frames_per_cycle=json_index(doc["frames_per_cycle"]),
                 cycles=json_index(doc["cycles"]),
-                base_seed=json_index(doc["base_seed"]),
                 noise=noise,
                 templates=templates,
                 counts={k: json_index(v) for k, v in counts.items()},
@@ -317,15 +315,15 @@ def record_coords(manifest: DatasetManifest, index: int):
 def record_events(manifest: DatasetManifest, split: str, index: int) -> NoiseEvents:
     """Re-derive the corruption events of a stored record from its seed."""
     subject, joint, offset = record_coords(manifest, index)
-    rng = _rng(manifest.base_seed, _SPLIT_CODES[split], subject, joint, offset)
+    rng = _rng(manifest.noise.seed, _SPLIT_CODES[split], subject, joint, offset)
     _, events = inject_noise_events(np.zeros(manifest.window), manifest.noise, rng)
     return events
 
 
 def generate_dataset(
     out_dir,
-    train_count: int,
-    test_count: int,
+    train_count: int = 20000,
+    test_count: int = 4000,
     noise: NoiseSpec | None = None,
     window: int = 100,
     stride: int = 1,
@@ -360,7 +358,6 @@ def generate_dataset(
         stride=stride,
         frames_per_cycle=frames_per_cycle,
         cycles=cycles,
-        base_seed=noise.seed,
         noise=noise,
         templates=[t.name for t in templates],
     )

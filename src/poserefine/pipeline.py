@@ -280,17 +280,16 @@ def evaluate_metrics(
 def score_windows(manifest: DatasetManifest, split: str, model: RefinerModel) -> dict:
     """Refine a corpus split's windows and score them against truth.
 
-    The network runs in float32, the precision refine uses.  Returns the
-    wrapped angle MSE before and after ("noisy_mse", "refined_mse") and
-    their ratio ("mse_ratio"), and the correction rate at evaluate_metrics'
-    default tau ("correction_rate") over the split's events ("events"),
-    of which "corrected" were; an event is one corrupted frame of a
-    window, re-derived from the record's seed.
+    Returns the wrapped angle MSE before and after ("noisy_mse",
+    "refined_mse") and their ratio ("mse_ratio"), and the correction rate
+    at evaluate_metrics' default tau ("correction_rate") over the split's
+    events ("events"), of which "corrected" were; an event is one
+    corrupted frame of a window, re-derived from the record's seed.
     """
     _, truth, noisy = load_split(manifest, split)
     if len(noisy) == 0:
         raise InsufficientDataError(f"split {split!r} has no windows to score")
-    pred = refine_batch(noisy, model, dtype=np.float32)
+    pred = refine_batch(noisy, model)
     noisy_mse = float(np.mean(wrap_angle(noisy - truth) ** 2))
     refined_mse = float(np.mean(wrap_angle(pred - truth) ** 2))
     events = corrected = 0

@@ -11,14 +11,15 @@ A model whose weights are all zero is therefore exactly the identity.
 `batch_gradients` keeps every step's gates for its hand-written reverse
 mode, which the test suite checks against central finite differences in
 float64.  It and `refine_batch` run the network in the dtype they are
-given, float64 by default; training and `refine` pass float32.  Inference
-keeps no backward cache: the gates and candidate state live in one
-per-step buffer each, and the two layers take the same states and output
-buffers, the second layer writing its output over its input once its
-time loop has read it.  Inputs and outputs stay float64; the network's
-correction is added onto the float64 input, so a float32 run rounds only
-that.  The loss is taken from that float64 output, and the gradients are
-returned as float64 for the float64 weights and Adam moments.
+given, float32 by default; the tests pass float64 for their references.
+Inference keeps no backward cache: the gates and candidate state live in
+one per-step buffer each, and the two layers take the same states and
+output buffers, the second layer writing its output over its input once
+its time loop has read it.  Inputs and outputs stay float64; the
+network's correction is added onto the float64 input, so a float32 run
+rounds only that.  The loss is taken from that float64 output, and the
+gradients are returned as float64 for the float64 weights and Adam
+moments.
 
 The public functions take batch-major (B, L) windows, but the GRU layers
 run time-major, and one time loop per layer advances both directions.
@@ -43,20 +44,18 @@ batch-major view.  Their backward builds no (B, L, 2H) or (B, L, d_att)
 temporary: the key gradient is rank one in time, and the top layer's
 output gradient is one batched (B, L, 4) @ (B, 4, 2H) product.
 
-`refine_batch` splits its rows into blocks of at most _BLOCK_ROWS, and
-`batch_gradients` into the fewest balanced blocks of at most
-_GRAD_BLOCK_ROWS, and at least two from _GRAD_SPLIT_ROWS rows on (a
-256-row training batch is two of 128, its epoch's 102-row last batch two
-of 51); a block bounds the working memory of its forward, or forward and
-backward, call.  A batch of several blocks is drained by one thread per
-available CPU, the calling thread among them, while OpenBLAS is held to
-one thread: numpy releases the GIL in the step's matmuls and ufuncs, so
-the blocks' time loops overlap, and a BLAS that also spread each small
-matmul over the cores would oversubscribe them.  The partition does not
-depend on the number of CPUs, rows are independent, and the blocks'
-gradients are summed in block order, so both functions give the same
-bits on any number of threads.  A batch of one block, such as a short
-clip's 12 windows, is one direct call.
+Both entry points split their rows the same way (see _blocks), so a
+256-row training batch is two blocks of 128 and a 3000-frame file's 1404
+rows twelve of 117; a block bounds the working memory of its forward, or
+forward and backward, call.  A batch of several blocks is drained by one
+thread per available CPU, the calling thread among them, while OpenBLAS
+is held to one thread: numpy releases the GIL in the step's matmuls and
+ufuncs, so the blocks' time loops overlap, and a BLAS that also spread
+each small matmul over the cores would oversubscribe them.  The partition does not depend on the
+number of CPUs, rows are independent, and the blocks' gradients are
+summed in block order, so both functions give the same bits on any
+number of threads.  A batch of one block, such as a short clip's 12
+windows, is one direct call.
 
 A block takes its large arrays by role from an arena: each layer's
 states, gates, candidate state and output (without a cache, the first
@@ -73,7 +72,7 @@ last for its life: a long file's blocks and a training run's steps page
 their memory in once and reuse it, where freed memory would be faulted
 back in at every block or step.  A buffer grows to the
 largest block its role has served on that thread, so a thread that has
-refined keeps about 13 MB per worker for 112 float32 rows at H=64,
+refined keeps about 13.7 MB per worker for 117 float32 rows at H=64,
 L=100, and one that has trained keeps one block's training working set
 per worker, about 76 MB for 128 rows, until it ends.
 """
@@ -101,15 +100,12 @@ _VERSION = 1
 MAX_WINDOW = 65535
 # time steps whose input projections are computed together, per direction
 _PROJ_BLOCK = 8
-# rows per forward call in refine_batch: a block bounds the forward pass's
-# working memory, and separate blocks can run on separate cores
-_BLOCK_ROWS = 112
-# the most rows per forward and backward call in batch_gradients: a
-# 256-row training batch is two blocks, which can run on separate cores
-_GRAD_BLOCK_ROWS = 128
-# the fewest rows that batch_gradients splits into two blocks, so that a
-# short batch, such as an epoch's last, runs on two cores
-_GRAD_SPLIT_ROWS = 64
+# the most rows per block: a block bounds the working memory of its
+# network call, and separate blocks can run on separate cores
+_MAX_BLOCK_ROWS = 128
+# the fewest rows split into blocks, so that a short batch, such as an
+# epoch's last, runs on two cores
+_SPLIT_ROWS = 64
 # held while parallel blocks have BLAS pinned to one thread
 _BLAS_LOCK = threading.Lock()
 
@@ -670,21 +666,32 @@ def _one_blas_thread():
             put(before)
 
 
-def _run_blocks(count: int, job) -> list:
-    """[job(0, mem), ..., job(count - 1, mem)], the jobs run as the module
-    docstring describes, or all on the calling thread if BLAS cannot be
-    held to one thread; mem is the calling thread's arena of the worker
-    that runs the job, worker 0 being the calling thread, so no two jobs
-    that overlap share an arena.  A single job runs directly, with no
-    thread and no BLAS lookup.  Jobs on a worker thread may call only
+def _blocks(rows: int) -> list:
+    """Row slices of the blocks of a batch: one block below _SPLIT_ROWS
+    rows, otherwise the fewest even number of balanced blocks of at most
+    _MAX_BLOCK_ROWS rows, whatever the number of CPUs.  An even count
+    gives two workers equal shares, and its blocks are no larger than the
+    fewest blocks would be, so a worker's arena grows no more."""
+    count = 1 if rows < _SPLIT_ROWS else 2 * -(-rows // (2 * _MAX_BLOCK_ROWS))
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
+def _run_blocks(rows: int, job) -> list:
+    """[job(part, mem) for part in _blocks(rows)], the jobs run as the
+    module docstring describes, or all on the calling thread if BLAS
+    cannot be held to one thread; mem is the calling thread's arena of
+    the worker that runs the job, worker 0 being the calling thread, so no
+    two jobs that overlap share an arena.  A single job runs directly, with
+    no thread and no BLAS lookup.  Jobs on a worker thread may call only
     private functions, so a public function a caller has wrapped runs on
     the calling thread alone.
     """
+    parts = _blocks(rows)
     arenas = _THREAD_ARENAS.by_worker
-    if count <= 1:
-        return [job(i, arenas.setdefault(0, _Arena())) for i in range(count)]
-    results = [None] * count
-    todo = iter(range(count))
+    if len(parts) == 1:
+        return [job(parts[0], arenas.setdefault(0, _Arena()))]
+    results = [None] * len(parts)
+    todo = iter(range(len(parts)))
     claim = threading.Lock()
 
     def drain(mem):
@@ -693,10 +700,10 @@ def _run_blocks(count: int, job) -> list:
                 i = next(todo, None)
             if i is None:
                 return
-            results[i] = job(i, mem)
+            results[i] = job(parts[i], mem)
 
     with _one_blas_thread() as held:
-        workers = min(_cpu_count(), count) if held else 1
+        workers = min(_cpu_count(), len(parts)) if held else 1
         mems = [arenas.setdefault(w, _Arena()) for w in range(workers)]
         if workers == 1:
             drain(mems[0])
@@ -713,25 +720,23 @@ def _run_blocks(count: int, job) -> list:
     return results
 
 
-def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float64) -> np.ndarray:
+def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float32) -> np.ndarray:
     """Refine a batch of windows, shape (B, L) -> float64 (B, L).
 
-    The network computes in dtype and keeps no backward cache.  Each block
-    of at most _BLOCK_ROWS rows is one forward call.
+    The network computes in dtype and keeps no backward cache, one forward
+    call per block of rows.
     """
     noisy = np.asarray(noisy, dtype=float)
     if noisy.ndim != 2 or noisy.shape[1] != model.window:
         raise ShapeError(
             f"batch must be (n, {model.window}), got {noisy.shape}"
         )
-    starts = range(0, len(noisy), _BLOCK_ROWS)
     out = np.empty_like(noisy)
 
-    def block(i, mem):
-        part = slice(starts[i], starts[i] + _BLOCK_ROWS)
+    def block(part, mem):
         out[part] = _forward(noisy[part], model, dtype, keep_cache=False, mem=mem)[0]
 
-    _run_blocks(len(starts), block)
+    _run_blocks(len(noisy), block)
     return out
 
 
@@ -745,44 +750,33 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _gradient_blocks(rows: int) -> list:
-    """Row bounds of batch_gradients' blocks: the fewest balanced blocks of
-    at most _GRAD_BLOCK_ROWS rows, and at least two from _GRAD_SPLIT_ROWS
-    rows on, whatever the number of CPUs."""
-    count = max(2 if rows >= _GRAD_SPLIT_ROWS else 1, -(-rows // _GRAD_BLOCK_ROWS))
-    return [rows * i // count for i in range(count + 1)]
-
-
 def batch_gradients(
     noisy: np.ndarray,
     truth: np.ndarray,
     model: RefinerModel,
-    dtype=np.float64,
+    dtype=np.float32,
 ):
     """Loss and float64 parameter gradients of the batch MSE; (B, L) inputs.
 
     The forward and backward compute in dtype, one call of each per block
-    of rows (see _gradient_blocks), and the blocks run as the module
-    docstring describes.  The loss is the mean of the blocks' float64
-    output errors, and the blocks' gradients are cast to float64 and
-    summed in block order, so the result does not depend on the number of
-    threads.
+    of rows, and the blocks run as the module docstring describes.  The
+    loss is the mean of the blocks' float64 output errors, and the blocks'
+    gradients are cast to float64 and summed in block order, so the result
+    does not depend on the number of threads.
     """
     noisy = np.asarray(noisy, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if noisy.shape != truth.shape or noisy.ndim != 2 or noisy.size == 0:
         raise ShapeError("noisy and truth must both be (n, window) with n, window >= 1")
-    bounds = _gradient_blocks(len(noisy))
     diff = np.empty_like(noisy)
     scale = 2.0 / noisy.size
 
-    def block(i, mem):
-        part = slice(bounds[i], bounds[i + 1])
+    def block(part, mem):
         out, cache = _forward(noisy[part], model, dtype, keep_cache=True, mem=mem)
         np.subtract(out, truth[part], out=diff[part])
         return _backward(scale * diff[part], cache, model, mem=mem)
 
-    first, *rest = _run_blocks(len(bounds) - 1, block)
+    first, *rest = _run_blocks(len(noisy), block)
     grads = {name: g.astype(np.float64) for name, g in first.items()}
     for block_grads in rest:
         for name, g in block_grads.items():

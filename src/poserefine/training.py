@@ -1,12 +1,11 @@
 """Training loop for the window refiner: Adam, early stopping, logging.
 
-Gradients and validation run the network in float32, the precision
-`refine` uses; Adam's moments, the parameters and the gradients it
-receives stay float64.  Each batch's gradients, and the whole validation
-split in one call, run on every available core in fixed row blocks (see
-`refiner`), so a seed gives the same model on any number of CPUs.  They
-all work in the calling thread's arenas (see `refiner`), so each block's
-arrays are paged in by the first step and reused by the rest of the run.
+Adam's moments, the parameters and the gradients it receives are
+float64.  Each batch's gradients, and the whole validation split in one
+call, run on every available core in fixed row blocks (see `refiner`),
+so a seed gives the same model on any number of CPUs.  They all work in
+the calling thread's arenas (see `refiner`), so each block's arrays are
+paged in by the first step and reused by the rest of the run.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ def train_on_arrays(
     def evaluate(idx):
         if idx.size == 0:
             return float("nan")
-        return mse_loss(refine_batch(noisy[idx], model, dtype=np.float32), truth[idx])
+        return mse_loss(refine_batch(noisy[idx], model), truth[idx])
 
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
@@ -173,9 +172,7 @@ def train_on_arrays(
         total = 0.0
         for lo in range(0, order.size, config.batch_size):
             part = order[lo : lo + config.batch_size]
-            loss, grads = batch_gradients(
-                noisy[part], truth[part], model, dtype=np.float32
-            )
+            loss, grads = batch_gradients(noisy[part], truth[part], model)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(model.params, grads)

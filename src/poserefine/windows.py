@@ -11,10 +11,10 @@ the refiner sees context on both sides.  A series shorter than the window
 is reflect-padded to one window first.
 
 The windows of every joint are stacked into one (n_windows * n_joints, L)
-array and refined in float32 by one refine_batch call, so a clip takes
-one call instead of one per joint.  refine_batch bounds its own memory:
-it splits the rows into blocks and, for a long clip, runs them on every
-available core.
+array and refined by one refine_batch call, so a clip takes one call
+instead of one per joint.  refine_batch bounds its own memory: it splits
+the rows into blocks and, for a long clip, runs them on every available
+core.
 """
 
 from __future__ import annotations
@@ -90,6 +90,6 @@ def refine_sequence(theta: np.ndarray, model: RefinerModel) -> np.ndarray:
     # one row per (window, joint), window-major
     rows = sliding_window_view(unwrapped, model.window, axis=0)[starts]
     rows = rows.reshape(-1, model.window)
-    refined = refine_batch(rows, model, dtype=np.float32)
+    refined = refine_batch(rows, model)
     refined = refined.reshape(len(starts), n_joints, model.window)
     return stitch_windows(refined.transpose(0, 2, 1), starts)[:n]

@@ -204,7 +204,7 @@ def test_gradient_check_full_model():
     # truth near noisy keeps the loss (and with it the finite-difference
     # roundoff, about eps * loss / h) small enough to resolve 1e-4
     y = x + rng.normal(0.0, 0.3, size=(3, 20))
-    loss, grads = batch_gradients(x, y, model)
+    loss, grads = batch_gradients(x, y, model, dtype=np.float64)
     worst = 0.0
     for name in parameter_shapes(8, 4):
         param = model.params[name]
@@ -214,9 +214,9 @@ def test_gradient_check_full_model():
             h = 1e-6 * max(1.0, abs(flat[k]))
             old = flat[k]
             flat[k] = old + h
-            up = float(np.mean((refine_batch(x, model) - y) ** 2))
+            up = float(np.mean((refine_batch(x, model, dtype=np.float64) - y) ** 2))
             flat[k] = old - h
-            down = float(np.mean((refine_batch(x, model) - y) ** 2))
+            down = float(np.mean((refine_batch(x, model, dtype=np.float64) - y) ** 2))
             flat[k] = old
             fd = (up - down) / (2 * h)
             # 1e-5 scale floor keeps the test meaningful where the true

@@ -415,7 +415,7 @@ MALFORMED = {
     "manifest-shard-name": (
         "train",
         DatasetManifest(
-            window=20, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            window=20, stride=1, frames_per_cycle=25, cycles=2,
             noise=NoiseSpec(), templates=[], counts={"train": 1},
             shards={"train": [(5, 1, 0)]},
         ).to_json(),
@@ -424,7 +424,7 @@ MALFORMED = {
     "manifest-window-huge": (
         "train",
         DatasetManifest(
-            window=10**12, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            window=10**12, stride=1, frames_per_cycle=25, cycles=2,
             noise=NoiseSpec(), templates=[], counts={"train": 1},
             shards={"train": [("train-0000.bin", 1, 0)]},
         ).to_json(),
@@ -432,7 +432,7 @@ MALFORMED = {
     "manifest-window": (
         "train",
         DatasetManifest(
-            window=-5, stride=1, frames_per_cycle=25, cycles=2, base_seed=0,
+            window=-5, stride=1, frames_per_cycle=25, cycles=2,
             noise=NoiseSpec(), templates=[], counts={"train": 1},
             shards={"train": [("train-0000.bin", 1, 0)]},
         ).to_json(),
@@ -499,7 +499,7 @@ def test_commands_without_flags_use_the_dataclass_defaults(
     def fake_generate(out_dir, noise, **corpus_kw):
         seen["noise"], seen["corpus"] = noise, corpus_kw
         return cli.ds.DatasetManifest(
-            window=100, stride=1, frames_per_cycle=100, cycles=2, base_seed=0,
+            window=100, stride=1, frames_per_cycle=100, cycles=2,
             noise=noise, templates=[],
         )
 
@@ -520,7 +520,7 @@ def test_commands_without_flags_use_the_dataclass_defaults(
         ["refine", "--input", str(keypoint_file), "--model", "m", "--output", "o"]
     ) == 0
     assert seen["noise"] == NoiseSpec()
-    assert seen["corpus"] == {"train_count": 20000, "test_count": 4000}
+    assert seen["corpus"] == {}  # generate_dataset's corpus size applies
     assert seen["train"] == TrainConfig()
     assert seen["refine"] == {}  # refine_keypoint_file's half_width default applies
 

@@ -214,7 +214,7 @@ def test_manifest_roundtrip(tiny_corpus):
     loaded = DatasetManifest.load(os.path.join(out, "manifest.json"))
     assert loaded.window == 20 and loaded.stride == 5
     assert loaded.frames_per_cycle == 25 and loaded.cycles == 2
-    assert loaded.base_seed == 5
+    assert loaded.noise.seed == 5
     assert loaded.templates == ["walk", "run", "march", "shuffle"]
     assert loaded.counts == manifest.counts
     assert loaded.shards == manifest.shards
@@ -241,7 +241,7 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
     with pytest.raises(SchemaError):
         DatasetManifest.load(path)
     good = DatasetManifest(
-        window=20, stride=5, frames_per_cycle=25, cycles=2, base_seed=0,
+        window=20, stride=5, frames_per_cycle=25, cycles=2,
         noise=NoiseSpec(), templates=[],
     )
     # a window past the shard limit would reach read_shard's record dtype,
@@ -303,7 +303,7 @@ MALFORMED_MANIFEST_FIELDS = {
 )
 def test_manifest_load_rejects_malformed_splits_and_templates(tmp_path, capsys, fields):
     good = DatasetManifest(
-        window=20, stride=5, frames_per_cycle=25, cycles=2, base_seed=0,
+        window=20, stride=5, frames_per_cycle=25, cycles=2,
         noise=NoiseSpec(), templates=["walk"], counts={"train": 0}, shards={"train": []},
     )
     path = tmp_path / "manifest.json"
@@ -341,7 +341,7 @@ def test_record_events_replays_stored_noise(tiny_corpus):
     for index in (0, 13, 41, 69):
         subject, joint, offset = record_coords(manifest, index)
         # the key is (base seed, split code: train 0 / test 1, subject, joint, offset)
-        rng = np.random.default_rng([manifest.base_seed, 0, subject, joint, offset])
+        rng = np.random.default_rng([manifest.noise.seed, 0, subject, joint, offset])
         replay, events = inject_noise_events(truth[index], manifest.noise, rng)
         # shards hold float32, and generation adds noise before the cast,
         # so the replayed values agree to storage precision only
@@ -433,7 +433,7 @@ def test_load_split_concatenates_shards_in_order(tmp_path):
         shards.append({"name": name, "records": len(joints[part]), "bytes": size})
     doc = json.loads(
         DatasetManifest(
-            window=16, stride=1, frames_per_cycle=20, cycles=1, base_seed=0,
+            window=16, stride=1, frames_per_cycle=20, cycles=1,
             noise=NoiseSpec(), templates=[],
         ).to_json()
     )

@@ -28,18 +28,17 @@ from poserefine import (
 )
 from poserefine import refiner, training
 from poserefine.refiner import (
-    _BLOCK_ROWS,
-    _GRAD_BLOCK_ROWS,
-    _GRAD_SPLIT_ROWS,
+    _MAX_BLOCK_ROWS,
     _PROJ_BLOCK,
+    _SPLIT_ROWS,
     MAX_WINDOW,
     _Arena,
     _attention_forward,
     _backward,
     _bigru_backward,
     _bigru_forward,
+    _blocks,
     _forward,
-    _gradient_blocks,
 )
 
 from conftest import make_rng
@@ -195,7 +194,7 @@ def test_full_forward_matches_public_composition():
     feats = np.concatenate([h2, np.broadcast_to(context[:, None, :], h2.shape)], axis=2)
     head = feats @ model.params["head.W_o"][:, 0] + model.params["head.b_o"][0]
     want = x + np.pi * head
-    assert np.max(np.abs(refine_batch(x, model) - want)) <= 1e-12
+    assert np.max(np.abs(refine_batch(x, model, dtype=np.float64) - want)) <= 1e-12
 
 
 def test_refine_batch_rows_are_independent():
@@ -203,19 +202,18 @@ def test_refine_batch_rows_are_independent():
     rng = make_rng(62)
     model = small_model(seed=12)
     x = rng.uniform(-2.0, 2.0, size=(5, 12))
-    got = refine_batch(x, model)
+    got = refine_batch(x, model, dtype=np.float64)
     for i in range(x.shape[0]):
-        assert np.max(np.abs(got[i] - refine_batch(x[i : i + 1], model)[0])) <= 1e-12
+        row = refine_batch(x[i : i + 1], model, dtype=np.float64)[0]
+        assert np.max(np.abs(got[i] - row)) <= 1e-12
 
 
 def blockwise(x, model, dtype) -> np.ndarray:
     """Oracle: each block of rows through its own forward call, in turn."""
     return np.concatenate(
         [
-            _forward(
-                x[lo : lo + _BLOCK_ROWS], model, dtype, keep_cache=False, mem=_Arena()
-            )[0]
-            for lo in range(0, len(x), _BLOCK_ROWS)
+            _forward(x[part], model, dtype, keep_cache=False, mem=_Arena())[0]
+            for part in _blocks(len(x))
         ]
     )
 
@@ -239,11 +237,12 @@ def record_forward_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
-    # seven full blocks and a partial one, on 1, 2 or 8 worker threads
-    # (more than this machine may have cores), switching threads often
+    # a 3000-frame file's 1404 rows, twelve blocks of 117, on 1, 2 or 8
+    # worker threads (more than this machine may have cores), switching
+    # threads often
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     model = small_model(seed=15)
-    x = make_rng(73).uniform(-2.0, 2.0, size=(7 * _BLOCK_ROWS + 5, 12))
+    x = make_rng(73).uniform(-2.0, 2.0, size=(1404, 12))
     want = blockwise(x, model, dtype)
     calls = record_forward_calls(monkeypatch)
     before = threading.active_count()
@@ -258,7 +257,7 @@ def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, work
     # the blocks ran on at most `workers` threads, the calling one
     # included, with BLAS held to one thread
     threads = {ident for ident, _, _, _ in calls}
-    assert len(calls) == 8
+    assert [rows for _, _, _, rows in calls] == 12 * [117]
     assert len(threads) <= workers
     if workers == 1:
         assert threads == {threading.get_ident()}
@@ -270,8 +269,9 @@ def test_refine_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     model = small_model(seed=18)
-    x = make_rng(77).uniform(-2.0, 2.0, size=(2 * _BLOCK_ROWS + 1, 12))
-    assert np.array_equal(refine_batch(x, model), blockwise(x, model, np.float64))
+    x = make_rng(77).uniform(-2.0, 2.0, size=(225, 12))
+    want = blockwise(x, model, np.float64)
+    assert np.array_equal(refine_batch(x, model, dtype=np.float64), want)
 
 
 def test_concurrent_callers_get_the_serial_results_and_blas_is_restored():
@@ -281,7 +281,7 @@ def test_concurrent_callers_get_the_serial_results_and_blas_is_restored():
     get, put = control
     model = small_model(seed=16)
     rng = make_rng(75)
-    batches = [rng.uniform(-2.0, 2.0, size=(2 * _BLOCK_ROWS + 3, 12)) for _ in range(2)]
+    batches = [rng.uniform(-2.0, 2.0, size=(227, 12)) for _ in range(2)]
     want = [refine_batch(x, model, dtype=np.float32) for x in batches]
     got = [None, None]
     start = threading.Barrier(2)
@@ -314,13 +314,27 @@ def test_one_block_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     calls = record_forward_calls(monkeypatch)
     monkeypatch.setattr(refiner, "_blas_thread_control", refuse)
     model = small_model(seed=17)
-    x = make_rng(76).uniform(-2.0, 2.0, size=(_BLOCK_ROWS, 12))
+    x = make_rng(76).uniform(-2.0, 2.0, size=(_SPLIT_ROWS - 1, 12))
     before = threading.active_count()
     refine_batch(x, model, dtype=np.float32)
     assert [(ident, count) for ident, _, count, _ in calls] == [
         (threading.get_ident(), before)
     ]
     assert threading.active_count() == before
+
+
+def test_both_entry_points_split_154_rows_into_two_blocks_of_77(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = small_model(seed=25)
+    rng = make_rng(91)
+    noisy = rng.uniform(-2.0, 2.0, size=(154, 12))
+    truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+    calls = record_forward_calls(monkeypatch)
+    refine_batch(noisy, model)
+    assert [rows for _, _, _, rows in calls] == [77, 77]
+    calls.clear()
+    batch_gradients(noisy, truth, model)
+    assert [rows for _, _, _, rows in calls] == [77, 77]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -350,7 +364,7 @@ def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("rows", [12, _BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [12, 112])
 def test_forward_without_cache_on_one_arena_matches_the_cached_run(dtype, rows):
     # without a cache the second layer writes its output over its input,
     # the first layer's output, in the one arena
@@ -363,10 +377,11 @@ def test_forward_without_cache_on_one_arena_matches_the_cached_run(dtype, rows):
 
 
 def test_float32_forward_without_cache_keeps_one_layer_output():
-    # one block of the shipped shapes: states, projections, one step's gates
-    # and one (L, B, 2H) output, about 13.1 MB; a second output would add 5.7
+    # a 112-row block of the shipped shapes: states, projections, one step's
+    # gates and one (L, B, 2H) output, about 13.1 MB; a second output would
+    # add 5.7
     model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=6)
-    x = make_rng(89).uniform(-2.0, 2.0, size=(_BLOCK_ROWS, 100))
+    x = make_rng(89).uniform(-2.0, 2.0, size=(112, 100))
     mem = _Arena()
     _forward(x, model, np.float32, keep_cache=False, mem=mem)
     assert sum(buf.nbytes for buf in mem._buffers.values()) <= 14e6
@@ -379,7 +394,7 @@ def test_float32_training_block_keeps_a_ring_of_gate_gradients():
     # (2, L, B, 3H) da would add 18 MB, a separate dh2 buffer 6.6 MB
     model = RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=7)
     rng = make_rng(90)
-    x = rng.uniform(-2.0, 2.0, size=(_GRAD_BLOCK_ROWS, 100))
+    x = rng.uniform(-2.0, 2.0, size=(_MAX_BLOCK_ROWS, 100))
     truth = x + rng.normal(0.0, 0.3, size=x.shape)
     mem = _Arena()
     out, cache = _forward(x, model, np.float32, keep_cache=True, mem=mem)
@@ -416,11 +431,19 @@ def test_a_second_refine_batch_call_reuses_the_first_ones_memory(monkeypatch):
     x = make_rng(86).uniform(-1.0, 1.0, size=(256, 100))
 
     def two_calls():
+        arenas = refiner._THREAD_ARENAS.by_worker
         new_bytes = []
-        for _ in range(2):
+        for call in range(2):
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            refine_batch(x, model, dtype=np.float32)
+            refine_batch(x, model)
+            if call == 0:
+                # the calling thread may have run both blocks before worker
+                # 1 took one: fill each worker's arena with its block, so
+                # the second call finds both paged in whichever runs what
+                for worker, part in enumerate(_blocks(len(x))):
+                    mem = arenas.setdefault(worker, _Arena())
+                    _forward(x[part], model, np.float32, keep_cache=False, mem=mem)
             new_bytes.append(tracemalloc.get_traced_memory()[1] - before)
         return new_bytes
 
@@ -477,7 +500,23 @@ def test_float32_forward_computes_in_float32_and_returns_float64():
     got = refine_batch(x, model, dtype=np.float32)
     assert got.dtype == np.float64
     assert np.array_equal(got, out)
-    assert np.max(np.abs(got - refine_batch(x, model))) <= 1e-5
+    assert np.max(np.abs(got - refine_batch(x, model, dtype=np.float64))) <= 1e-5
+
+
+def test_a_call_without_dtype_is_the_float32_call():
+    # the network's precision is decided in refiner alone: its callers
+    # pass no dtype and get float32, in two blocks here
+    rng = make_rng(92)
+    model = small_model(seed=26)
+    noisy = rng.uniform(-2.0, 2.0, size=(70, 12))
+    truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
+    assert np.array_equal(
+        refine_batch(noisy, model), refine_batch(noisy, model, dtype=np.float32)
+    )
+    loss, grads = batch_gradients(noisy, truth, model)
+    loss32, grads32 = batch_gradients(noisy, truth, model, dtype=np.float32)
+    assert loss == loss32
+    assert all(np.array_equal(g, grads32[name]) for name, g in grads.items())
 
 
 def test_forward_is_deterministic():
@@ -493,8 +532,8 @@ def test_additive_shift_equivariance():
     model = small_model(seed=7)
     x = rng.uniform(-1.0, 1.0, size=(2, 12))
     for c in (0.5, -3.0, 2.75):
-        lhs = refine_batch(x + c, model)
-        rhs = refine_batch(x, model) + c
+        lhs = refine_batch(x + c, model, dtype=np.float64)
+        rhs = refine_batch(x, model, dtype=np.float64) + c
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -519,8 +558,9 @@ def test_batch_gradients_loss_matches_forward():
     model = small_model(seed=8)
     noisy = rng.normal(size=(4, 12))
     truth = rng.normal(size=(4, 12))
-    loss, grads = batch_gradients(noisy, truth, model)
-    assert loss == pytest.approx(mse_loss(refine_batch(noisy, model), truth), rel=1e-12)
+    loss, grads = batch_gradients(noisy, truth, model, dtype=np.float64)
+    want = mse_loss(refine_batch(noisy, model, dtype=np.float64), truth)
+    assert loss == pytest.approx(want, rel=1e-12)
     assert set(grads) == set(model.params)
     for name, g in grads.items():
         assert g.shape == model.params[name].shape
@@ -540,7 +580,7 @@ def test_every_parameter_gradient_matches_finite_differences(window):
     model = small_model(seed=9, window=window)
     noisy = rng.normal(0.0, 1.0, size=(3, window))
     truth = noisy + rng.normal(0.0, 0.3, size=(3, window))
-    grads = batch_gradients(noisy, truth, model)[1]
+    grads = batch_gradients(noisy, truth, model, dtype=np.float64)[1]
     h = 1e-6
     worst = 0.0
     for name, tensor in model.params.items():
@@ -549,9 +589,9 @@ def test_every_parameter_gradient_matches_finite_differences(window):
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
-            up = mse_loss(refine_batch(noisy, model), truth)
+            up = mse_loss(refine_batch(noisy, model, dtype=np.float64), truth)
             flat[idx] = keep - h
-            down = mse_loss(refine_batch(noisy, model), truth)
+            down = mse_loss(refine_batch(noisy, model, dtype=np.float64), truth)
             flat[idx] = keep
             fd = (up - down) / (2.0 * h)
             scale = max(abs(fd), abs(gflat[idx]), 1e-5)
@@ -567,16 +607,16 @@ def test_directional_derivative_matches_finite_differences(window):
     model = small_model(seed=9, window=window)
     noisy = rng.normal(0.0, 1.0, size=(3, window))
     truth = noisy + rng.normal(0.0, 0.3, size=(3, window))
-    grads = batch_gradients(noisy, truth, model)[1]
+    grads = batch_gradients(noisy, truth, model, dtype=np.float64)[1]
     direction = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     analytic = sum(float(np.sum(grads[k] * direction[k])) for k in grads)
     h = 1e-6
     for name in model.params:
         model.params[name] += h * direction[name]
-    up = mse_loss(refine_batch(noisy, model), truth)
+    up = mse_loss(refine_batch(noisy, model, dtype=np.float64), truth)
     for name in model.params:
         model.params[name] -= 2.0 * h * direction[name]
-    down = mse_loss(refine_batch(noisy, model), truth)
+    down = mse_loss(refine_batch(noisy, model, dtype=np.float64), truth)
     for name in model.params:
         model.params[name] += h * direction[name]
     fd = (up - down) / (2.0 * h)
@@ -599,7 +639,7 @@ def test_float32_gradients_match_float64():
     model = RefinerModel.init_random(hidden=16, d_att=8, window=40, seed=11)
     noisy = rng.uniform(-2.0, 2.0, size=(32, 40))
     truth = noisy + rng.normal(0.0, 0.3, size=(32, 40))
-    loss64, grads64 = batch_gradients(noisy, truth, model)
+    loss64, grads64 = batch_gradients(noisy, truth, model, dtype=np.float64)
     loss32, grads32 = batch_gradients(noisy, truth, model, dtype=np.float32)
     assert loss32 == pytest.approx(loss64, rel=1e-6)
     assert set(grads32) == set(grads64)
@@ -781,31 +821,42 @@ def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
     assert np.abs(got_dh2 - want_dh2).max() <= 1e-12 * np.abs(want_dh2).max()
 
 
-def test_gradient_blocks_are_the_fewest_balanced_blocks():
-    # a training batch of 256 is two blocks of 128, and a batch of 64 rows
-    # or more, such as an epoch's last, short batch, is at least two blocks
-    assert _GRAD_BLOCK_ROWS == 128
-    assert _GRAD_SPLIT_ROWS == 64
-    assert _gradient_blocks(256) == [0, 128, 256]
-    assert _gradient_blocks(102) == [0, 51, 102]
-    assert _gradient_blocks(128) == [0, 64, 128]
-    assert _gradient_blocks(64) == [0, 32, 64]
-    assert _gradient_blocks(63) == [0, 63]
-    assert _gradient_blocks(1) == [0, 1]
-    assert _gradient_blocks(129) == [0, 64, 129]
-    assert _gradient_blocks(3 * 128 + 5) == [0, 97, 194, 291, 389]
+def block_sizes(rows) -> list:
+    """The row counts of _blocks(rows), which must tile the rows in order."""
+    parts = _blocks(rows)
+    assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+    assert parts[-1].stop == rows
+    return [p.stop - p.start for p in parts]
+
+
+def test_blocks_are_the_fewest_even_balanced_blocks():
+    # a training batch of 256 is two blocks of 128, a batch of 64 rows or
+    # more, such as an epoch's last, short batch, at least two blocks, and
+    # a 3000-frame file's 1404 rows twelve blocks of 117
+    assert _MAX_BLOCK_ROWS == 128
+    assert _SPLIT_ROWS == 64
+    assert block_sizes(256) == [128, 128]
+    assert block_sizes(102) == [51, 51]
+    assert block_sizes(128) == [64, 64]
+    assert block_sizes(64) == [32, 32]
+    assert block_sizes(63) == [63]
+    assert block_sizes(1) == [1]
+    assert block_sizes(129) == [64, 65]
+    assert block_sizes(3 * 128 + 5) == [97, 97, 97, 98]
+    assert block_sizes(1404) == 12 * [117]
+    # up to 256 rows, one block below 64 rows and two from 64 on
+    assert [len(_blocks(rows)) for rows in range(1, 257)] == 63 * [1] + 193 * [2]
 
 
 def blockwise_gradients(noisy, truth, model, dtype):
     """Oracle: each block's forward and backward call in turn, in fresh
     memory; the loss over the joined output errors, the gradients summed
     in float64."""
-    bounds = _gradient_blocks(len(noisy))
     diffs = []
     grads = {name: np.zeros(value.shape) for name, value in model.params.items()}
-    for lo, hi in zip(bounds, bounds[1:]):
-        out, cache = _forward(noisy[lo:hi], model, dtype, keep_cache=True, mem=_Arena())
-        diffs.append(out - truth[lo:hi])
+    for part in _blocks(len(noisy)):
+        out, cache = _forward(noisy[part], model, dtype, keep_cache=True, mem=_Arena())
+        diffs.append(out - truth[part])
         block = _backward((2.0 / noisy.size) * diffs[-1], cache, model, mem=_Arena())
         for name, g in block.items():
             grads[name] += g.astype(np.float64)
@@ -820,7 +871,7 @@ def test_batch_gradients_blocks_match_block_by_block_calls(monkeypatch, dtype, w
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     model = small_model(seed=19)
     rng = make_rng(78)
-    noisy = rng.uniform(-2.0, 2.0, size=(3 * _GRAD_BLOCK_ROWS + 5, 12))
+    noisy = rng.uniform(-2.0, 2.0, size=(3 * _MAX_BLOCK_ROWS + 5, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
     want_loss, want = blockwise_gradients(noisy, truth, model, dtype)
     calls = record_forward_calls(monkeypatch)
@@ -855,7 +906,7 @@ def test_batch_gradients_restores_the_blas_thread_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     model = small_model(seed=20)
     rng = make_rng(79)
-    noisy = rng.uniform(-2.0, 2.0, size=(2 * _GRAD_BLOCK_ROWS, 12))
+    noisy = rng.uniform(-2.0, 2.0, size=(2 * _MAX_BLOCK_ROWS, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
     calls = record_forward_calls(monkeypatch)
     before = get()
@@ -877,12 +928,12 @@ def test_one_block_batch_gradients_starts_no_thread_and_leaves_blas_alone(monkey
     monkeypatch.setattr(refiner, "_blas_thread_control", refuse)
     model = small_model(seed=21)
     rng = make_rng(80)
-    noisy = rng.uniform(-2.0, 2.0, size=(_GRAD_SPLIT_ROWS - 1, 12))
+    noisy = rng.uniform(-2.0, 2.0, size=(_SPLIT_ROWS - 1, 12))
     truth = noisy + rng.normal(0.0, 0.3, size=noisy.shape)
     before = threading.active_count()
     loss, grads = batch_gradients(noisy, truth, model, dtype=np.float32)
     assert [(ident, count, rows) for ident, _, count, rows in calls] == [
-        (threading.get_ident(), before, _GRAD_SPLIT_ROWS - 1)
+        (threading.get_ident(), before, _SPLIT_ROWS - 1)
     ]
     assert threading.active_count() == before
     want_loss, want = blockwise_gradients(noisy, truth, model, np.float32)

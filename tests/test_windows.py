@@ -17,7 +17,7 @@ from poserefine import (
     wrap_angle,
 )
 
-from poserefine.refiner import _BLOCK_ROWS
+from poserefine.refiner import _blocks
 
 from conftest import make_rng
 
@@ -214,7 +214,7 @@ def per_joint_reference(theta, model) -> np.ndarray:
     out = np.empty_like(unwrapped)
     for j in range(theta.shape[1]):
         batch = np.stack([unwrapped[s : s + model.window, j] for s in starts])
-        refined = refine_batch(batch, model)[:, :, None]
+        refined = refine_batch(batch, model, dtype=np.float64)[:, :, None]
         for frame in range(len(theta)):
             out[frame, j] = stitch_frame(refined, starts, frame)[0]
     return out
@@ -225,7 +225,7 @@ def test_joint_batched_float32_matches_float64_per_joint_reference():
     model = RefinerModel.init_random(hidden=8, d_att=4, window=10, seed=3)
     theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(50, N_LIMBS)), axis=0))
     # 15 windows of 12 joints: the rows make two forward blocks
-    assert _BLOCK_ROWS < len(plan_windows(50, 10)) * N_LIMBS <= 2 * _BLOCK_ROWS
+    assert len(_blocks(len(plan_windows(50, 10)) * N_LIMBS)) == 2
     out = refine_sequence(theta, model)
     want = per_joint_reference(theta, model)
     assert np.max(np.abs(out - want)) <= 1e-5
@@ -237,6 +237,6 @@ def test_identity_model_is_exact_across_forward_chunks():
     rng = make_rng(68)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
     theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(90, N_LIMBS)), axis=0))
-    # 28 windows of 12 joints: three forward blocks
-    assert 2 * _BLOCK_ROWS < len(plan_windows(90, 10)) * N_LIMBS <= 3 * _BLOCK_ROWS
+    # 28 windows of 12 joints: four forward blocks
+    assert len(_blocks(len(plan_windows(90, 10)) * N_LIMBS)) == 4
     assert np.array_equal(refine_sequence(theta, model), np.unwrap(theta, axis=0))
