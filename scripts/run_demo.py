@@ -33,6 +33,12 @@ def build_clean_sequence(n_frames: int, fps: float) -> pr.PoseSequence:
     return pr.reconstruct_sequence(base, theta, lengths, fps=fps)
 
 
+def print_epoch(stats) -> None:
+    # val_mse is NaN when there are no validation windows
+    val = "" if math.isnan(stats.val_mse) else f" val {stats.val_mse:.5f}"
+    print(f"  epoch {stats.epoch}: train {stats.train_mse:.5f}{val} ({stats.wall_time_s:.1f}s)")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="work directory (default: temp)")
@@ -59,15 +65,8 @@ def main() -> int:
     config = pr.TrainConfig(
         max_epochs=args.epochs, hidden=args.hidden, d_att=16, seed=args.seed
     )
-    print(f"training H={config.hidden} for up to {config.max_epochs} epochs ...")
-    model, log = pr.train_model(
-        manifest,
-        config,
-        progress=lambda s: print(
-            f"  epoch {s.epoch}: train {s.train_mse:.5f} val {s.val_mse:.5f}"
-            f" ({s.wall_time_s:.1f}s)"
-        ),
-    )
+    print(f"training H={config.hidden} for {config.max_epochs} epochs ...")
+    model, log = pr.train_model(manifest, config, progress=print_epoch)
     model_path = os.path.join(work, "model.jarm")
     pr.save_model(model, model_path)
 

@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
     p.add_argument("--val-fraction", dest="validation_fraction", type=float)
     p.add_argument("--hidden", type=int)
     p.add_argument("--d-att", type=int)

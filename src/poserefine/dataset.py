@@ -58,13 +58,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every comparison, so each check below refuses it too
         lo, hi = self.jitter_sigma_range
-        if not (0 <= lo <= hi):
-            raise InvalidRangeError("jitter_sigma_range must satisfy 0 <= lo <= hi")
+        if not (0 <= lo <= hi < math.inf):
+            raise InvalidRangeError("jitter_sigma_range must satisfy 0 <= lo <= hi < inf")
         if not (0 <= self.outlier_fraction <= 1):
             raise InvalidRangeError("outlier_fraction must be in [0, 1]")
-        if self.outlier_sigma_max < 0 or self.secondary_sigma < 0:
-            raise InvalidRangeError("sigmas must be non-negative")
+        if not (0 <= self.outlier_sigma_max < math.inf and 0 <= self.secondary_sigma < math.inf):
+            raise InvalidRangeError("sigmas must be finite and non-negative")
         if self.secondary_max < 0:
             raise InvalidRangeError("secondary_max must be >= 0")
         if self.seed < 0:

@@ -1,4 +1,4 @@
-"""Training loop for the window refiner: Adam, early stopping, logging.
+"""Training loop for the window refiner: Adam, best-epoch selection, logging.
 
 Adam's moments, the parameters and the gradients it receives are
 float64.  Each batch's gradients, and the whole validation split in one
@@ -24,18 +24,19 @@ from .refiner import RefinerModel, batch_gradients, mse_loss, refine_batch
 
 @dataclass
 class TrainConfig:
+    """The training settings; the defaults are the shipped recipe."""
+
     batch_size: int = 256
     learning_rate: float = 1e-3
-    max_epochs: int = 20
-    patience: int = 5
+    max_epochs: int = 4
     validation_fraction: float = 0.1
     hidden: int = 64
     d_att: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
-            raise ShapeError("batch_size and max_epochs must be >= 1, patience >= 0")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ShapeError("batch_size and max_epochs must be >= 1")
         if not (0 <= self.validation_fraction < 1):
             raise ShapeError("validation_fraction must be in [0, 1)")
         if not (self.learning_rate > 0):
@@ -134,9 +135,9 @@ def train_on_arrays(
 ):
     """Train a fresh refiner on in-memory windows; returns (model, TrainLog).
 
-    Validation windows are split off by a seeded permutation; the model with
-    the best validation MSE is returned.  With validation_fraction == 0 the
-    training MSE drives early stopping instead.
+    Validation windows are split off by a seeded permutation.  Every epoch
+    runs, and the model of the epoch with the best validation MSE is
+    returned; with validation_fraction == 0, the best training MSE.
     """
     if config is None:
         config = TrainConfig()
@@ -158,8 +159,6 @@ def train_on_arrays(
     )
     opt = Adam(model.params, config)
     log = TrainLog(seed=config.seed, config=asdict(config))
-    best_params = {k: v.copy() for k, v in model.params.items()}
-    since_best = 0
 
     def evaluate(idx):
         if idx.size == 0:
@@ -194,15 +193,11 @@ def train_on_arrays(
         )
         if progress is not None:
             progress(log.entries[-1])
+        # monitored is finite, so epoch 0 always sets best_params
         if monitored < log.best_val_mse:
             log.best_val_mse = monitored
             log.best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > config.patience:
-                break
 
     model.params = best_params
     return model, log

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface, run in-process."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -574,6 +576,43 @@ def test_non_utf8_option_file_exits_two(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "opts.txt" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [opts]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--outlier-max-deg", "nan"),
+        ("--outlier-max-deg", "inf"),
+        ("--jitter-max-deg", "inf"),
+        ("--secondary-sigma", "nan"),
+        ("--secondary-sigma", "inf"),
+    ],
+)
+def test_synth_refuses_non_finite_noise_settings(tmp_path, capsys, flag, value):
+    # numpy's draws raise on these; NoiseSpec refuses them before any file
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def subcommand_dests(command) -> set:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+def test_every_train_and_synth_flag_feeds_a_field():
+    # cli._options collects only field names, so a flag whose dest is no
+    # field would be parsed and then silently dropped
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    train = fields(TrainConfig) | {"manifest", "out", "log", "log_times"}
+    assert subcommand_dests("train") == train
+    noise = fields(NoiseSpec) - {"jitter_sigma_range"}
+    synth = noise | set(cli._CORPUS_KEYWORDS) | {"jitter_min", "jitter_max", "out"}
+    assert subcommand_dests("synth") == synth
 
 
 def test_synth_has_no_records_per_shard_flag(tmp_path, capsys):

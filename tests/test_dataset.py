@@ -316,6 +316,30 @@ def test_manifest_load_rejects_malformed_splits_and_templates(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("secondary_sigma", "1e400"),
+        ("secondary_sigma", "NaN"),
+        ("outlier_sigma_max", "Infinity"),
+        ("jitter_sigma_range", "[0.0, 1e400]"),
+    ],
+)
+def test_manifest_load_refuses_non_finite_noise(tmp_path, key, text):
+    # json reads 1e400 as inf; the noise replay of record_events would then
+    # raise a bare OverflowError or ValueError
+    good = DatasetManifest(
+        window=20, stride=5, frames_per_cycle=25, cycles=2,
+        noise=NoiseSpec(), templates=[],
+    )
+    doc = json.loads(good.to_json())
+    doc["noise_deg"][key] = "VALUE"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', text))
+    with pytest.raises(SchemaError, match="manifest"):
+        DatasetManifest.load(path)
+
+
 def test_record_coords_enumeration(tiny_corpus):
     _, manifest = tiny_corpus
     # 25 * 2 = 50 frames, window 20, stride 5 -> 7 offsets per joint

@@ -1098,6 +1098,30 @@ def test_training_is_bitwise_repeatable(monkeypatch, tmp_path):
     assert [rows for _, _, _, rows in calls] == 2 * 3 * [128, 128, 14, 30]
 
 
+def test_training_runs_every_epoch_and_returns_the_best_one(monkeypatch):
+    # validation MSE rises every epoch, so epoch 0 stays the best; all
+    # eight epochs still run, and the model returned is epoch 0's
+    rng = make_rng(86)
+    truth = np.sin(np.linspace(0.0, 6.0, 12))[None] + rng.uniform(-1.0, 1.0, size=(60, 1))
+    noisy = truth + rng.normal(0.0, 0.2, size=truth.shape)
+    settings = dict(hidden=3, d_att=2, batch_size=16, seed=9)
+    one_epoch, _ = train_on_arrays(noisy, truth, TrainConfig(max_epochs=1, **settings))
+    calls = []
+
+    def worse_each_call(x, model):
+        calls.append(len(x))
+        return np.full_like(x, 10.0 * len(calls))
+
+    monkeypatch.setattr(training, "refine_batch", worse_each_call)
+    model, log = train_on_arrays(noisy, truth, TrainConfig(max_epochs=8, **settings))
+    assert [e.epoch for e in log.entries] == list(range(8))
+    assert calls == 8 * [6]
+    assert log.best_epoch == 0
+    assert log.best_val_mse == log.entries[0].val_mse < log.entries[-1].val_mse
+    for name, value in one_epoch.params.items():
+        assert np.array_equal(model.params[name], value), name
+
+
 def test_non_finite_windows_diverge_in_epoch_zero():
     rng = make_rng(61)
     noisy = rng.normal(size=(8, 12))

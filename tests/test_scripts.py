@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,25 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
         assert math.isfinite(summary["mse_ratio"])
         assert math.isfinite(summary["correction_rate"])
         assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
+        # the sizes given, and the library's default seed for the one not given
+        assert (summary["train_count"], summary["test_count"]) == (300, 50)
+        assert (summary["hidden"], summary["seed"], summary["epochs_run"]) == (8, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "script, extra",
+    [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", [])],
+)
+def test_script_epoch_lines_omit_val_without_validation_windows(tmp_path, script, extra):
+    # 4 training windows leave round(0.4) = 0 for validation, so val_mse is NaN
+    small = ["--train-count", "4", "--test-count", "12", "--epochs", "1", "--hidden", "2"]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--out", str(tmp_path)] + small + extra,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    epochs = [line for line in proc.stdout.splitlines() if "epoch 0:" in line]
+    assert len(epochs) == 1
+    assert re.fullmatch(r"\s*epoch 0: train \d+\.\d+ \(\d+(\.\d)?s\)", epochs[0]), epochs[0]
