@@ -149,10 +149,8 @@ def write_shard(path, joints: np.ndarray, truth: np.ndarray, noisy: np.ndarray) 
     rec["length"] = window
     rec["truth"] = truth
     rec["noisy"] = noisy
-    data = rec.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    rec.tofile(path)
+    return rec.nbytes
 
 
 def read_shard(path, window: int):
@@ -336,7 +334,7 @@ def generate_dataset(
     Each non-empty split is one shard, `<split>-0000.bin`, filled in
     record_coords order; an empty split gets no file.  A split's records
     are built in memory as float32 first, half the bytes that load_split
-    then holds as float64.
+    then holds as float64.  No shard is written until both splits are built.
     """
     if noise is None:
         noise = NoiseSpec()
@@ -353,7 +351,6 @@ def generate_dataset(
     if train_count < 1 or test_count < 0:
         raise GenerationError("train_count must be >= 1 and test_count >= 0")
 
-    os.makedirs(out_dir, exist_ok=True)
     manifest = DatasetManifest(
         window=window,
         stride=stride,
@@ -363,6 +360,7 @@ def generate_dataset(
         templates=[t.name for t in templates],
     )
 
+    built = []
     for split, count in (("train", train_count), ("test", test_count)):
         manifest.counts[split] = count
         manifest.shards[split] = []
@@ -385,10 +383,15 @@ def generate_dataset(
             rng = _rng(noise.seed, code, subject, joint, offset)
             joints[index] = joint
             truth[index] = clean
-            noisy[index], _ = inject_noise_events(clean, noise, rng)
-        name = f"{split}-0000.bin"
-        size = write_shard(os.path.join(out_dir, name), joints, truth, noisy)
-        manifest.shards[split].append((name, count, size))
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                noisy[index], _ = inject_noise_events(clean, noise, rng)
+        if not np.isfinite(noisy).all():
+            raise GenerationError(f"the noise overflows float32 in the {split} split")
+        built.append((f"{split}-0000.bin", split, joints, truth, noisy))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, split, *records in built:
+        size = write_shard(os.path.join(out_dir, name), *records)
+        manifest.shards[split].append((name, len(records[0]), size))
 
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest

@@ -1,12 +1,12 @@
 """Bidirectional GRU + attention denoiser for joint-angle windows.
 
-The model maps a fixed-length window of one joint's angle series to a
-refined window of the same length.  Input is centered on its window mean
-and scaled by 1/pi; two stacked bidirectional GRU layers encode the
-normalized series; a single attention read (query = projected mean state)
-summarizes the window; and a per-timestep linear head predicts a residual
-correction that is scaled back to radians and added onto the raw input.
-A model whose weights are all zero is therefore exactly the identity.
+The model maps a window of one joint's angle series, at most its training
+length, to a refined window of the same length.  Input is centered on its
+window mean and scaled by 1/pi; two stacked bidirectional GRU layers
+encode the normalized series; a single attention read (query = projected
+mean state) summarizes the window; and a per-timestep linear head
+predicts a residual correction that is scaled back to radians and added
+onto the raw input.  A model whose weights are all zero is exactly the identity.
 
 `batch_gradients` keeps every step's gates for its hand-written reverse
 mode, which the test suite checks against central finite differences in
@@ -721,15 +721,15 @@ def _run_blocks(rows: int, job) -> list:
 
 
 def refine_batch(noisy: np.ndarray, model: RefinerModel, dtype=np.float32) -> np.ndarray:
-    """Refine a batch of windows, shape (B, L) -> float64 (B, L).
+    """Refine a batch of windows, (B, L) -> float64 (B, L), 1 <= L <= model.window.
 
     The network computes in dtype and keeps no backward cache, one forward
     call per block of rows.
     """
     noisy = np.asarray(noisy, dtype=float)
-    if noisy.ndim != 2 or noisy.shape[1] != model.window:
+    if noisy.ndim != 2 or not 1 <= noisy.shape[1] <= model.window:
         raise ShapeError(
-            f"batch must be (n, {model.window}), got {noisy.shape}"
+            f"batch must be (n, L) with 1 <= L <= {model.window}, got {noisy.shape}"
         )
     out = np.empty_like(noisy)
 

@@ -7,14 +7,13 @@ that step by a quarter window, refined window by window, and stitched back.
 Each frame takes its value from the covering window whose centre is nearest
 (the earlier window on a tie), so away from the ends of the series each
 frame lies within about an eighth of a window of its window's centre, where
-the refiner sees context on both sides.  A series shorter than the window
-is reflect-padded to one window first.
+the refiner sees context on both sides.  A series no longer than the
+window is refined whole, as one row per joint of its own length.
 
 The windows of every joint are stacked into one (n_windows * n_joints, L)
 array and refined by one refine_batch call, so a clip takes one call
-instead of one per joint.  refine_batch bounds its own memory: it splits
-the rows into blocks and, for a long clip, runs them on every available
-core.
+instead of one per joint.  refine_batch splits the rows into memory-bounded
+blocks and, for a long clip, runs them on every available core.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ def refine_sequence(theta: np.ndarray, model: RefinerModel) -> np.ndarray:
 
     Series are unwrapped before windowing and stay unwrapped on output, so
     values may leave (-pi, pi]; they remain congruent modulo 2*pi.  A
-    sequence shorter than the window is refined as its reflection padded
-    to one window, then cropped back.
+    sequence of at most one window is one (n_joints, n_frames) batch, with
+    no planning or stitching.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2:
@@ -83,13 +82,11 @@ def refine_sequence(theta: np.ndarray, model: RefinerModel) -> np.ndarray:
     if n < 1:
         raise InsufficientDataError("need at least one frame")
     unwrapped = np.unwrap(theta, axis=0)
-    if n < model.window:
-        unwrapped = np.pad(unwrapped, ((0, model.window - n), (0, 0)), mode="reflect")
-    starts = plan_windows(unwrapped.shape[0], model.window)
-    n_joints = unwrapped.shape[1]
+    if n <= model.window:
+        return refine_batch(unwrapped.T, model).T
+    starts = plan_windows(n, model.window)
     # one row per (window, joint), window-major
     rows = sliding_window_view(unwrapped, model.window, axis=0)[starts]
-    rows = rows.reshape(-1, model.window)
-    refined = refine_batch(rows, model)
-    refined = refined.reshape(len(starts), n_joints, model.window)
-    return stitch_windows(refined.transpose(0, 2, 1), starts)[:n]
+    refined = refine_batch(rows.reshape(-1, model.window), model)
+    refined = refined.reshape(len(starts), unwrapped.shape[1], model.window)
+    return stitch_windows(refined.transpose(0, 2, 1), starts)

@@ -596,6 +596,18 @@ def test_synth_refuses_non_finite_noise_settings(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_synth_refuses_noise_that_overflows_float32(tmp_path, capsys):
+    # a finite sigma can still make angles beyond float32's range; the
+    # corpus is refused before any shard is written, and the float32 cast
+    # must not warn, since pyproject.toml makes a RuntimeWarning an error
+    out = tmp_path / "c"
+    argv = ["synth", "--out", str(out), "--train-count", "2", "--test-count", "0"]
+    assert main(argv + ["--jitter-max-deg", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def subcommand_dests(command) -> set:
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -538,11 +538,14 @@ def test_additive_shift_equivariance():
 
 
 def test_refine_window_shape_contract():
+    # rows of 1 to window frames are refined; the network takes any length
     model = small_model()
-    with pytest.raises(ShapeError):
-        refine_batch(np.zeros(11)[None], model)
-    with pytest.raises(ShapeError):
-        refine_batch(np.zeros((2, 13)), model)
+    out = refine_batch(np.linspace(-1.0, 1.0, 11)[None], model)
+    assert out.shape == (1, 11)
+    assert np.isfinite(out).all()
+    for bad in (np.zeros((2, 13)), np.zeros((2, 0)), np.zeros(12)):
+        with pytest.raises(ShapeError):
+            refine_batch(bad, model)
 
 
 def test_mse_loss_hand_value():

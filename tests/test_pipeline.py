@@ -34,6 +34,7 @@ from poserefine import (
     wrap_angle,
     write_keypoints,
 )
+from poserefine import windows
 
 from conftest import (
     make_rng,
@@ -243,6 +244,22 @@ def test_refine_keypoint_file_end_to_end(tmp_path):
     assert back.n_frames == 60
     assert np.array_equal(back.xy, rounded_coordinates(motion.positions().xy))
     assert np.max(np.abs(back.xy - seq.xy)) <= 1e-6
+
+
+def test_short_file_is_one_refine_batch_call_at_its_own_length(tmp_path, monkeypatch):
+    calls = []
+    original = windows.refine_batch
+
+    def spy(rows, model):
+        calls.append(np.shape(rows))
+        return original(rows, model)
+
+    monkeypatch.setattr(windows, "refine_batch", spy)
+    src, mpath = tmp_path / "in.json", tmp_path / "m.jarm"
+    write_keypoints(smooth_sequence(make_rng(75), 40), src)
+    save_model(RefinerModel.init_random(hidden=4, d_att=3, window=100, seed=1), mpath)
+    refine_keypoint_file(src, mpath, tmp_path / "out.json")
+    assert calls == [(N_LIMBS, 40)]
 
 
 def test_refinement_reconstructs_consistent_limb_lengths():

@@ -60,7 +60,7 @@ def test_plan_windows_exact_fit():
 def test_plan_windows_validation():
     with pytest.raises(InsufficientDataError):
         plan_windows(0, 5)
-    # a series shorter than the window is padded before it is planned
+    # a series shorter than the window is refined whole, never planned
     with pytest.raises(InsufficientDataError):
         plan_windows(4, 5)
     with pytest.raises(ShapeError):
@@ -154,11 +154,14 @@ def test_refine_sequence_unwraps_congruently_and_continuously():
 
 
 def test_refine_sequence_identity_model_short_input():
+    # either side of the window: a clip of at most 10 frames is one batch
+    # of its own length, a longer one is planned and stitched
     rng = make_rng(64)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
-    theta = rng.uniform(-1.0, 1.0, size=(4, N_LIMBS))
-    out = refine_sequence(theta, model)
-    assert np.array_equal(out, np.unwrap(theta, axis=0))
+    for n in (1, 4, 9, 10, 11):
+        theta = rng.uniform(-1.0, 1.0, size=(n, N_LIMBS))
+        out = refine_sequence(theta, model)
+        assert np.array_equal(out, np.unwrap(theta, axis=0))
 
 
 def test_refine_sequence_shapes_and_validation():
@@ -182,28 +185,19 @@ def test_refine_sequence_smooths_an_outlier():
     assert out.shape == (40, 1)
 
 
-def test_short_clip_is_refined_as_its_reflection():
-    # a clip shorter than the window goes through the one window path as
-    # its reflection padded to one window, then is cropped back; a single
-    # window stitches to itself exactly.
-    # The 12 joints' windows share one float32 forward call, and float32
+def test_short_clip_is_refined_at_its_own_length():
+    # a clip shorter than the window is one (n_joints, n_frames) batch,
+    # with no padding, planning or stitching.
+    # The 12 joints' rows share one float32 forward call, and float32
     # rounding depends on the batch, so the oracle is one stacked call too
     rng = make_rng(66)
     model = RefinerModel.init_random(hidden=4, d_att=3, window=7, seed=2)
-    theta = rng.uniform(-1.0, 1.0, size=(3, N_LIMBS))
-    x0, x1, x2 = np.unwrap(theta, axis=0)
-    padded = np.stack([x0, x1, x2, x1, x0, x1, x2])
-    out = refine_sequence(theta, model)
-    assert out.shape == (3, N_LIMBS)
-    want = refine_batch(padded.T, model, dtype=np.float32)
-    assert np.array_equal(out, want[:, :3].T)
-
-    # a single frame pads to a constant window
-    single = rng.uniform(-1.0, 1.0, size=(1, N_LIMBS))
-    out = refine_sequence(single, model)
-    assert out.shape == (1, N_LIMBS)
-    windows = np.repeat(single.T, 7, axis=1)
-    assert np.array_equal(out, refine_batch(windows, model, dtype=np.float32)[:, :1].T)
+    for n in (3, 1):
+        theta = rng.uniform(-1.0, 1.0, size=(n, N_LIMBS))
+        out = refine_sequence(theta, model)
+        assert out.shape == (n, N_LIMBS)
+        want = refine_batch(np.unwrap(theta, axis=0).T, model, dtype=np.float32)
+        assert np.array_equal(out, want.T)
 
 
 def per_joint_reference(theta, model) -> np.ndarray:
