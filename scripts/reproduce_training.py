@@ -4,19 +4,15 @@ Generates a corpus and trains a refiner with the library defaults, those
 of `generate_dataset`, `NoiseSpec` and `TrainConfig`, and reports the
 held-out MSE ratio and the outlier correction rate at tau = 10 deg.  An
 option given overrides its default, and summary.json records the corpus
-size, width and seed that were used.  With the defaults this reproduces
-ratio 0.091 and rate 0.956 in about 70 s on a 2-vCPU x86_64 VM (60-66 s
-of training, its gradient blocks on both cores, with BLAS pinned to one
-thread).  Next to the training wall time it prints the minor page faults
-and system CPU time of the training phase, about 20 thousand and 2-3 s
-there, and the process's peak RSS, about 231 MB there; a training run
-that frees and re-allocates its working memory at every step shows up as
-millions of faults.  summary.json records all three next to the scores.
+size, width and seed that were used.  Next to the training wall time it
+prints the minor page faults and system CPU time of the training phase
+and the process's peak RSS; summary.json records all three next to the
+scores.  README's Scripts section gives the scores, time and memory of
+the run with the defaults.
 """
 
 import argparse
 import json
-import math
 import os
 import resource
 import sys
@@ -25,12 +21,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import poserefine as pr
-
-
-def print_epoch(stats) -> None:
-    # val_mse is NaN when there are no validation windows
-    val = "" if math.isnan(stats.val_mse) else f" val {stats.val_mse:.5f}"
-    print(f"epoch {stats.epoch}: train {stats.train_mse:.5f}{val} ({stats.wall_time_s:.0f}s)")
 
 
 def main() -> int:
@@ -42,6 +32,8 @@ def main() -> int:
     ap.add_argument("--hidden", type=int)
     ap.add_argument("--seed", type=int, help="seed of the corpus and of training")
     args = ap.parse_args()
+    if "test_count" in args and args.test_count < 1:
+        ap.error("--test-count must be >= 1: the trained model is scored on the test split")
 
     def given(*names) -> dict:
         # an option not given is absent from args, so the library default applies
@@ -60,7 +52,7 @@ def main() -> int:
 
     config = pr.TrainConfig(**given("max_epochs", "hidden", "seed"))
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    model, log = pr.train_model(manifest, config, progress=print_epoch)
+    model, log = pr.train_model(manifest, config, progress=print)
     t2 = time.perf_counter()
     # the kernel's share of training: page faults and system CPU time; and
     # the process's peak resident set so far, which training sets
@@ -96,4 +88,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (pr.PoseRefineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

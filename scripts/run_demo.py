@@ -1,13 +1,12 @@
 """End-to-end demo on a small synthetic corpus.
 
 Generates windows, trains a small refiner, corrupts a clean walking
-sequence, refines it, and prints angle-space metrics. Finishes in a few
-minutes on one CPU core.
+sequence, refines it, and prints angle-space metrics.  README's Scripts
+section gives its running time.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -31,12 +30,6 @@ def build_clean_sequence(n_frames: int, fps: float) -> pr.PoseSequence:
         [240.0 + 1.5 * np.arange(n_frames), np.full(n_frames, 120.0)], axis=1
     )
     return pr.reconstruct_sequence(base, theta, lengths, fps=fps)
-
-
-def print_epoch(stats) -> None:
-    # val_mse is NaN when there are no validation windows
-    val = "" if math.isnan(stats.val_mse) else f" val {stats.val_mse:.5f}"
-    print(f"  epoch {stats.epoch}: train {stats.train_mse:.5f}{val} ({stats.wall_time_s:.1f}s)")
 
 
 def main() -> int:
@@ -66,7 +59,7 @@ def main() -> int:
         max_epochs=args.epochs, hidden=args.hidden, d_att=16, seed=args.seed
     )
     print(f"training H={config.hidden} for {config.max_epochs} epochs ...")
-    model, log = pr.train_model(manifest, config, progress=print_epoch)
+    model, log = pr.train_model(manifest, config, progress=print)
     model_path = os.path.join(work, "model.jarm")
     pr.save_model(model, model_path)
 
@@ -99,9 +92,7 @@ def main() -> int:
 
     refined_theta = pr.pose_to_angles(pr.parse_keypoints(refined_path))
     for name, series in (("noisy", noisy_theta), ("refined", refined_theta)):
-        report = pr.evaluate_metrics(
-            series, theta, erroneous, tau=math.radians(10.0)
-        )
+        report = pr.evaluate_metrics(series, theta, erroneous)
         print(
             f"{name:>8}: mse {report.mse_aggregate:.5f}"
             f"  correction rate {report.correction_rate:.3f}"
@@ -118,4 +109,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (pr.PoseRefineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -55,22 +55,13 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     train_cfg = TrainConfig(**_options(args, _fields(TrainConfig)))
     manifest = ds.DatasetManifest.load(args.manifest)
-
-    def progress(stats):
-        # val_mse is NaN when there are no validation windows
-        val = "" if math.isnan(stats.val_mse) else f" val {stats.val_mse:.6f}"
-        print(
-            f"epoch {stats.epoch}: train {stats.train_mse:.6f}{val} "
-            f"({stats.wall_time_s:.1f}s)",
-            file=sys.stderr,
-        )
-
-    model, log = train_model(manifest, train_cfg, progress=progress)
+    model, log = train_model(manifest, train_cfg, progress=lambda s: print(s, file=sys.stderr))
     save_model(model, args.out)
     if args.log:
         save_train_log(log, args.log, include_timing=args.log_times)
-    kind = "val" if log.validated else "train"
-    print(f"best epoch {log.best_epoch}: {kind} mse {log.best_val_mse:.6f}")
+    best = log.entries[log.best_epoch]
+    kind, mse = ("train", best.train_mse) if best.val_mse is None else ("val", best.val_mse)
+    print(f"best epoch {log.best_epoch}: {kind} mse {mse:.6f}")
     return 0
 
 

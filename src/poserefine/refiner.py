@@ -55,7 +55,7 @@ each small matmul over the cores would oversubscribe them.  The partition does n
 number of CPUs, rows are independent, and the blocks' gradients are
 summed in block order, so both functions give the same bits on any
 number of threads.  A batch of one block, such as a short clip's 12
-windows, is one direct call.
+rows of its own length, is one direct call.
 
 A block takes its large arrays by role from an arena: each layer's
 states, gates, candidate state and output (without a cache, the first

@@ -11,7 +11,6 @@ paged in by the first step and reused by the rest of the run.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -49,10 +48,15 @@ class TrainConfig:
 class EpochStats:
     epoch: int
     train_mse: float
-    val_mse: float
+    # None when the run has no validation windows
+    val_mse: float | None
     wall_time_s: float
     # training windows over the epoch's wall time, validation included
     windows_per_s: float
+
+    def __str__(self) -> str:
+        val = "" if self.val_mse is None else f" val {self.val_mse:.6f}"
+        return f"epoch {self.epoch}: train {self.train_mse:.6f}{val} ({self.wall_time_s:.1f}s)"
 
 
 @dataclass
@@ -61,13 +65,8 @@ class TrainLog:
     seed: int = 0
     config: dict = field(default_factory=dict)
     best_epoch: int = -1
-    best_val_mse: float = float("inf")
-
-    @property
-    def validated(self) -> bool:
-        """Whether the epochs were scored on validation windows.  Without
-        them val_mse is NaN and best_val_mse is the best training MSE."""
-        return not any(math.isnan(e.val_mse) for e in self.entries)
+    # the best epoch's val_mse: None without validation windows
+    best_val_mse: float | None = None
 
 
 # Adam's moment decay rates and denominator offset
@@ -104,24 +103,11 @@ class Adam:
 
 def save_train_log(log: TrainLog, path, include_timing: bool = False) -> None:
     """Serialize the log; wall-clock fields are off by default so reruns
-    with the same seed write identical bytes.  A run without validation
-    windows writes null for val_mse and best_val_mse."""
-    validated = log.validated
-    entries = []
-    for e in log.entries:
-        val_mse = e.val_mse if validated else None
-        row = {"epoch": e.epoch, "train_mse": e.train_mse, "val_mse": val_mse}
-        if include_timing:
-            row["wall_time_s"] = e.wall_time_s
-            row["windows_per_s"] = e.windows_per_s
-        entries.append(row)
-    doc = {
-        "entries": entries,
-        "seed": log.seed,
-        "config": log.config,
-        "best_epoch": log.best_epoch,
-        "best_val_mse": log.best_val_mse if validated else None,
-    }
+    with the same seed write identical bytes."""
+    doc = asdict(log)
+    if not include_timing:
+        for entry in doc["entries"]:
+            del entry["wall_time_s"], entry["windows_per_s"]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -137,7 +123,7 @@ def train_on_arrays(
 
     Validation windows are split off by a seeded permutation.  Every epoch
     runs, and the model of the epoch with the best validation MSE is
-    returned; with validation_fraction == 0, the best training MSE.
+    returned; without validation windows, the best training MSE.
     """
     if config is None:
         config = TrainConfig()
@@ -160,11 +146,7 @@ def train_on_arrays(
     opt = Adam(model.params, config)
     log = TrainLog(seed=config.seed, config=asdict(config))
 
-    def evaluate(idx):
-        if idx.size == 0:
-            return float("nan")
-        return mse_loss(refine_batch(noisy[idx], model), truth[idx])
-
+    best = np.inf
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
         order = rng.permutation(train_idx)
@@ -177,8 +159,8 @@ def train_on_arrays(
             opt.step(model.params, grads)
             total += loss * part.size
         train_mse = total / order.size
-        val_mse = evaluate(val_idx)
-        monitored = train_mse if n_val == 0 else val_mse
+        val_mse = mse_loss(refine_batch(noisy[val_idx], model), truth[val_idx]) if n_val else None
+        monitored = train_mse if val_mse is None else val_mse
         if not np.isfinite(monitored):
             raise TrainingDivergedError(epoch)
         wall_time_s = time.perf_counter() - started
@@ -194,9 +176,10 @@ def train_on_arrays(
         if progress is not None:
             progress(log.entries[-1])
         # monitored is finite, so epoch 0 always sets best_params
-        if monitored < log.best_val_mse:
-            log.best_val_mse = monitored
+        if monitored < best:
+            best = monitored
             log.best_epoch = epoch
+            log.best_val_mse = val_mse
             best_params = {k: v.copy() for k, v in model.params.items()}
 
     model.params = best_params

@@ -17,6 +17,7 @@ from poserefine import (
     EDGE_NAMES,
     KEYPOINT_NAMES,
     DatasetManifest,
+    EpochStats,
     NoiseSpec,
     PoseSequence,
     RefinerModel,
@@ -507,7 +508,9 @@ def test_commands_without_flags_use_the_dataclass_defaults(
 
     def fake_train(manifest, config, progress=None):
         seen["train"] = config
-        return RefinerModel.identity(hidden=2, d_att=2, window=20), TrainLog()
+        # train reports its best epoch from the log's entries
+        log = TrainLog(entries=[EpochStats(0, 0.5, 0.25, 1.0, 10.0)], best_epoch=0, best_val_mse=0.25)
+        return RefinerModel.identity(hidden=2, d_att=2, window=20), log
 
     def fake_refine(input_path, model_path, output_path, **settings):
         seen["refine"] = settings

@@ -1,5 +1,6 @@
-"""Unused imports in the package modules, found with ast: no linter is a
-test dependency; and what `import poserefine` loads and starts."""
+"""Unused imports in the package modules and the scripts, found with ast:
+no linter is a test dependency; and what `import poserefine` loads and
+starts."""
 
 import ast
 import json
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "poserefine"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "poserefine"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -29,7 +32,9 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS, ids=[p.name for p in MODULES] + [f"scripts/{p.name}" for p in SCRIPTS]
+)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

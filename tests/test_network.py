@@ -1,5 +1,6 @@
 """Refiner network: forward oracles, gradients, serialization."""
 
+import json
 import math
 import os
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from poserefine import (
     CorruptModelError,
+    EpochStats,
     ModelFormatError,
     RefinerModel,
     ShapeError,
@@ -1132,6 +1134,116 @@ def test_non_finite_windows_diverge_in_epoch_zero():
     with pytest.raises(TrainingDivergedError) as info:
         train_on_arrays(noisy, np.zeros((8, 12)), TrainConfig(hidden=3, d_att=2, batch_size=4))
     assert info.value.epoch == 0
+
+
+VALIDATED_LOG = """\
+{
+  "best_epoch": 1,
+  "best_val_mse": 0.0625,
+  "config": {
+    "batch_size": 4,
+    "d_att": 2,
+    "hidden": 2,
+    "learning_rate": 0.001,
+    "max_epochs": 3,
+    "seed": 3,
+    "validation_fraction": 0.3333333333333333
+  },
+  "entries": [
+    {
+      "epoch": 0,
+      "train_mse": 0.375,
+      "val_mse": 0.25
+    },
+    {
+      "epoch": 1,
+      "train_mse": 0.1875,
+      "val_mse": 0.0625
+    },
+    {
+      "epoch": 2,
+      "train_mse": 0.125,
+      "val_mse": 0.140625
+    }
+  ],
+  "seed": 3
+}
+"""
+
+UNVALIDATED_LOG = """\
+{
+  "best_epoch": 1,
+  "best_val_mse": null,
+  "config": {
+    "batch_size": 4,
+    "d_att": 2,
+    "hidden": 2,
+    "learning_rate": 0.001,
+    "max_epochs": 3,
+    "seed": 3,
+    "validation_fraction": 0.0
+  },
+  "entries": [
+    {
+      "epoch": 0,
+      "train_mse": 0.5,
+      "val_mse": null
+    },
+    {
+      "epoch": 1,
+      "train_mse": 0.125,
+      "val_mse": null
+    },
+    {
+      "epoch": 2,
+      "train_mse": 0.25,
+      "val_mse": null
+    }
+  ],
+  "seed": 3
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fraction, batch_losses, val_offsets, want",
+    [
+        # 4 validation windows; epoch 1 has the best val MSE, epoch 2 the best train MSE
+        (1 / 3, [0.5, 0.25, 0.25, 0.125, 0.125, 0.125], [0.5, 0.25, 0.375], VALIDATED_LOG),
+        # no validation windows: null val MSEs, best epoch by train MSE
+        (0.0, 3 * [0.5] + 3 * [0.125] + 3 * [0.25], [], UNVALIDATED_LOG),
+    ],
+    ids=["validated", "unvalidated"],
+)
+def test_train_log_bytes(monkeypatch, tmp_path, fraction, batch_losses, val_offsets, want):
+    # a stand-in network whose losses are binary fractions, so the log's
+    # bytes do not depend on the machine's rounding
+    def gradients(x, y, model):
+        return batch_losses.pop(0), {k: np.zeros_like(v) for k, v in model.params.items()}
+
+    monkeypatch.setattr(training, "batch_gradients", gradients)
+    monkeypatch.setattr(training, "refine_batch", lambda x, model: x + val_offsets.pop(0))
+    zeros = np.zeros((12, 5))
+    config = TrainConfig(
+        batch_size=4, max_epochs=3, validation_fraction=fraction, hidden=2, d_att=2, seed=3
+    )
+    _, log = train_on_arrays(zeros, zeros, config)
+    assert not batch_losses and not val_offsets
+    path = tmp_path / "log.json"
+    save_train_log(log, path)
+    assert path.read_text() == want
+    # with timing, each entry adds its two wall-clock keys and nothing else changes
+    save_train_log(log, path, include_timing=True)
+    timed = json.loads(path.read_text())
+    for entry in timed["entries"]:
+        assert entry.pop("wall_time_s") > 0.0
+        assert entry.pop("windows_per_s") > 0.0
+    assert timed == json.loads(want)
+
+
+def test_epoch_stats_line():
+    assert str(EpochStats(3, 0.5, 0.25, 1.5, 10.0)) == "epoch 3: train 0.500000 val 0.250000 (1.5s)"
+    assert str(EpochStats(0, 0.125, None, 12.0, 10.0)) == "epoch 0: train 0.125000 (12.0s)"
 
 
 # ---------------------------------------------------------------------------

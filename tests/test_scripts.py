@@ -41,7 +41,7 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
     [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", [])],
 )
 def test_script_epoch_lines_omit_val_without_validation_windows(tmp_path, script, extra):
-    # 4 training windows leave round(0.4) = 0 for validation, so val_mse is NaN
+    # 4 training windows leave round(0.4) = 0 for validation, so val_mse is None
     small = ["--train-count", "4", "--test-count", "12", "--epochs", "1", "--hidden", "2"]
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), "--out", str(tmp_path)] + small + extra,
@@ -52,4 +52,35 @@ def test_script_epoch_lines_omit_val_without_validation_windows(tmp_path, script
     assert proc.returncode == 0, proc.stderr
     epochs = [line for line in proc.stdout.splitlines() if "epoch 0:" in line]
     assert len(epochs) == 1
-    assert re.fullmatch(r"\s*epoch 0: train \d+\.\d+ \(\d+(\.\d)?s\)", epochs[0]), epochs[0]
+    # the line of EpochStats.__str__, as `poserefine train` prints it
+    assert re.fullmatch(r"epoch 0: train \d+\.\d{6} \(\d+\.\ds\)", epochs[0]), epochs[0]
+
+
+@pytest.mark.parametrize(
+    "script, argv, corpus_written",
+    [
+        # refused before the corpus is generated: there would be nothing to score
+        ("reproduce_training.py", TINY[:2] + ["--test-count", "0"] + TINY[4:], False),
+        # refused by generate_dataset
+        ("reproduce_training.py", ["--train-count", "0"], False),
+        # refused by the root smoother after training
+        (
+            "run_demo.py",
+            ["--train-count", "4", "--test-count", "12", "--epochs", "1", "--hidden", "2",
+             "--frames", "2"],
+            True,
+        ),
+    ],
+    ids=["reproduce-no-test-windows", "reproduce-no-train-windows", "demo-two-frames"],
+)
+def test_script_refusal_exits_2_without_a_traceback(tmp_path, script, argv, corpus_written):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--out", str(tmp_path)] + argv,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "corpus").exists() == corpus_written
