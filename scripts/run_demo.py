@@ -36,7 +36,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="work directory (default: temp)")
     ap.add_argument("--train-count", type=int, default=6000)
-    ap.add_argument("--test-count", type=int, default=800)
     ap.add_argument("--epochs", type=int, default=8)
     ap.add_argument("--hidden", type=int, default=32)
     ap.add_argument("--frames", type=int, default=400)
@@ -47,11 +46,12 @@ def main() -> int:
     os.makedirs(work, exist_ok=True)
     print(f"work directory: {work}")
 
-    print(f"generating {args.train_count}+{args.test_count} windows ...")
+    # the demo scores its own corrupted sequence, so it needs no test split
+    print(f"generating {args.train_count} training windows ...")
     manifest = pr.generate_dataset(
         os.path.join(work, "corpus"),
         train_count=args.train_count,
-        test_count=args.test_count,
+        test_count=0,
         noise=pr.NoiseSpec(seed=args.seed),
     )
 

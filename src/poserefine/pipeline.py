@@ -245,8 +245,8 @@ def evaluate_metrics(
     truth = np.asarray(truth, dtype=float)
     if refined.shape != truth.shape or refined.ndim != 2:
         raise ShapeError("refined and truth must both be (n_frames, n_joints)")
-    if not (tau > 0):
-        raise ShapeError(f"tau must be positive, got {tau}")
+    if not (0 < tau < math.inf):
+        raise ShapeError(f"tau must be positive and finite, got {tau}")
     diff = wrap_angle(refined - truth)
     mse_per_joint = np.mean(diff * diff, axis=0)
     n_frames, n_joints = refined.shape
@@ -345,22 +345,27 @@ def load_erroneous_frames(path) -> dict:
 
 def export_series(seq: PoseSequence, what: str, path) -> None:
     """Write seq's positions, limb angles, or velocities as CSV with a time
-    column; only angles need every limb to have two distinct ends."""
+    column; only angles need every limb to have two distinct ends.  An fps
+    so extreme that a time or velocity overflows is refused before the
+    file is opened."""
     n = seq.n_frames
-    times = np.arange(n) / seq.fps
-    if what == "positions":
-        columns = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
-        body = seq.xy.reshape(n, -1)
-    elif what == "angles":
-        columns = [f"angle_{name}" for name in EDGE_NAMES]
-        body = pose_to_angles(seq)
-    elif what == "velocities":
-        columns = [f"{name}_v{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
-        body = velocity_series(seq.xy, seq.fps).reshape(n, -1)
-    else:
-        raise ShapeError(
-            f"unknown export {what!r}; use positions, angles, or velocities"
-        )
+    with np.errstate(over="ignore"):
+        times = np.arange(n) / seq.fps
+        if what == "positions":
+            columns = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
+            body = seq.xy.reshape(n, -1)
+        elif what == "angles":
+            columns = [f"angle_{name}" for name in EDGE_NAMES]
+            body = pose_to_angles(seq)
+        elif what == "velocities":
+            columns = [f"{name}_v{axis}" for name in KEYPOINT_NAMES for axis in "xy"]
+            body = velocity_series(seq.xy, seq.fps).reshape(n, -1)
+        else:
+            raise ShapeError(
+                f"unknown export {what!r}; use positions, angles, or velocities"
+            )
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(body))):
+        raise ShapeError(f"fps {seq.fps!r} makes a non-finite {what} column")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "time_s"] + columns)

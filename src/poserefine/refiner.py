@@ -45,9 +45,9 @@ temporary: the key gradient is rank one in time, and the top layer's
 output gradient is one batched (B, L, 4) @ (B, 4, 2H) product.
 
 Both entry points split their rows the same way (see _blocks), so a
-256-row training batch is two blocks of 128 and a 3000-frame file's 1404
-rows twelve of 117; a block bounds the working memory of its forward, or
-forward and backward, call.  A batch of several blocks is drained by one
+256-row training batch is two blocks of 128 and a 3000-frame file's 1044
+rows ten of 104 or 105; a block bounds the working memory of its forward,
+or forward and backward, call.  A batch of several blocks is drained by one
 thread per available CPU, the calling thread among them, while OpenBLAS
 is held to one thread: numpy releases the GIL in the step's matmuls and
 ufuncs, so the blocks' time loops overlap, and a BLAS that also spread
@@ -72,7 +72,7 @@ last for its life: a long file's blocks and a training run's steps page
 their memory in once and reuse it, where freed memory would be faulted
 back in at every block or step.  A buffer grows to the
 largest block its role has served on that thread, so a thread that has
-refined keeps about 13.7 MB per worker for 117 float32 rows at H=64,
+refined keeps about 12.3 MB per worker for 105 float32 rows at H=64,
 L=100, and one that has trained keeps one block's training working set
 per worker, about 76 MB for 128 rows, until it ends.
 """

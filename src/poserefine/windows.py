@@ -3,11 +3,11 @@
 A joint's full angle series rarely matches the refiner's fixed window
 length, so the series is unwrapped along time with np.unwrap (frame 0 stays
 and every value stays congruent to its input modulo 2*pi), cut into windows
-that step by a quarter window, refined window by window, and stitched back.
-Each frame takes its value from the covering window whose centre is nearest
-(the earlier window on a tie), so away from the ends of the series each
-frame lies within about an eighth of a window of its window's centre, where
-the refiner sees context on both sides.  A series no longer than the
+that step by a third of a window, refined window by window, and stitched
+back.  Each frame takes its value from the covering window whose centre is
+nearest (the earlier window on a tie), so away from the ends of the series
+each frame lies within about a sixth of a window of its window's centre,
+where the refiner sees context on both sides.  A series no longer than the
 window is refined whole, as one row per joint of its own length.
 
 The windows of every joint are stacked into one (n_windows * n_joints, L)
@@ -28,14 +28,14 @@ from .refiner import RefinerModel, refine_batch
 def plan_windows(n_frames: int, length: int) -> list:
     """Start indices of windows covering a series of n_frames >= length.
 
-    Starts step by a quarter window, rounded up, with a final flush window
-    so every frame is covered.
+    Starts step by a third of a window, rounded up, with a final flush
+    window so every frame is covered.
     """
     if length < 2:
         raise ShapeError("window length must be >= 2")
     if n_frames < length:
         raise InsufficientDataError(f"{n_frames} frames do not fill a {length}-frame window")
-    starts = list(range(0, n_frames - length + 1, -(-length // 4)))
+    starts = list(range(0, n_frames - length + 1, -(-length // 3)))
     if starts[-1] != n_frames - length:
         starts.append(n_frames - length)
     return starts

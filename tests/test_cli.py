@@ -289,6 +289,16 @@ def test_eval_writes_metrics_json(tmp_path, keypoint_file):
     assert doc["n_frames"] == 50
 
 
+@pytest.mark.parametrize("tau", ["inf", "1e400"])
+def test_eval_refuses_an_infinite_tau(tmp_path, capsys, keypoint_file, tau):
+    # json.dumps would write tau_deg as Infinity, which is not JSON
+    out = tmp_path / "metrics.json"
+    argv = ["eval", "--refined", str(keypoint_file), "--truth", str(keypoint_file)]
+    assert main(argv + ["--tau-deg", tau, "--out", str(out)]) == 2
+    assert "error: tau must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_angles_command_writes_csv(tmp_path, keypoint_file):
     out = tmp_path / "angles.csv"
     rc = main(
@@ -467,6 +477,23 @@ def test_malformed_file_exits_two(tmp_path, capsys, keypoint_file, role, content
     }[role]
     assert main([role.split()[0]] + [str(a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "what, fps", [("velocities", "1e308"), ("positions", "1e-320"), ("velocities", "1e-320")]
+)
+def test_export_refuses_an_fps_that_overflows_a_column(tmp_path, capsys, what, fps):
+    # a finite fps so large or so small that a velocity or a time overflows
+    # is refused before the CSV is opened, and the overflow must not warn,
+    # since pyproject.toml makes a RuntimeWarning an error
+    moved = {"xy": [[2.0 * x, 2.0 * y] for x, y in GOOD_FRAME["xy"]]}
+    src = tmp_path / "in.json"
+    src.write_text(keypoint_text(fps=float(fps), frames=[GOOD_FRAME, moved]))
+    out = tmp_path / "out.csv"
+    assert main(["export", "--input", str(src), "--output", str(out), "--what", what]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "non-finite" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -239,9 +239,8 @@ def record_forward_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
-    # a 3000-frame file's 1404 rows, twelve blocks of 117, on 1, 2 or 8
-    # worker threads (more than this machine may have cores), switching
-    # threads often
+    # 1404 rows, twelve blocks of 117, on 1, 2 or 8 worker threads (more
+    # than this machine may have cores), switching threads often
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     model = small_model(seed=15)
     x = make_rng(73).uniform(-2.0, 2.0, size=(1404, 12))
@@ -837,7 +836,7 @@ def block_sizes(rows) -> list:
 def test_blocks_are_the_fewest_even_balanced_blocks():
     # a training batch of 256 is two blocks of 128, a batch of 64 rows or
     # more, such as an epoch's last, short batch, at least two blocks, and
-    # a 3000-frame file's 1404 rows twelve blocks of 117
+    # a 3000-frame file's 1044 rows ten blocks of 104 or 105
     assert _MAX_BLOCK_ROWS == 128
     assert _SPLIT_ROWS == 64
     assert block_sizes(256) == [128, 128]
@@ -849,6 +848,7 @@ def test_blocks_are_the_fewest_even_balanced_blocks():
     assert block_sizes(129) == [64, 65]
     assert block_sizes(3 * 128 + 5) == [97, 97, 97, 98]
     assert block_sizes(1404) == 12 * [117]
+    assert block_sizes(1044) == [104, 104, 105, 104, 105, 104, 104, 105, 104, 105]
     # up to 256 rows, one block below 64 rows and two from 64 on
     assert [len(_blocks(rows)) for rows in range(1, 257)] == 63 * [1] + 193 * [2]
 

@@ -262,6 +262,23 @@ def test_short_file_is_one_refine_batch_call_at_its_own_length(tmp_path, monkeyp
     assert calls == [(N_LIMBS, 40)]
 
 
+def test_long_file_is_one_refine_batch_call_of_third_window_steps(tmp_path, monkeypatch):
+    # 3000 frames at window 100 step by 34: 87 windows of 12 joints
+    calls = []
+    original = windows.refine_batch
+
+    def spy(rows, model):
+        calls.append(np.shape(rows))
+        return original(rows, model)
+
+    monkeypatch.setattr(windows, "refine_batch", spy)
+    src, mpath = tmp_path / "in.json", tmp_path / "m.jarm"
+    write_keypoints(smooth_sequence(make_rng(76), 3000), src)
+    save_model(RefinerModel.identity(hidden=4, d_att=3, window=100), mpath)
+    refine_keypoint_file(src, mpath, tmp_path / "out.json")
+    assert calls == [(1044, 100)]
+
+
 def test_refinement_reconstructs_consistent_limb_lengths():
     rng = make_rng(74)
     seq = smooth_sequence(rng, 70)
@@ -346,8 +363,11 @@ def test_correction_rate_monotone_in_tau():
 def test_evaluate_metrics_validation():
     with pytest.raises(ShapeError):
         evaluate_metrics(np.zeros((3, 12)), np.zeros((4, 12)))
-    with pytest.raises(ShapeError):
-        evaluate_metrics(np.zeros((3, 12)), np.zeros((3, 12)), tau=0.0)
+    # a tau of 0 corrects nothing, and an infinite one would be written
+    # as the non-JSON token Infinity
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(ShapeError, match="tau"):
+            evaluate_metrics(np.zeros((3, 12)), np.zeros((3, 12)), tau=tau)
     with pytest.raises(ShapeError, match="outside"):
         evaluate_metrics(np.zeros((3, 12)), np.zeros((3, 12)), erroneous={5: None})
     # an empty list would always count as corrected; -1 would score joint 11

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-TINY = ["--train-count", "300", "--test-count", "50", "--epochs", "1", "--hidden", "8"]
+TINY = ["--train-count", "300", "--epochs", "1", "--hidden", "8"]
 
 
 @pytest.mark.parametrize(
     "script, extra",
-    [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", [])],
+    [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", ["--test-count", "50"])],
 )
 def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
     proc = subprocess.run(
@@ -25,6 +25,10 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "run_demo.py":
+        assert "generating 300 training windows ..." in proc.stdout.splitlines()
+        manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+        assert manifest["counts"]["test"] == 0
     if script == "reproduce_training.py":
         # scored by pipeline.score_windows on the tiny test split
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -38,11 +42,11 @@ def test_script_runs_on_a_tiny_corpus(tmp_path, script, extra):
 
 @pytest.mark.parametrize(
     "script, extra",
-    [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", [])],
+    [("run_demo.py", ["--frames", "120"]), ("reproduce_training.py", ["--test-count", "12"])],
 )
 def test_script_epoch_lines_omit_val_without_validation_windows(tmp_path, script, extra):
     # 4 training windows leave round(0.4) = 0 for validation, so val_mse is None
-    small = ["--train-count", "4", "--test-count", "12", "--epochs", "1", "--hidden", "2"]
+    small = ["--train-count", "4", "--epochs", "1", "--hidden", "2"]
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), "--out", str(tmp_path)] + small + extra,
         capture_output=True,
@@ -60,14 +64,13 @@ def test_script_epoch_lines_omit_val_without_validation_windows(tmp_path, script
     "script, argv, corpus_written",
     [
         # refused before the corpus is generated: there would be nothing to score
-        ("reproduce_training.py", TINY[:2] + ["--test-count", "0"] + TINY[4:], False),
+        ("reproduce_training.py", TINY + ["--test-count", "0"], False),
         # refused by generate_dataset
         ("reproduce_training.py", ["--train-count", "0"], False),
         # refused by the root smoother after training
         (
             "run_demo.py",
-            ["--train-count", "4", "--test-count", "12", "--epochs", "1", "--hidden", "2",
-             "--frames", "2"],
+            ["--train-count", "4", "--epochs", "1", "--hidden", "2", "--frames", "2"],
             True,
         ),
     ],

@@ -38,13 +38,13 @@ def stitch_frame(refined, starts, frame: int) -> np.ndarray:
 
 
 def test_plan_windows_strided_with_flush():
-    # a quarter of 8 frames: starts step by 2, then a flush window
+    # a third of 8 frames, rounded up: starts step by 3, then a flush window
     starts = plan_windows(13, 8)
-    assert starts == [0, 2, 4, 5]
+    assert starts == [0, 3, 5]
     assert covering(starts, 8, 0) == [0]
-    assert covering(starts, 8, 6) == [0, 1, 2, 3]
-    assert covering(starts, 8, 12) == [3]
-    # a quarter window rounds up: 5 frames step by 2
+    assert covering(starts, 8, 6) == [0, 1, 2]
+    assert covering(starts, 8, 12) == [2]
+    # a third of 5 frames rounds up too: starts step by 2
     assert plan_windows(12, 5) == [0, 2, 4, 6, 7]
     # every frame is covered by at least one window
     for frame in range(13):
@@ -52,8 +52,8 @@ def test_plan_windows_strided_with_flush():
 
 
 def test_plan_windows_exact_fit():
-    assert plan_windows(10, 4) == [0, 1, 2, 3, 4, 5, 6]
-    assert plan_windows(20, 8) == [0, 2, 4, 6, 8, 10, 12]
+    assert plan_windows(10, 4) == [0, 2, 4, 6]
+    assert plan_windows(20, 8) == [0, 3, 6, 9, 12]
     assert plan_windows(5, 5) == [0]
 
 
@@ -117,6 +117,22 @@ def test_merge_validation():
     for bad in ([1, 4], [0, 6], [0, 0]):
         with pytest.raises(ShapeError, match="starts"):
             stitch_windows(np.zeros((2, 5, 1)), bad)
+
+
+@given(st.integers(min_value=2, max_value=120), st.integers(min_value=0, max_value=400))
+def test_kept_frames_lie_near_their_window_centre(length, extra):
+    # between the first and the last window centre, the window that owns a
+    # frame has its centre at most half a step, ceil(ceil(L/3)/2), away
+    n = length + extra
+    starts = np.asarray(plan_windows(n, length))
+    labels = np.repeat(np.arange(len(starts), dtype=float), length).reshape(-1, length, 1)
+    owner = stitch_windows(labels, starts)[:, 0].astype(int)
+    half = (length - 1) / 2.0
+    frames = np.arange(n)
+    inner = (frames >= half) & (frames <= n - 1 - half)
+    distance = np.abs(frames - starts[owner] - half)
+    step = -(-length // 3)
+    assert np.all(distance[inner] <= -(-step // 2))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -218,7 +234,7 @@ def test_joint_batched_float32_matches_float64_per_joint_reference():
     rng = make_rng(67)
     model = RefinerModel.init_random(hidden=8, d_att=4, window=10, seed=3)
     theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(50, N_LIMBS)), axis=0))
-    # 15 windows of 12 joints: the rows make two forward blocks
+    # 11 windows of 12 joints: the rows make two forward blocks
     assert len(_blocks(len(plan_windows(50, 10)) * N_LIMBS)) == 2
     out = refine_sequence(theta, model)
     want = per_joint_reference(theta, model)
@@ -230,7 +246,7 @@ def test_joint_batched_float32_matches_float64_per_joint_reference():
 def test_identity_model_is_exact_across_forward_chunks():
     rng = make_rng(68)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
-    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(90, N_LIMBS)), axis=0))
-    # 28 windows of 12 joints: four forward blocks
-    assert len(_blocks(len(plan_windows(90, 10)) * N_LIMBS)) == 4
+    theta = wrap_angle(np.cumsum(rng.uniform(-0.4, 0.4, size=(110, N_LIMBS)), axis=0))
+    # 26 windows of 12 joints: four forward blocks
+    assert len(_blocks(len(plan_windows(110, 10)) * N_LIMBS)) == 4
     assert np.array_equal(refine_sequence(theta, model), np.unwrap(theta, axis=0))
