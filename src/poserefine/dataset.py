@@ -2,8 +2,8 @@
 
 Clean windows come from Fourier motion templates; each window is corrupted
 with per-window Gaussian jitter plus sparse large outliers whose halved
-echoes land on neighbouring frames.  Each split is written as one
-fixed-layout little-endian shard next to a JSON manifest.  Everything is
+echoes land on neighbouring frames.  Each split is written as one shard
+of float32 angle windows next to a JSON manifest.  Everything is
 deterministic in the base seed: each simulated subject and each window
 draws from its own seed sequence, so any record's noise can be replayed
 from the manifest alone.
@@ -31,7 +31,6 @@ from .fourier import (
     synthesize_truth,
 )
 from .jsonio import json_index, json_number, read_json
-from .refiner import MAX_WINDOW
 from .skeleton import N_LIMBS
 
 _SPLIT_CODES = {"train": 0, "test": 1}
@@ -125,60 +124,49 @@ def inject_noise_events(truth: np.ndarray, spec: NoiseSpec, rng: np.random.Gener
 # shard files
 
 
-def _record_dtype(window: int) -> np.dtype:
-    return np.dtype(
-        [
-            ("joint", "<u2"),
-            ("length", "<u2"),
-            ("truth", "<f4", (window,)),
-            ("noisy", "<f4", (window,)),
-        ]
-    )
-
-
-def write_shard(path, joints: np.ndarray, truth: np.ndarray, noisy: np.ndarray) -> int:
-    """Write records to one shard file; returns the byte size."""
-    truth = np.asarray(truth, dtype=np.float32)
-    noisy = np.asarray(noisy, dtype=np.float32)
-    joints = np.asarray(joints)
-    k, window = truth.shape
-    if noisy.shape != (k, window) or joints.shape != (k,):
-        raise ShapeError("joints, truth, and noisy must agree on record count")
-    rec = np.empty(k, dtype=_record_dtype(window))
-    rec["joint"] = joints
-    rec["length"] = window
-    rec["truth"] = truth
-    rec["noisy"] = noisy
-    rec.tofile(path)
-    return rec.nbytes
+def write_shard(path, truth: np.ndarray, noisy: np.ndarray) -> int:
+    """Write records to one shard file; returns the byte size.  A shard is a
+    little-endian float32 array (records, 2, window): truth, then noisy."""
+    truth = np.asarray(truth, dtype="<f4")
+    noisy = np.asarray(noisy, dtype="<f4")
+    if truth.ndim != 2 or noisy.shape != truth.shape:
+        raise ShapeError("truth and noisy must be (records, window) arrays of one shape")
+    records = np.stack([truth, noisy], axis=1)
+    records.tofile(path)
+    return records.nbytes
 
 
 def read_shard(path, window: int):
-    """Read one shard; returns (joints, truth, noisy) as arrays."""
-    dtype = _record_dtype(window)
+    """Read one shard; returns (truth, noisy) as float64 (records, window) arrays."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except (OSError, ValueError) as exc:  # a manifest names the shard
         raise SchemaError(f"shard {path} cannot be read: {exc}")
-    if len(data) % dtype.itemsize != 0:
+    record_bytes = 2 * 4 * window
+    if len(data) % record_bytes != 0:
         raise SchemaError(f"shard {path} is not a whole number of records")
-    rec = np.frombuffer(data, dtype=dtype)
-    if rec.size and not (rec["length"] == window).all():
-        raise SchemaError(f"shard {path} disagrees with the manifest window length")
-    if rec.size and (rec["joint"] >= N_LIMBS).any():
-        raise SchemaError(f"shard {path} contains an out-of-range joint index")
-    if not (np.isfinite(rec["truth"]).all() and np.isfinite(rec["noisy"]).all()):
+    records = np.frombuffer(data, dtype="<f4").reshape(len(data) // record_bytes, 2, window)
+    # checked before the float64 cast, which warns on a signalling NaN
+    if not np.isfinite(records).all():
         raise SchemaError(f"shard {path} holds a non-finite angle")
-    return (
-        rec["joint"].astype(int),
-        rec["truth"].astype(np.float64),
-        rec["noisy"].astype(np.float64),
-    )
+    return records[:, 0].astype(np.float64), records[:, 1].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # manifest
+
+
+def _geometry_problem(window: int, stride: int, frames_per_cycle: int, cycles: int):
+    """Why no corpus can have this window geometry, or None if one can."""
+    if window < 2 or stride < 1:
+        return "window must be >= 2 and stride >= 1"
+    if frames_per_cycle < 1 or cycles < 1:
+        return "frames_per_cycle and cycles must be >= 1"
+    total = frames_per_cycle * cycles
+    if window > total:
+        return f"window {window} exceeds the {total}-frame synthesized sequence"
+    return None
 
 
 @dataclass
@@ -267,18 +255,11 @@ class DatasetManifest:
             raise SchemaError(f"manifest {path}: missing key {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"manifest {path}: {exc}")
-        if not (2 <= manifest.window <= MAX_WINDOW) or manifest.stride < 1:
-            raise SchemaError(
-                f"manifest {path}: window must be in [2, {MAX_WINDOW}] and stride >= 1"
-            )
-        if manifest.frames_per_cycle < 1 or manifest.cycles < 1:
-            raise SchemaError(f"manifest {path}: frames_per_cycle and cycles must be >= 1")
-        total = manifest.frames_per_cycle * manifest.cycles
-        if manifest.window > total:
-            raise SchemaError(
-                f"manifest {path}: window {manifest.window} exceeds the"
-                f" {total}-frame synthesized sequence"
-            )
+        problem = _geometry_problem(
+            manifest.window, manifest.stride, manifest.frames_per_cycle, manifest.cycles
+        )
+        if problem:
+            raise SchemaError(f"manifest {path}: {problem}")
         unknown = sorted(set(manifest.counts) - set(_SPLIT_CODES))
         if unknown:
             raise SchemaError(f"manifest {path}: unknown splits {unknown}; expected train, test")
@@ -302,8 +283,11 @@ def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
-def record_coords(manifest: DatasetManifest, index: int):
-    """(subject, joint, window offset) for a flat record index of a split."""
+def record_coords(manifest: DatasetManifest, index):
+    """(subject, joint, window offset) for a flat record index of a split.
+
+    index may also be an integer array, since divmod works elementwise.
+    """
     total = manifest.frames_per_cycle * manifest.cycles
     n_offsets = (total - manifest.window) // manifest.stride + 1
     subject, rest = divmod(index, N_LIMBS * n_offsets)
@@ -339,15 +323,9 @@ def generate_dataset(
     if noise is None:
         noise = NoiseSpec()
     templates, ranges = reference_templates(), RandomizeRanges()
-    total = frames_per_cycle * cycles
-    if window < 2 or stride < 1:
-        raise GenerationError("window must be >= 2 and stride >= 1")
-    if window > MAX_WINDOW:
-        raise GenerationError(f"window {window} exceeds the shard limit of {MAX_WINDOW}")
-    if window > total:
-        raise GenerationError(
-            f"window {window} exceeds the {total}-frame synthesized sequence"
-        )
+    problem = _geometry_problem(window, stride, frames_per_cycle, cycles)
+    if problem:
+        raise GenerationError(problem)
     if train_count < 1 or test_count < 0:
         raise GenerationError("train_count must be >= 1 and test_count >= 0")
 
@@ -367,7 +345,6 @@ def generate_dataset(
         if count == 0:
             continue
         code = _SPLIT_CODES[split]
-        joints = np.empty(count, dtype=int)
         truth = np.empty((count, window), dtype=np.float32)
         noisy = np.empty_like(truth)
         truth_subject = -1
@@ -381,38 +358,42 @@ def generate_dataset(
                 truth_subject = subject
             clean = subject_truth[offset : offset + window, joint]
             rng = _rng(noise.seed, code, subject, joint, offset)
-            joints[index] = joint
             truth[index] = clean
             with np.errstate(over="ignore"):  # an overflow is refused below
                 noisy[index], _ = inject_noise_events(clean, noise, rng)
         if not np.isfinite(noisy).all():
             raise GenerationError(f"the noise overflows float32 in the {split} split")
-        built.append((f"{split}-0000.bin", split, joints, truth, noisy))
+        built.append((f"{split}-0000.bin", split, truth, noisy))
     os.makedirs(out_dir, exist_ok=True)
-    for name, split, *records in built:
-        size = write_shard(os.path.join(out_dir, name), *records)
-        manifest.shards[split].append((name, len(records[0]), size))
+    for name, split, truth, noisy in built:
+        size = write_shard(os.path.join(out_dir, name), truth, noisy)
+        manifest.shards[split].append((name, len(truth), size))
 
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
 def load_split(manifest: DatasetManifest, split: str):
-    """Concatenate a split's shards; returns (joints, truth, noisy)."""
+    """Concatenate a split's shards; returns (joints, truth, noisy).  A shard
+    stores no joints: record_coords derives each from its record's index."""
     if split not in manifest.shards:
         raise SchemaError(f"manifest has no split named {split!r}")
-    parts = [
-        read_shard(os.path.join(manifest.root, name), manifest.window)
-        for name, _, _ in manifest.shards[split]
-    ]
-    if not parts:
-        empty = np.empty((0, manifest.window))
-        parts = [(np.empty(0, dtype=int), empty, empty)]
-    joints, truth, noisy = map(np.concatenate, zip(*parts))
-    expected = manifest.counts[split]
-    if joints.shape[0] != expected:
-        raise SchemaError(
-            f"{split}: shards hold {joints.shape[0]} records, manifest says {expected}"
-        )
-    return joints, truth, noisy
-
+    try:
+        empty = np.empty((0, manifest.window))  # so that an empty split concatenates
+    except ValueError as exc:  # only a hand-edited window of 2**60 frames or more
+        raise SchemaError(f"{split}: window {manifest.window} is too large: {exc}")
+    truth, noisy = [empty], [empty]
+    for name, records, _ in manifest.shards[split]:
+        t, n = read_shard(os.path.join(manifest.root, name), manifest.window)
+        if len(t) != records:
+            raise SchemaError(f"shard {name} holds {len(t)} records, manifest says {records}")
+        truth.append(t)
+        noisy.append(n)
+    count, expected = sum(map(len, truth)), manifest.counts[split]
+    if count != expected:
+        raise SchemaError(f"{split}: shards hold {count} records, manifest says {expected}")
+    try:
+        _, joints, _ = record_coords(manifest, np.arange(count))
+    except OverflowError as exc:  # only a hand-edited geometry, such as a 2**63 stride
+        raise SchemaError(f"{split}: the manifest geometry overflows int64: {exc}")
+    return joints, np.concatenate(truth), np.concatenate(noisy)

@@ -96,8 +96,6 @@ _GATES = ("z", "r", "h")
 _DIRECTIONS = ("fwd", "bwd")
 _MAGIC = b"JARM"
 _VERSION = 1
-# the largest window a corpus shard can record: its length field is <u2
-MAX_WINDOW = 65535
 # time steps whose input projections are computed together, per direction
 _PROJ_BLOCK = 8
 # the most rows per block: a block bounds the working memory of its
@@ -137,8 +135,8 @@ class RefinerModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.hidden < 1 or self.d_att < 1 or not (2 <= self.window <= MAX_WINDOW):
-            raise ShapeError(f"hidden and d_att must be >= 1, window in [2, {MAX_WINDOW}]")
+        if self.hidden < 1 or self.d_att < 1 or self.window < 2:
+            raise ShapeError("hidden and d_att must be >= 1, window >= 2")
         expected = parameter_shapes(self.hidden, self.d_att)
         if set(self.params) != set(expected):
             missing = sorted(set(expected) - set(self.params))
@@ -842,8 +840,8 @@ def load_model(path) -> RefinerModel:
     version, hidden, d_att, window = reader.unpack("<IIII")
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    if not (2 <= window <= MAX_WINDOW):
-        raise CorruptModelError(f"model window {window} outside [2, {MAX_WINDOW}]")
+    if window < 2:
+        raise CorruptModelError(f"model window {window} is below 2")
     (count,) = reader.unpack("<I")
     expected = parameter_shapes(hidden, d_att)
     if count != len(expected):

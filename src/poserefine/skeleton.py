@@ -109,32 +109,39 @@ def wrap_angle(theta):
     return out if out.ndim else float(out)
 
 
-def _deltas(xy: np.ndarray) -> np.ndarray:
-    return xy[..., _CHILDREN, :] - xy[..., _PARENTS, :]
+def _refuse_limbs(mask: np.ndarray, problem: str):
+    """mask is (n, 12); if any is set, raise naming the first edge and frame."""
+    if mask.any():
+        frame, edge = np.argwhere(mask)[0]
+        raise DegenerateLimbError(
+            f"{problem} on limb {EDGE_NAMES[int(edge)]} at frame {int(frame)}"
+        )
 
 
-def _raise_degenerate(mask: np.ndarray):
-    """mask is (n, 12); raise naming the first offending edge and frame."""
-    frame, edge = np.argwhere(mask)[0]
-    raise DegenerateLimbError(
-        f"coincident keypoints on limb {EDGE_NAMES[int(edge)]} at frame {int(frame)}"
-    )
+def _limb_vectors(xy: np.ndarray) -> np.ndarray:
+    """Child minus parent keypoint of every limb, (n, 12, 2).  Finite
+    keypoints can be too far apart for float64; such a limb is refused."""
+    with np.errstate(over="ignore"):
+        d = xy[..., _CHILDREN, :] - xy[..., _PARENTS, :]
+    _refuse_limbs(~np.isfinite(d).all(axis=-1), "non-finite vector")
+    return d
 
 
 def pose_to_angles(seq: PoseSequence) -> np.ndarray:
     """All limb orientations of a sequence, shape (n_frames, 12)."""
-    d = _deltas(seq.xy)
-    zero = (d[..., 0] == 0.0) & (d[..., 1] == 0.0)
-    if zero.any():
-        _raise_degenerate(zero)
+    d = _limb_vectors(seq.xy)
+    _refuse_limbs((d[..., 0] == 0.0) & (d[..., 1] == 0.0), "coincident keypoints")
     ang = np.arctan2(d[..., 1], d[..., 0])
     return np.where(ang == -np.pi, np.pi, ang)
 
 
 def pose_to_limb_lengths(seq: PoseSequence) -> np.ndarray:
     """All limb lengths of a sequence, shape (n_frames, 12)."""
-    d = _deltas(seq.xy)
-    return np.hypot(d[..., 0], d[..., 1])
+    d = _limb_vectors(seq.xy)
+    with np.errstate(over="ignore"):
+        lengths = np.hypot(d[..., 0], d[..., 1])
+    _refuse_limbs(~np.isfinite(lengths), "non-finite length")
+    return lengths
 
 
 def reconstruct_sequence(base, theta, lengths, fps: float = 30.0) -> PoseSequence:
@@ -150,11 +157,7 @@ def reconstruct_sequence(base, theta, lengths, fps: float = 30.0) -> PoseSequenc
         raise ShapeError(
             "base must be (n, 2) and theta/lengths (n, 12) with matching n"
         )
-    if not (lengths > 0).all():
-        frame, edge = np.argwhere(~(lengths > 0))[0]
-        raise DegenerateLimbError(
-            f"non-positive length for limb {EDGE_NAMES[int(edge)]} at frame {int(frame)}"
-        )
+    _refuse_limbs(~(lengths > 0), "non-positive length")
     xy = np.empty((n, N_KEYPOINTS, 2))
     xy[:, ROOT, :] = base
     cos = np.cos(theta)

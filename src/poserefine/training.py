@@ -38,8 +38,8 @@ class TrainConfig:
             raise ShapeError("batch_size and max_epochs must be >= 1")
         if not (0 <= self.validation_fraction < 1):
             raise ShapeError("validation_fraction must be in [0, 1)")
-        if not (self.learning_rate > 0):
-            raise ShapeError("learning_rate must be positive")
+        if not (0 < self.learning_rate < np.inf):
+            raise ShapeError("learning_rate must be positive and finite")
         if self.seed < 0:
             raise ShapeError("seed must be >= 0")
 

@@ -497,6 +497,60 @@ def test_export_refuses_an_fps_that_overflows_a_column(tmp_path, capsys, what, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_train_refuses_an_unusable_learning_rate_before_reading_the_corpus(
+    tmp_path, capsys, value
+):
+    # an infinite rate would train one epoch of NaN weights before failing
+    out = tmp_path / "model.jarm"
+    argv = ["train", "--manifest", str(tmp_path / "absent.json"), "--out", str(out)]
+    assert main(argv + ["--lr", value]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: learning_rate must be positive and finite\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def overflowing_limb_file(tmp_path_factory):
+    # every coordinate is finite, but the left upper arm's x extent,
+    # 1.5e308 - (-1.5e308), is past float64's range
+    seq = smooth_sequence(make_rng(81), 30)
+    xy = seq.xy.copy()
+    xy[5, 1] = (-1.5e308, 0.0)
+    xy[5, 3] = (1.5e308, -0.5e308)
+    path = tmp_path_factory.mktemp("overflow") / "input.json"
+    write_keypoints(PoseSequence(xy=xy, fps=seq.fps), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["export-angles", "eval", "refine"])
+def test_a_limb_vector_past_float64_exits_two_naming_the_limb(
+    tmp_path, capsys, overflowing_limb_file, command
+):
+    src = str(overflowing_limb_file)
+    model = tmp_path / "m.jarm"
+    save_model(RefinerModel.identity(hidden=3, d_att=2, window=20), model)
+    out = tmp_path / "out"
+    argv = {
+        "export-angles": ["export", "--input", src, "--output", out, "--what", "angles"],
+        "eval": ["eval", "--refined", src, "--truth", src],
+        "refine": ["refine", "--input", src, "--model", model, "--output", out],
+    }[command]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: non-finite vector on limb left_shoulder_to_left_elbow at frame 5\n"
+    assert not out.exists()
+
+
+def test_a_limb_vector_past_float64_still_exports_positions(tmp_path, overflowing_limb_file):
+    out = tmp_path / "positions.csv"
+    argv = ["export", "--input", str(overflowing_limb_file), "--output", str(out)]
+    assert main(argv + ["--what", "positions"]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1 + 5][2 + 2]) == -1.5e308  # left_shoulder_x of frame 5
+
+
 @pytest.mark.parametrize("case", ["synth-flag", "train-flag", "manifest-base-seed"])
 def test_negative_seed_exits_two(tmp_path, capsys, corpus, case):
     # numpy's generators refuse a negative seed, so the settings refuse it

@@ -135,46 +135,79 @@ def test_truth_window_must_be_1d():
 def test_shard_roundtrip(tmp_path):
     rng = make_rng(44)
     path = tmp_path / "s.bin"
-    joints = np.array([0, 11, 5])
     truth = rng.normal(size=(3, 16)).astype(np.float32)
     noisy = rng.normal(size=(3, 16)).astype(np.float32)
-    size = write_shard(path, joints, truth, noisy)
-    assert size == os.path.getsize(path) == 3 * (2 + 2 + 16 * 4 + 16 * 4)
-    j, t, n = read_shard(path, 16)
-    assert np.array_equal(j, joints)
+    size = write_shard(path, truth, noisy)
+    assert size == os.path.getsize(path) == 3 * 2 * 16 * 4
+    t, n = read_shard(path, 16)
     assert np.array_equal(t, truth.astype(np.float64))
     assert np.array_equal(n, noisy.astype(np.float64))
+
+
+def test_shard_bytes_are_each_records_truth_then_noisy_window(tmp_path):
+    path = tmp_path / "s.bin"
+    truth = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.75]])
+    noisy = np.array([[0.25, 1.5, -3.0], [1.0, 4.5, 0.125]])
+    write_shard(path, truth, noisy)
+    assert path.read_bytes() == np.stack([truth, noisy], 1).astype("<f4").tobytes()
 
 
 def test_shard_errors(tmp_path):
     path = tmp_path / "s.bin"
     with pytest.raises(ShapeError):
-        write_shard(path, np.array([0]), np.zeros((2, 8)), np.zeros((2, 8)))
-    write_shard(path, np.array([0]), np.zeros((1, 8)), np.zeros((1, 8)))
+        write_shard(path, np.zeros((1, 8)), np.zeros((2, 8)))
+    with pytest.raises(ShapeError):
+        write_shard(path, np.zeros(8), np.zeros(8))
+    write_shard(path, np.zeros((1, 8)), np.zeros((1, 8)))
+    with pytest.raises(SchemaError, match="whole number"):
+        read_shard(path, 10)  # the manifest window does not divide the file
     with open(path, "ab") as fh:
         fh.write(b"x")  # no longer a whole number of records
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="whole number"):
         read_shard(path, 8)
     bad = tmp_path / "bad.bin"
-    write_shard(bad, np.array([N_LIMBS + 3]), np.zeros((1, 8)), np.zeros((1, 8)))
-    with pytest.raises(SchemaError, match="joint"):
-        read_shard(bad, 8)
-    ok = tmp_path / "ok.bin"
-    write_shard(ok, np.array([0]), np.zeros((1, 8)), np.zeros((1, 8)))
-    with pytest.raises(SchemaError):
-        read_shard(ok, 10)  # window disagrees with the stored length field
     # the check comes before the float64 cast, which warns on a signalling NaN
     snan = np.frombuffer(np.uint32(0x7F800001).tobytes(), dtype="<f4")[0]
     for value in (snan, np.inf):
         noisy = np.zeros((1, 8), dtype=np.float32)
         noisy[0, 3] = value
-        write_shard(bad, np.array([0]), np.zeros((1, 8)), noisy)
+        write_shard(bad, np.zeros((1, 8)), noisy)
         with pytest.raises(SchemaError, match="non-finite"):
             read_shard(bad, 8)
     # a manifest names its shards, so one that cannot be opened is a bad corpus
     for name in ("absent.bin", "nul\0.bin"):
         with pytest.raises(SchemaError, match="cannot be read"):
             read_shard(tmp_path / name, 8)
+
+
+# the layout before shards held angles only: a joint and a length per record
+PARENT_RECORD = [
+    ("joint", "<u2"), ("length", "<u2"), ("truth", "<f4", (20,)), ("noisy", "<f4", (20,)),
+]
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    # 40 records of 164 bytes make 41 of 160; 30 make no whole number
+    [(40, "holds 41 records, manifest says 40"), (30, "is not a whole number of records")],
+    ids=["record-count", "partial-record"],
+)
+def test_train_refuses_a_shard_in_the_joint_and_length_layout(tmp_path, capsys, records, message):
+    manifest = generate_dataset(
+        tmp_path, train_count=records, test_count=0, noise=NoiseSpec(seed=2),
+        window=20, stride=5, frames_per_cycle=25, cycles=2,
+    )
+    joints, truth, noisy = load_split(manifest, "train")
+    old = np.empty(records, dtype=PARENT_RECORD)
+    old["joint"], old["length"], old["truth"], old["noisy"] = joints, 20, truth, noisy
+    old.tofile(tmp_path / "train-0000.bin")
+    out = tmp_path / "model.jarm"
+    argv = ["train", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out)]
+    assert cli_main(argv + ["--hidden", "3", "--d-att", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "train-0000.bin" in err and message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +277,18 @@ def test_manifest_load_rejects_malformed_documents(tmp_path):
         window=20, stride=5, frames_per_cycle=25, cycles=2,
         noise=NoiseSpec(), templates=[],
     )
-    # a window past the shard limit would reach read_shard's record dtype,
-    # which numpy refuses with a ValueError
-    for key, value in (
-        ("window", -5), ("window", 1), ("window", 70000), ("window", 10**12), ("stride", 0),
+    for key, value, message in (
+        ("window", -5, "window must be >= 2 and stride >= 1"),
+        ("window", 1, "window must be >= 2 and stride >= 1"),
+        ("stride", 0, "window must be >= 2 and stride >= 1"),
+        ("window", 70000, "window 70000 exceeds the 50-frame synthesized sequence"),
+        ("window", 10**12, "window 1000000000000 exceeds the 50-frame synthesized sequence"),
+        ("cycles", 0, "frames_per_cycle and cycles must be >= 1"),
     ):
         path.write_text(json.dumps({**json.loads(good.to_json()), key: value}))
-        with pytest.raises(SchemaError, match=r"window must be in \[2, 65535\] and stride >= 1"):
+        with pytest.raises(SchemaError) as info:
             DatasetManifest.load(path)
+        assert str(info.value) == f"manifest {path}: {message}"
     # integer fields refuse what int() would truncate or accept
     doc = json.loads(good.to_json())
     for key, value in (
@@ -433,42 +470,73 @@ def test_generation_errors(tmp_path):
         generate_dataset(tmp_path, train_count=0, test_count=0)
     with pytest.raises(GenerationError):
         generate_dataset(tmp_path, train_count=1, test_count=0, window=80, frames_per_cycle=30, cycles=2)
-    # a shard records the window length as <u2; the sequence is long enough
-    with pytest.raises(GenerationError, match="65535"):
-        generate_dataset(
-            tmp_path / "bad", train_count=1, test_count=0, window=70000,
-            frames_per_cycle=70000, cycles=1,
-        )
+    with pytest.raises(GenerationError, match="frames_per_cycle and cycles must be >= 1"):
+        generate_dataset(tmp_path / "bad", train_count=1, test_count=0, cycles=0)
     for bad in ({"stride": 0}, {"stride": -3}, {"window": -4}, {"window": 1}):
         with pytest.raises(GenerationError, match="window must be >= 2 and stride >= 1"):
             generate_dataset(tmp_path / "bad", train_count=1, test_count=0, **bad)
     assert not (tmp_path / "bad").exists()
 
 
+def test_a_window_past_65535_frames_is_a_corpus_like_any_other(tmp_path):
+    manifest = generate_dataset(
+        tmp_path, train_count=1, test_count=0, window=70000, frames_per_cycle=70000, cycles=1
+    )
+    assert manifest.shards["train"] == [("train-0000.bin", 1, 2 * 70000 * 4)]
+    joints, truth, noisy = load_split(DatasetManifest.load(tmp_path / "manifest.json"), "train")
+    assert joints.tolist() == [0] and truth.shape == noisy.shape == (1, 70000)
+
+
 def test_load_split_concatenates_shards_in_order(tmp_path):
     # generation writes one shard per split; a manifest may still list several
     rng = make_rng(45)
-    joints = np.array([3, 0, 11, 7, 5])
-    truth = rng.normal(size=(5, 16)).astype(np.float32)
-    noisy = rng.normal(size=(5, 16)).astype(np.float32)
+    truth = rng.normal(size=(7, 16)).astype(np.float32)
+    noisy = rng.normal(size=(7, 16)).astype(np.float32)
     shards = []
-    for name, part in (("train-0000.bin", slice(0, 2)), ("train-0001.bin", slice(2, 5))):
-        size = write_shard(tmp_path / name, joints[part], truth[part], noisy[part])
-        shards.append({"name": name, "records": len(joints[part]), "bytes": size})
+    for name, part in (("train-0000.bin", slice(0, 3)), ("train-0001.bin", slice(3, 7))):
+        size = write_shard(tmp_path / name, truth[part], noisy[part])
+        shards.append({"name": name, "records": len(truth[part]), "bytes": size})
+    # 20 frames hold 3 windows of 16 at stride 2, so the joint moves every 3 records
     doc = json.loads(
         DatasetManifest(
-            window=16, stride=1, frames_per_cycle=20, cycles=1,
+            window=16, stride=2, frames_per_cycle=20, cycles=1,
             noise=NoiseSpec(), templates=[],
         ).to_json()
     )
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({**doc, "counts": {"train": 5}, "shards": {"train": shards}}))
-    j, t, n = load_split(DatasetManifest.load(path), "train")
-    assert np.array_equal(j, joints)
+    path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": shards}}))
+    manifest = DatasetManifest.load(path)
+    j, t, n = load_split(manifest, "train")
+    assert np.array_equal(j, [record_coords(manifest, i)[1] for i in range(7)])
+    assert np.array_equal(j, [0, 0, 0, 1, 1, 1, 2])
     assert np.array_equal(t, truth.astype(np.float64))
     assert np.array_equal(n, noisy.astype(np.float64))
-    path.write_text(json.dumps({**doc, "counts": {"train": 6}, "shards": {"train": shards}}))
-    with pytest.raises(SchemaError, match="shards hold 5 records, manifest says 6"):
+    path.write_text(json.dumps({**doc, "counts": {"train": 8}, "shards": {"train": shards}}))
+    with pytest.raises(SchemaError, match="shards hold 7 records, manifest says 8"):
+        load_split(DatasetManifest.load(path), "train")
+    # each shard is checked against its own entry, even when the total agrees
+    moved = [{**shards[0], "records": 4}, {**shards[1], "records": 3}]
+    path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": moved}}))
+    with pytest.raises(SchemaError, match="shard train-0000.bin holds 3 records, manifest says 4"):
+        load_split(DatasetManifest.load(path), "train")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"stride": 2**63}, "overflows int64"),
+        ({"frames_per_cycle": 2**64}, "overflows int64"),
+        ({"window": 2**62, "frames_per_cycle": 2**62}, "window 4611686018427387904 is too large"),
+    ],
+    ids=["stride", "frames-per-cycle", "window"],
+)
+def test_load_split_refuses_a_geometry_numpy_cannot_index(tiny_corpus, fields, message):
+    # each passes the geometry rule, and no generated corpus can have it
+    out, _ = tiny_corpus
+    doc = json.loads((out / "manifest.json").read_text())
+    path = out / "huge.json"
+    path.write_text(json.dumps({**doc, **fields}))
+    with pytest.raises(SchemaError, match=message):
         load_split(DatasetManifest.load(path), "train")
 
 

@@ -1,6 +1,6 @@
 """Unused imports in the package modules and the scripts, found with ast:
-no linter is a test dependency; and what `import poserefine` loads and
-starts."""
+no linter is a test dependency; which package layers the data modules may
+import; and what `import poserefine` loads and starts."""
 
 import ast
 import json
@@ -49,6 +49,29 @@ def test_unused_import_check_sees_a_leftover_name():
         "    return os.path.join(wrap_angle(x))\n"
     )
     assert unused_imports(source) == ["N_LIMBS"]
+
+
+def package_imports(source: str) -> set:
+    """The package modules that a module imports by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # `from . import refiner` names the module as an alias
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+@pytest.mark.parametrize("name", ["dataset", "fourier", "skeleton", "jsonio"])
+def test_data_modules_import_nothing_from_the_network_layers(name):
+    # the corpus and the geometry stand below the network, its training and
+    # the pipeline; none of them may reach up for a constant
+    layers = {"refiner", "training", "windows", "pipeline"}
+    assert package_imports((SRC / f"{name}.py").read_text()) & layers == set()
+
+
+def test_package_import_check_sees_a_relative_import():
+    source = "from .refiner import RefinerModel\nfrom . import windows\nimport numpy\n"
+    assert package_imports(source) == {"refiner", "windows"}
 
 
 def test_import_starts_no_thread_pool_and_looks_up_no_blas():

@@ -24,16 +24,17 @@ from poserefine import (
     mse_loss,
     parameter_shapes,
     refine_batch,
+    refine_keypoint_file,
     save_model,
     save_train_log,
     train_on_arrays,
+    write_keypoints,
 )
-from poserefine import refiner, training
+from poserefine import refiner, training, windows
 from poserefine.refiner import (
     _MAX_BLOCK_ROWS,
     _PROJ_BLOCK,
     _SPLIT_ROWS,
-    MAX_WINDOW,
     _Arena,
     _attention_forward,
     _backward,
@@ -43,7 +44,7 @@ from poserefine.refiner import (
     _forward,
 )
 
-from conftest import make_rng
+from conftest import make_rng, smooth_sequence
 
 
 def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray, cell: dict) -> np.ndarray:
@@ -1284,20 +1285,54 @@ def test_load_rejects_bad_version(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_a_window_no_shard_can_record(tmp_path):
-    # the header window is bytes 16-20; refine would pad every clip to it
+def test_a_large_header_window_loads_and_refines_a_clip_at_its_own_length(
+    tmp_path, monkeypatch
+):
+    # the header window is bytes 16-20; a clip of at most one window is one
+    # batch of its own length, so no allocation follows the header window
     path = tmp_path / "m.jarm"
     save_model(small_model(), path)
     data = bytearray(path.read_bytes())
-    data[16:20] = (MAX_WINDOW).to_bytes(4, "little")
+    data[16:20] = (100000).to_bytes(4, "little")
     path.write_bytes(bytes(data))
-    assert load_model(path).window == MAX_WINDOW
-    data[16:20] = (MAX_WINDOW + 1).to_bytes(4, "little")
+    assert load_model(path).window == 100000
+    calls = []
+    original = windows.refine_batch
+
+    def spy(rows, model):
+        calls.append(np.shape(rows))
+        return original(rows, model)
+
+    monkeypatch.setattr(windows, "refine_batch", spy)
+    src = tmp_path / "in.json"
+    write_keypoints(smooth_sequence(make_rng(64), 160), src)
+    refine_keypoint_file(src, path, tmp_path / "out.json")
+    assert calls == [(12, 160)]
+    data[16:20] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptModelError, match="window"):
         load_model(path)
     with pytest.raises(ShapeError, match="window"):
-        small_model(window=MAX_WINDOW + 1)
+        small_model(window=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", math.inf),
+        ("learning_rate", math.nan),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+        ("batch_size", 0),
+        ("max_epochs", 0),
+        ("validation_fraction", 1.0),
+        ("seed", -1),
+    ],
+)
+def test_train_config_refuses_unusable_settings(field, value):
+    # an infinite learning rate turns every weight to NaN in the first step
+    with pytest.raises(ShapeError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_load_rejects_truncated_file(tmp_path):

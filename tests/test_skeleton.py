@@ -238,6 +238,31 @@ def test_pose_to_angles_names_degenerate_limb():
         pose_to_angles(PoseSequence(xy=xy, fps=30.0))
 
 
+def overflowing_sequence(shoulder, elbow) -> PoseSequence:
+    """random_sequence with frame 5's left shoulder and left elbow moved."""
+    xy = random_sequence(make_rng(15), 8).xy.copy()
+    xy[5, 1], xy[5, 3] = shoulder, elbow
+    return PoseSequence(xy=xy, fps=30.0)
+
+
+def test_a_limb_vector_past_float64_is_refused_by_angles_and_lengths():
+    # finite keypoints whose difference, 1.5e308 - (-1.5e308), overflows;
+    # the overflowed vector would read as an angle of -0.0, not -0.165
+    seq = overflowing_sequence((-1.5e308, 0.0), (1.5e308, -0.5e308))
+    message = "non-finite vector on limb left_shoulder_to_left_elbow at frame 5"
+    for measure in (pose_to_angles, pose_to_limb_lengths):
+        with pytest.raises(DegenerateLimbError, match=message):
+            measure(seq)
+
+
+def test_a_limb_length_past_float64_is_refused():
+    seq = overflowing_sequence((-0.75e308, -0.75e308), (0.75e308, 0.75e308))
+    assert pose_to_angles(seq)[5, 2] == pytest.approx(math.pi / 4)
+    message = "non-finite length on limb left_shoulder_to_left_elbow at frame 5"
+    with pytest.raises(DegenerateLimbError, match=message):
+        pose_to_limb_lengths(seq)
+
+
 def test_reconstruct_rejects_non_positive_lengths():
     theta = np.zeros(N_LIMBS)
     lengths = np.ones(N_LIMBS)
