@@ -66,7 +66,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    pl.refine_keypoint_file(args.input, args.model, args.output, **_options(args, ["half_width"]))
+    pl.refine_keypoint_file(args.input, args.model, args.output)
     print(f"refined {args.input} -> {args.output}")
     return 0
 
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--sg-halfwidth", dest="half_width", type=int)
 
     p = command("eval", _cmd_eval, "compare refined keypoints against truth")
     p.add_argument("--refined", required=True)

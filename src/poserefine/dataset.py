@@ -374,26 +374,26 @@ def generate_dataset(
 
 
 def load_split(manifest: DatasetManifest, split: str):
-    """Concatenate a split's shards; returns (joints, truth, noisy).  A shard
-    stores no joints: record_coords derives each from its record's index."""
+    """Read a split's one shard; returns (joints, truth, noisy) as read.  A
+    shard stores no joints: record_coords derives each from its record's index."""
     if split not in manifest.shards:
         raise SchemaError(f"manifest has no split named {split!r}")
+    entries = manifest.shards[split]
+    if len(entries) > 1:
+        raise SchemaError(f"{split}: the manifest lists {len(entries)} shards, a split is one")
     try:
-        empty = np.empty((0, manifest.window))  # so that an empty split concatenates
+        truth = noisy = np.empty((0, manifest.window))  # an empty split's arrays
     except ValueError as exc:  # only a hand-edited window of 2**60 frames or more
         raise SchemaError(f"{split}: window {manifest.window} is too large: {exc}")
-    truth, noisy = [empty], [empty]
-    for name, records, _ in manifest.shards[split]:
-        t, n = read_shard(os.path.join(manifest.root, name), manifest.window)
-        if len(t) != records:
-            raise SchemaError(f"shard {name} holds {len(t)} records, manifest says {records}")
-        truth.append(t)
-        noisy.append(n)
-    count, expected = sum(map(len, truth)), manifest.counts[split]
+    for name, records, _ in entries:
+        truth, noisy = read_shard(os.path.join(manifest.root, name), manifest.window)
+        if len(truth) != records:
+            raise SchemaError(f"shard {name} holds {len(truth)} records, manifest says {records}")
+    count, expected = len(truth), manifest.counts[split]
     if count != expected:
         raise SchemaError(f"{split}: shards hold {count} records, manifest says {expected}")
     try:
         _, joints, _ = record_coords(manifest, np.arange(count))
     except OverflowError as exc:  # only a hand-edited geometry, such as a 2**63 stride
         raise SchemaError(f"{split}: the manifest geometry overflows int64: {exc}")
-    return joints, np.concatenate(truth), np.concatenate(noisy)
+    return joints, truth, noisy

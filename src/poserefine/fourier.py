@@ -130,7 +130,10 @@ def synthesize_truth(
     """
     if frames_per_cycle < 1 or cycles < 1:
         raise InvalidRangeError("frames_per_cycle and cycles must be >= 1")
-    m = np.arange(frames_per_cycle * cycles, dtype=float)
+    try:
+        m = np.arange(frames_per_cycle * cycles, dtype=float)
+    except ValueError as exc:  # a size numpy refuses before allocating
+        raise InvalidRangeError(f"{frames_per_cycle} x {cycles} frames are too many: {exc}")
     T = float(frames_per_cycle)
     return np.stack([eval_fourier(row, m, T) for row in template.coeffs], axis=1)
 

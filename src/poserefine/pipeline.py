@@ -4,8 +4,8 @@ Stages: read keypoints, convert to limb angles and lengths, smooth the root
 trajectory, fit one limb-length vector to the subject's median proportions
 (a closed-form least-squares fit in log lengths), refine the angle series
 with a trained window model, then rebuild keypoints from root + angles +
-the fitted lengths, the same in every frame.  Stages take plain values;
-the one setting, the root smoother's half-width, defaults to HALF_WIDTH.
+the fitted lengths, the same in every frame.  Stages take plain values,
+and refine has no setting: the root smoother's half-width is HALF_WIDTH.
 Also home to the evaluation metrics, the scorer of a corpus split's
 windows, and the CSV exports of a sequence.
 """
@@ -38,8 +38,8 @@ from .skeleton import (
 from .windows import refine_sequence
 
 
-# half-width of the root smoother's window, the one setting of refine; the
-# limb-length fit has none, and the window layout follows from the model
+# half-width of the root smoother's window, in frames; the limb-length fit
+# has no setting, and the window layout follows from the model
 HALF_WIDTH = 50
 
 
@@ -172,26 +172,22 @@ def write_keypoints(seq: PoseSequence, path) -> None:
 # refinement
 
 
-def refine_pose_sequence(
-    seq: PoseSequence, model: RefinerModel, half_width: int = HALF_WIDTH
-) -> RefinedMotion:
+def refine_pose_sequence(seq: PoseSequence, model: RefinerModel) -> RefinedMotion:
     """Run the full conditioning + refinement chain on a parsed sequence."""
     theta = pose_to_angles(seq)
     raw_lengths = pose_to_limb_lengths(seq)
-    base = smooth_base_trajectory(seq, half_width)
+    base = smooth_base_trajectory(seq, HALF_WIDTH)
     solve = optimize_limb_lengths(raw_lengths, estimate_ratios(raw_lengths))
     lengths = np.tile(solve.lengths, (len(raw_lengths), 1))
     refined = refine_sequence(theta, model)
     return RefinedMotion(base=base, theta=refined, lengths=lengths, fps=seq.fps)
 
 
-def refine_keypoint_file(
-    input_path, model_path, output_path, half_width: int = HALF_WIDTH
-) -> RefinedMotion:
+def refine_keypoint_file(input_path, model_path, output_path) -> RefinedMotion:
     """File-level wrapper: parse, refine, write reconstructed keypoints."""
     seq = parse_keypoints(input_path)
     model = load_model(model_path)
-    motion = refine_pose_sequence(seq, model, half_width)
+    motion = refine_pose_sequence(seq, model)
     write_keypoints(motion.positions(), output_path)
     return motion
 

@@ -113,6 +113,8 @@ def save_train_log(log: TrainLog, path, include_timing: bool = False) -> None:
         fh.write("\n")
 
 
+# a diverging run's overflows are refused by the loss checks, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def train_on_arrays(
     noisy: np.ndarray,
     truth: np.ndarray,

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
 import shutil
@@ -219,7 +220,6 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
             "--input", str(keypoint_file),
             "--model", str(model_path),
             "--output", str(out),
-            "--sg-halfwidth", "8",
         ]
     )
     assert rc == 0
@@ -240,26 +240,13 @@ def test_refine_names_the_non_finite_model_tensor(tmp_path, capsys, keypoint_fil
     assert not out.exists()
 
 
-BAD_REFINE_VALUES = {
-    "half_width": ["--sg-halfwidth", "0"],
-}
-
-
-@pytest.mark.parametrize("flag", BAD_REFINE_VALUES.values(), ids=BAD_REFINE_VALUES.keys())
-def test_refine_rejects_out_of_range_settings(tmp_path, capsys, keypoint_file, flag):
-    model_path = tmp_path / "ident.jarm"
-    save_model(RefinerModel.identity(hidden=4, d_att=3, window=25), model_path)
-    out = tmp_path / "out.json"
-    argv = ["refine", "--input", str(keypoint_file), "--model", str(model_path)]
-    assert main(argv + ["--output", str(out)] + flag) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_refine_has_no_window_layout_or_limb_fit_flags(capsys):
     # the window step follows from the model's window, the stitch has no
-    # weights to keep finite, and the limb fit has no smoothness weight
-    for flag in (["--stride", "5"], ["--epsilon", "1e-3"], ["--lambda", "2"]):
+    # weights to keep finite, the limb fit has no smoothness weight, and
+    # the root smoother's half-width is pipeline.HALF_WIDTH
+    for flag in (
+        ["--stride", "5"], ["--epsilon", "1e-3"], ["--lambda", "2"], ["--sg-halfwidth", "8"]
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["refine"] + REQUIRED_ARGV["refine"] + flag)
         assert exc.value.code == 2
@@ -593,8 +580,8 @@ def test_commands_without_flags_use_the_dataclass_defaults(
         log = TrainLog(entries=[EpochStats(0, 0.5, 0.25, 1.0, 10.0)], best_epoch=0, best_val_mse=0.25)
         return RefinerModel.identity(hidden=2, d_att=2, window=20), log
 
-    def fake_refine(input_path, model_path, output_path, **settings):
-        seen["refine"] = settings
+    def fake_refine(input_path, model_path, output_path):
+        seen["refine"] = (input_path, model_path, output_path)
 
     monkeypatch.setattr(cli.ds, "generate_dataset", fake_generate)
     monkeypatch.setattr(cli, "train_model", fake_train)
@@ -608,7 +595,7 @@ def test_commands_without_flags_use_the_dataclass_defaults(
     assert seen["noise"] == NoiseSpec()
     assert seen["corpus"] == {}  # generate_dataset's corpus size applies
     assert seen["train"] == TrainConfig()
-    assert seen["refine"] == {}  # refine_keypoint_file's half_width default applies
+    assert seen["refine"] == (str(keypoint_file), "m", "o")  # refine has no setting
 
 
 REQUIRED_ARGV = {
@@ -625,7 +612,7 @@ BAD_OPTION_LINES = {
     "refine": ("refine", "--seed=3"),
     "eval": ("eval", "--tau-rad=5"),
     "export": ("export", "--wat=angles"),
-    "sg-halfwidth-abc": ("refine", "--sg-halfwidth=abc"),
+    "tau-deg-abc": ("eval", "--tau-deg=abc"),
 }
 
 
@@ -653,10 +640,10 @@ def test_missing_option_file_exits_two(tmp_path, capsys):
 
 def test_non_utf8_option_file_exits_two(tmp_path, capsys, monkeypatch):
     opts = tmp_path / "opts.txt"
-    opts.write_bytes(b"--sg-halfwidth=\xe9\n")
+    opts.write_bytes(b"--tau-deg=\xe9\n")
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["refine", f"@{opts}"] + REQUIRED_ARGV["refine"])
+        main(["eval", f"@{opts}"] + REQUIRED_ARGV["eval"])
     assert exc.value.code == 2
     assert "opts.txt" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [opts]
@@ -692,10 +679,45 @@ def test_synth_refuses_noise_that_overflows_float32(tmp_path, capsys):
     assert not out.exists()
 
 
-def subcommand_dests(command) -> set:
+def test_synth_refuses_a_sequence_numpy_cannot_shape(tmp_path, capsys):
+    # 2**62 frames is a size numpy refuses before it allocates anything
+    out = tmp_path / "c"
+    argv = ["synth", "--out", str(out), "--frames-per-cycle", str(2**62), "--cycles", "1"]
+    assert main(argv + ["--train-count", "1", "--test-count", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4611686018427387904 x 1 frames are too many: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "windows, val_fraction", [(48, "0.1"), (600, "0")], ids=["one-block", "two-blocks"]
+)
+def test_a_divergent_learning_rate_ends_with_one_error_line(
+    tmp_path, capsys, monkeypatch, windows, val_fraction
+):
+    # the first Adam step takes the weights past float32; at 48 windows the
+    # validation forward meets them on the calling thread, at 600 the second
+    # 256-row batch meets them in two blocks, one on a worker thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    corpus = tmp_path / "c"
+    synth = ["synth", "--out", str(corpus), "--train-count", str(windows)]
+    assert main(synth + SYNTH_TINY[2:]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.jarm"
+    argv = ["train", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]
+    assert main(argv + ["--lr", "1e308", "--val-fraction", val_fraction]) == 2
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 0\n"
+    assert not out.exists()
+
+
+def subcommand_parsers() -> dict:
     parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def subcommand_dests(command) -> set:
+    return {a.dest for a in subcommand_parsers()[command]._actions} - {"help"}
 
 
 def test_every_train_and_synth_flag_feeds_a_field():
@@ -709,6 +731,32 @@ def test_every_train_and_synth_flag_feeds_a_field():
     noise = fields(NoiseSpec) - {"jitter_sigma_range"}
     synth = noise | set(cli._CORPUS_KEYWORDS) | {"jitter_min", "jitter_max", "out"}
     assert subcommand_dests("synth") == synth
+
+
+SUBCOMMAND_FLAGS = {
+    "synth": {
+        "--out", "--train-count", "--test-count", "--window", "--stride",
+        "--frames-per-cycle", "--cycles", "--jitter-min-deg", "--jitter-max-deg",
+        "--outlier-fraction", "--outlier-max-deg", "--secondary-sigma",
+        "--secondary-max", "--seed",
+    },
+    "train": {
+        "--manifest", "--out", "--log", "--log-times", "--batch", "--lr", "--epochs",
+        "--val-fraction", "--hidden", "--d-att", "--seed",
+    },
+    "refine": {"--input", "--model", "--output"},
+    "eval": {"--refined", "--truth", "--errors", "--tau-deg", "--out"},
+    "export": {"--input", "--output", "--what"},
+}
+
+
+def test_each_subcommand_has_exactly_its_flags():
+    # a new flag is a new setting to document and test, so it shows up here
+    got = {
+        command: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for command, p in subcommand_parsers().items()
+    }
+    assert got == SUBCOMMAND_FLAGS
 
 
 def test_synth_has_no_records_per_shard_flag(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,8 +488,9 @@ def test_a_window_past_65535_frames_is_a_corpus_like_any_other(tmp_path):
     assert joints.tolist() == [0] and truth.shape == noisy.shape == (1, 70000)
 
 
-def test_load_split_concatenates_shards_in_order(tmp_path):
-    # generation writes one shard per split; a manifest may still list several
+def test_load_split_refuses_a_split_of_several_shards(tmp_path, capsys):
+    # generation writes one shard per split, whose arrays load_split returns
+    # as read, so a manifest that lists several is refused, and train exits 2
     rng = make_rng(45)
     truth = rng.normal(size=(7, 16)).astype(np.float32)
     noisy = rng.normal(size=(7, 16)).astype(np.float32)
@@ -505,20 +507,55 @@ def test_load_split_concatenates_shards_in_order(tmp_path):
     )
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": shards}}))
+    message = "train: the manifest lists 2 shards, a split is one"
+    with pytest.raises(SchemaError, match=message):
+        load_split(DatasetManifest.load(path), "train")
+    model = tmp_path / "m.jarm"
+    assert cli_main(["train", "--manifest", str(path), "--out", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+    # the same records as one shard
+    size = write_shard(tmp_path / "train-0000.bin", truth, noisy)
+    one = [{"name": "train-0000.bin", "records": 7, "bytes": size}]
+    path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": one}}))
     manifest = DatasetManifest.load(path)
     j, t, n = load_split(manifest, "train")
     assert np.array_equal(j, [record_coords(manifest, i)[1] for i in range(7)])
     assert np.array_equal(j, [0, 0, 0, 1, 1, 1, 2])
     assert np.array_equal(t, truth.astype(np.float64))
     assert np.array_equal(n, noisy.astype(np.float64))
-    path.write_text(json.dumps({**doc, "counts": {"train": 8}, "shards": {"train": shards}}))
+    # the shard is checked against its own entry, and the split against its count
+    eight = [{**one[0], "records": 8}]
+    path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": eight}}))
+    with pytest.raises(SchemaError, match="shard train-0000.bin holds 7 records, manifest says 8"):
+        load_split(DatasetManifest.load(path), "train")
+    path.write_text(json.dumps({**doc, "counts": {"train": 8}, "shards": {"train": one}}))
     with pytest.raises(SchemaError, match="shards hold 7 records, manifest says 8"):
         load_split(DatasetManifest.load(path), "train")
-    # each shard is checked against its own entry, even when the total agrees
-    moved = [{**shards[0], "records": 4}, {**shards[1], "records": 3}]
-    path.write_text(json.dumps({**doc, "counts": {"train": 7}, "shards": {"train": moved}}))
-    with pytest.raises(SchemaError, match="shard train-0000.bin holds 3 records, manifest says 4"):
-        load_split(DatasetManifest.load(path), "train")
+
+
+def test_load_split_holds_the_shard_and_its_arrays_once(tmp_path):
+    # 2,000 windows of 100 frames: a 1.6 MB float32 shard read into 3.2 MB
+    # of float64 arrays; copying the arrays once more would add 3.2 MB
+    rng = make_rng(46)
+    truth, noisy = rng.normal(size=(2, 2000, 100)).astype(np.float32)
+    size = write_shard(tmp_path / "train-0000.bin", truth, noisy)
+    manifest = DatasetManifest(
+        window=100, stride=1, frames_per_cycle=100, cycles=2,
+        noise=NoiseSpec(), templates=[],
+        counts={"train": 2000}, shards={"train": [("train-0000.bin", 2000, size)]},
+        root=str(tmp_path),
+    )
+    tracemalloc.start()
+    try:
+        j, t, n = load_split(manifest, "train")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack for the index arithmetic's int64 temporaries and Python objects
+    slack = 256 * 1024
+    assert peak < size + j.nbytes + t.nbytes + n.nbytes + slack
+    assert np.array_equal(t, truth) and np.array_equal(n, noisy)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import sys
 import threading
 import tracemalloc
@@ -31,6 +32,7 @@ from poserefine import (
     write_keypoints,
 )
 from poserefine import refiner, training, windows
+from poserefine.cli import main
 from poserefine.refiner import (
     _MAX_BLOCK_ROWS,
     _PROJ_BLOCK,
@@ -88,6 +90,10 @@ def test_model_validation():
         RefinerModel(hidden=4, d_att=3, window=12, params=params)
     with pytest.raises(ShapeError):
         RefinerModel(hidden=0, d_att=3, window=12, params={})
+    params = {k: np.zeros(v) for k, v in shapes.items()}
+    params["head.W_o"][5, 0] = -1e39
+    with pytest.raises(ShapeError, match="'head.W_o' has values beyond float32"):
+        RefinerModel(hidden=4, d_att=3, window=12, params=params)
 
 
 def test_identity_model_is_exact_identity():
@@ -1265,24 +1271,82 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "m.jarm"
-    save_model(small_model(), path)
-    data = bytearray(path.read_bytes())
-    data[:4] = b"NOPE"
-    path.write_bytes(bytes(data))
-    with pytest.raises(ModelFormatError):
-        load_model(path)
+def _set_header(start: int, value: int):
+    return lambda data: data[:start] + value.to_bytes(4, "little") + data[start + 4 :]
 
 
-def test_load_rejects_bad_version(tmp_path):
+def _empty_first_tensor(data: bytes) -> bytes:
+    # att.W_k, (8, 3) at offset 24, becomes rank 4 with no elements but a
+    # shape too large for numpy
+    name = b"\x07\x00att.W_k"
+    start, end = 24 + len(name), 24 + len(name) + 4 + 8 + 8 * 24
+    return data[:start] + struct.pack("<5I", 4, 0, 2, 2**31, 2**31) + data[end:]
+
+
+def _set_head_bias(value):
+    def edit(params):
+        params["head.b_o"][0] = value
+
+    return edit
+
+
+# case: (edit of small_model()'s tensors, edit of its file's bytes, message).
+# The header is magic (0-4), version (4-8), hidden, d_att, window (16-20)
+# and the tensor count; the tensors follow in name order.
+MALFORMED_MODELS = {
+    "bad-magic": (None, lambda data: b"NOPE" + data[4:], "bad magic; not a refiner model file"),
+    "bad-version": (None, _set_header(4, 99), "unsupported model version 99"),
+    "truncated": (None, lambda data: data[:-1], "model file is truncated"),
+    "trailing-bytes": (
+        None, lambda data: data + b"\x00\x01", "trailing bytes after the tensor table"
+    ),
+    "empty-huge-shape": (
+        None,
+        _empty_first_tensor,
+        "tensor shape (0, 2, 2147483648, 2147483648) is not an array numpy can hold",
+    ),
+    "duplicated-tensor": (
+        None,
+        lambda data: data.replace(b"att.W_q", b"att.W_k", 1),
+        "tensor 'att.W_k' is listed twice",
+    ),
+    "missing-tensor": (
+        lambda params: params.pop("head.b_o"),
+        None,
+        "parameter names mismatch: missing=['head.b_o'] extra=[]",
+    ),
+    "wrong-shape": (
+        lambda params: params.update({"att.W_q": np.zeros((3, 3))}),
+        None,
+        "att.W_q must have shape (8, 3), got (3, 3)",
+    ),
+    "window-1": (None, _set_header(16, 1), "hidden and d_att must be >= 1, window >= 2"),
+    "nan": (_set_head_bias(np.nan), None, "tensor 'head.b_o' has non-finite values"),
+    # finite in float64, infinite in the float32 network
+    "1e300": (_set_head_bias(1e300), None, "tensor 'head.b_o' has values beyond float32"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit_params, edit_bytes, message", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys()
+)
+def test_a_malformed_model_file_is_refused(tmp_path, capsys, edit_params, edit_bytes, message):
+    model = small_model()
+    if edit_params is not None:
+        edit_params(model.params)
     path = tmp_path / "m.jarm"
-    save_model(small_model(), path)
-    data = bytearray(path.read_bytes())
-    data[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(ModelFormatError, match="version"):
+    save_model(model, path)
+    if edit_bytes is not None:
+        path.write_bytes(edit_bytes(path.read_bytes()))
+    with pytest.raises(ModelFormatError) as exc:
         load_model(path)
+    assert str(exc.value) == message
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    write_keypoints(smooth_sequence(make_rng(64), 30), src)
+    assert main(["refine", "--input", str(src), "--model", str(path), "--output", str(out)]) == 2
+    # pyproject.toml makes a RuntimeWarning an error, and none is printed
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_a_large_header_window_loads_and_refines_a_clip_at_its_own_length(
@@ -1360,7 +1424,7 @@ def test_load_rejects_undecodable_tensor_name(tmp_path):
     data = bytearray(path.read_bytes())
     data[26] = 0xFF  # first byte of the first tensor's name
     path.write_bytes(bytes(data))
-    with pytest.raises(CorruptModelError, match="unexpected tensor"):
+    with pytest.raises(CorruptModelError, match="parameter names mismatch"):
         load_model(path)
 
 

@@ -223,7 +223,7 @@ def test_identity_refinement_reproduces_self_consistent_input():
     rng = make_rng(72)
     seq = smooth_sequence(rng, 90)
     model = RefinerModel.identity(hidden=4, d_att=3, window=30)
-    motion = refine_pose_sequence(seq, model, half_width=10)
+    motion = refine_pose_sequence(seq, model)
     assert motion.n_frames == 90
     rebuilt = motion.positions()
     assert rebuilt.fps == seq.fps
