@@ -6,7 +6,9 @@ and the per-frame limb lengths are replaced by one length vector for the
 clip, fitted to the median pairwise length ratios.  The limb fit is the
 closed-form least-squares solution in log-length space: each limb's log
 length is its row mean of the log ratio table, shifted so that the lengths'
-geometric mean is that of the per-limb median lengths.
+geometric mean is that of the per-limb median lengths.  Both limb-fit
+functions take finite, positive lengths only; the pipeline refuses
+coincident keypoints before it measures a length.
 """
 
 from __future__ import annotations
@@ -106,42 +108,34 @@ def smooth_base_trajectory(seq: PoseSequence, half_width: int) -> np.ndarray:
     return _savgol_columns(seq.xy[:, 0, :], half_width)
 
 
+def _checked_lengths(raw_lengths) -> np.ndarray:
+    """raw_lengths as a float array, refused unless it is 2-D with at least
+    one frame, finite and positive."""
+    raw = np.asarray(raw_lengths, dtype=float)
+    if raw.ndim != 2 or not len(raw):
+        raise ShapeError(f"raw lengths must be 2-D with a frame or more, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ShapeError("raw lengths must be finite")
+    if (raw <= 0).any():
+        frame, limb = np.argwhere(raw <= 0)[0]
+        raise DegenerateLimbError(f"limb {limb} has a non-positive length at frame {frame}")
+    return raw
+
+
 def estimate_ratios(raw_lengths: np.ndarray) -> np.ndarray:
-    """Median of per-frame length ratios over frames where both limbs exist.
+    """Median of per-frame length ratios over all frames.
 
     Returns the (n_limbs, n_limbs) table: table[i, j] is the median of
     limb i's length over limb j's, and table[j, i] = 1 / table[i, j].
-    raw_lengths is (n_frames, n_limbs); zero-length entries are treated as
-    missing.  A limb with no positive frame, or a pair with no common
-    positive frame, cannot be ratio-calibrated and is an error.
+    raw_lengths is (n_frames, n_limbs) of finite, positive lengths.
     """
-    raw = np.asarray(raw_lengths, dtype=float)
-    if raw.ndim != 2:
-        raise ShapeError(f"raw lengths must be 2-D, got shape {raw.shape}")
+    raw = _checked_lengths(raw_lengths)
     n, m = raw.shape
-    alive = raw > 0
-    if not alive.any(axis=0).all():
-        limb = int(np.argmin(alive.any(axis=0)))
-        raise DegenerateLimbError(f"limb {limb} has no positive-length frame")
     # every pair i < j at once, in the row-major order of the upper triangle
     i, j = np.triu_indices(m, 1)
-    both = alive[:, i] & alive[:, j]
-    count = both.sum(axis=0)
-    if (count == 0).any():
-        p = int(np.argmax(count == 0))
-        raise DegenerateLimbError(
-            f"limbs {i[p]} and {j[p]} share no frame with positive lengths"
-        )
-    # an exact masked median: missing ratios sort last as NaN, and the
-    # middle one or two of a column's `count` ratios are averaged as
-    # np.median does; a NaN among the ratios themselves makes it NaN too
-    ratios = np.divide(raw[:, i], raw[:, j], out=np.full(both.shape, np.nan), where=both)
-    ordered = np.sort(ratios, axis=0)
-    cols = np.arange(i.size)
-    low = ordered[(count - 1) // 2, cols]
-    high = ordered[count // 2, cols]
-    median = np.where(count % 2 == 1, low, (low + high) / 2)
-    median[np.isnan(ratios).sum(axis=0) > n - count] = np.nan
+    # np.median's bits: the mean of the middle one or two sorted ratios
+    ordered = np.sort(raw[:, i] / raw[:, j], axis=0)
+    median = ordered[(n - 1) // 2 : n // 2 + 1].mean(axis=0)
     table = np.ones((m, m))
     table[i, j] = median
     table[j, i] = 1.0 / median
@@ -164,25 +158,15 @@ def optimize_limb_lengths(raw_lengths: np.ndarray, table: np.ndarray) -> LimbSol
     for a reciprocal table (table[j, i] = 1 / table[i, j], as
     estimate_ratios makes it) the minimisers are the row means of
     log(table) plus a constant; the constant is fixed so that sum(u) is the
-    sum of the logs of each limb's median positive raw length.  Input that
+    sum of the logs of each limb's median raw length.  Input that
     is already constant and exactly ratio-consistent is a fixed point.
     """
-    raw = np.asarray(raw_lengths, dtype=float)
-    if raw.ndim != 2:
-        raise ShapeError(f"raw lengths must be 2-D, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise ShapeError("raw lengths must be finite")
+    raw = _checked_lengths(raw_lengths)
     table = np.asarray(table, dtype=float)
     m = raw.shape[1]
     if table.shape != (m, m):
         raise ShapeError(f"ratio table must be {m} x {m} for {m} limbs, got {table.shape}")
     if not np.isfinite(table).all() or not (table > 0).all():
         raise ShapeError("ratio table entries must be finite and positive")
-    alive = raw > 0
-    if not alive.any(axis=0).all():
-        limb = int(np.argmin(alive.any(axis=0)))
-        raise DegenerateLimbError(f"limb {limb} has no positive-length frame")
-
-    medians = [np.median(raw[alive[:, i], i]) for i in range(m)]
-    u = np.log(table).mean(axis=1) + np.log(medians).mean()
+    u = np.log(table).mean(axis=1) + np.log(np.median(raw, axis=0)).mean()
     return LimbSolveResult(lengths=np.exp(u))

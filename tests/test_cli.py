@@ -4,7 +4,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import re
 import shlex
@@ -226,18 +225,6 @@ def test_refine_with_identity_model_recovers_input(tmp_path, keypoint_file):
     got = parse_keypoints(out)
     want = parse_keypoints(keypoint_file)
     assert np.max(np.abs(got.xy - want.xy)) <= 1e-6
-
-
-def test_refine_names_the_non_finite_model_tensor(tmp_path, capsys, keypoint_file):
-    model = RefinerModel.identity(hidden=4, d_att=3, window=20)
-    model.params["head.b_o"][0] = np.nan
-    model_path = tmp_path / "nan.jarm"
-    save_model(model, model_path)
-    out = tmp_path / "out.json"
-    argv = ["refine", "--input", str(keypoint_file), "--model", str(model_path)]
-    assert main(argv + ["--output", str(out)]) == 2
-    assert "error: tensor 'head.b_o' has non-finite values" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_refine_has_no_window_layout_or_limb_fit_flags(capsys):

@@ -160,36 +160,22 @@ def test_estimate_ratios_reciprocal_exact():
             assert table[i, j] * table[j, i] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_estimate_ratios_ignores_zero_length_frames():
-    # limb 0 is missing on frames where the pairing would be 10:1; the
-    # median must come only from the common frames at 2:1
-    raw = np.array([[2.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0], [2.0, 1.0]])
-    assert estimate_ratios(raw)[0, 1] == 2.0
-
-
 def test_estimate_ratios_errors():
-    with pytest.raises(DegenerateLimbError, match="limb 1"):
+    with pytest.raises(DegenerateLimbError, match="limb 1 has a non-positive length at frame 0"):
         estimate_ratios(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    # both limbs alive somewhere but never together
-    with pytest.raises(DegenerateLimbError):
-        estimate_ratios(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ShapeError):
         estimate_ratios(np.ones(5))
+    with pytest.raises(ShapeError, match="got shape"):
+        estimate_ratios(np.ones((0, 3)))
 
 
 def ratios_loop_oracle(raw: np.ndarray) -> np.ndarray:
-    """One np.median per limb pair over the frames where both exist."""
+    """One np.median per limb pair over all frames."""
     m = raw.shape[1]
-    alive = raw > 0
     table = np.ones((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            both = alive[:, i] & alive[:, j]
-            if not both.any():
-                raise DegenerateLimbError(
-                    f"limbs {i} and {j} share no frame with positive lengths"
-                )
-            r = float(np.median(raw[both, i] / raw[both, j]))
+            r = float(np.median(raw[:, i] / raw[:, j]))
             table[i, j] = r
             table[j, i] = 1.0 / r
     return table
@@ -200,27 +186,29 @@ def test_estimate_ratios_is_bitwise_the_per_pair_median():
     for n in (1, 2, 3, 40, 99, 100):
         raw = rng.uniform(5.0, 60.0, size=(n, 12))
         assert np.array_equal(estimate_ratios(raw), ratios_loop_oracle(raw))
-        # zero lengths leave each pair its own odd or even count of frames
-        holes = raw.copy()
-        holes[rng.random(holes.shape) < 0.3] = 0.0
-        holes[0] = raw[0]
-        assert np.array_equal(estimate_ratios(holes), ratios_loop_oracle(holes))
 
 
-def test_estimate_ratios_reports_the_first_pair_without_common_frames():
-    # pairs (1, 3) and (2, 4) never overlap; (1, 3) comes first
-    raw = np.ones((4, 5))
-    raw[:2, 1] = 0.0
-    raw[2:, 3] = 0.0
-    raw[:2, 2] = 0.0
-    raw[2:, 4] = 0.0
-    with pytest.raises(DegenerateLimbError) as want:
-        ratios_loop_oracle(raw)
-    with pytest.raises(DegenerateLimbError) as got:
-        estimate_ratios(raw)
-    assert str(got.value) == str(want.value) == (
-        "limbs 1 and 3 share no frame with positive lengths"
-    )
+@pytest.mark.parametrize("fit", ["ratios", "solver"])
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (0.0, DegenerateLimbError, "limb 4 has a non-positive length at frame 2"),
+        (-1.0, DegenerateLimbError, "limb 4 has a non-positive length at frame 2"),
+        (np.nan, ShapeError, "raw lengths must be finite"),
+        (np.inf, ShapeError, "raw lengths must be finite"),
+    ],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_the_limb_fit_refuses_a_length_that_is_not_finite_and_positive(fit, value, error, message):
+    # one bad length in frame 2 of limb 4; a later one is not the first
+    raw = make_rng(27).uniform(10.0, 60.0, size=(6, 12))
+    raw[2, 4] = value
+    raw[5, 1] = value
+    with pytest.raises(error, match=f"^{message}$"):
+        if fit == "ratios":
+            estimate_ratios(raw)
+        else:
+            optimize_limb_lengths(raw, np.ones((12, 12)))
 
 
 def test_ratio_table_validation():
@@ -253,7 +241,6 @@ def test_solver_matches_lstsq_on_the_pair_system():
     rng = make_rng(30)
     for _ in range(5):
         raw = rng.uniform(10.0, 60.0, size=(50, 12)) * rng.uniform(0.8, 1.2, size=(50, 1))
-        raw[rng.random(raw.shape) < 0.1] = 0.0
         table = estimate_ratios(raw)
         m = raw.shape[1]
         rows, rhs = [], []
@@ -263,7 +250,7 @@ def test_solver_matches_lstsq_on_the_pair_system():
                 row[i], row[j] = 1.0, -1.0
                 rows.append(row)
                 rhs.append(np.log(table[i, j]))
-        medians = [np.median(raw[raw[:, i] > 0, i]) for i in range(m)]
+        medians = [np.median(raw[:, i]) for i in range(m)]
         rows.append(np.ones(m))
         rhs.append(np.sum(np.log(medians)))
         want = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
@@ -343,9 +330,11 @@ def test_solver_input_validation():
     with pytest.raises(ShapeError):
         optimize_limb_lengths(bad, table)
     dead = np.ones((4, 3))
-    dead[:, 2] = 0.0
-    with pytest.raises(DegenerateLimbError, match="limb 2"):
+    dead[1:, 2] = 0.0
+    with pytest.raises(DegenerateLimbError, match="limb 2 has a non-positive length at frame 1"):
         optimize_limb_lengths(dead, table)
+    with pytest.raises(ShapeError, match="got shape"):
+        optimize_limb_lengths(np.ones((0, 3)), table)
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -74,6 +74,7 @@ def test_package_import_check_sees_a_relative_import():
     assert package_imports(source) == {"refiner", "windows"}
 
 
+@pytest.mark.bigru
 def test_import_starts_no_thread_pool_and_looks_up_no_blas():
     # refine_batch loads the thread pool and finds OpenBLAS on its first
     # call with several blocks; importing the package does neither

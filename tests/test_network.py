@@ -132,6 +132,7 @@ def test_gru_cell_scalar_hand_oracle():
     assert got[0, 0] == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.bigru
 def test_bigru_layer_matches_stepwise_oracle():
     rng = make_rng(52)
     model = small_model(seed=3)
@@ -169,6 +170,7 @@ def test_bigru_layer_matches_stepwise_oracle():
         assert np.max(np.abs(got2 - oracle(got, "l2"))) <= 1e-12
 
 
+@pytest.mark.bigru
 def test_attention_matches_softmax_oracle():
     rng = make_rng(53)
     model = small_model(seed=4)
@@ -189,6 +191,7 @@ def test_attention_matches_softmax_oracle():
     assert np.max(np.abs(att["context"] - context)) <= 1e-12
 
 
+@pytest.mark.bigru
 def test_full_forward_matches_public_composition():
     rng = make_rng(54)
     model = small_model(seed=5)
@@ -243,6 +246,7 @@ def record_forward_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.bigru
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
@@ -273,6 +277,7 @@ def test_refine_batch_blocks_match_block_by_block_calls(monkeypatch, dtype, work
     assert all(blas in (None, 1) for _, blas, _, _ in calls)
 
 
+@pytest.mark.bigru
 def test_refine_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -282,6 +287,7 @@ def test_refine_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
     assert np.array_equal(refine_batch(x, model, dtype=np.float64), want)
 
 
+@pytest.mark.bigru
 def test_concurrent_callers_get_the_serial_results_and_blas_is_restored():
     control = refiner._blas_thread_control()
     if control is None:
@@ -315,6 +321,7 @@ def test_concurrent_callers_get_the_serial_results_and_blas_is_restored():
         assert np.array_equal(g, w)
 
 
+@pytest.mark.bigru
 def test_one_block_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     def refuse():
         raise AssertionError("a one-block call looked up BLAS")
@@ -331,6 +338,7 @@ def test_one_block_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.bigru
 def test_both_entry_points_split_154_rows_into_two_blocks_of_77(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     model = small_model(seed=25)
@@ -345,6 +353,7 @@ def test_both_entry_points_split_154_rows_into_two_blocks_of_77(monkeypatch):
     assert [rows for _, _, _, rows in calls] == [77, 77]
 
 
+@pytest.mark.bigru
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
     # inference reuses one gate buffer per step; the outputs must not change
@@ -371,6 +380,7 @@ def test_bigru_layer_without_cache_matches_the_cached_run(dtype):
     assert np.array_equal(want[:, :, model.hidden :], cache["h"][12:0:-1, 1])
 
 
+@pytest.mark.bigru
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("rows", [12, 112])
 def test_forward_without_cache_on_one_arena_matches_the_cached_run(dtype, rows):
@@ -384,6 +394,7 @@ def test_forward_without_cache_on_one_arena_matches_the_cached_run(dtype, rows):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.bigru
 def test_float32_forward_without_cache_keeps_one_layer_output():
     # a 112-row block of the shipped shapes: states, projections, one step's
     # gates and one (L, B, 2H) output, about 13.1 MB; a second output would
@@ -395,6 +406,7 @@ def test_float32_forward_without_cache_keeps_one_layer_output():
     assert sum(buf.nbytes for buf in mem._buffers.values()) <= 14e6
 
 
+@pytest.mark.bigru
 def test_float32_training_block_keeps_a_ring_of_gate_gradients():
     # one 128-row training block of the shipped shapes: both layers'
     # caches, about 65.6 MB, plus the backward's eight-step ring of gate
@@ -431,16 +443,27 @@ def test_float32_refine_batch_peak_memory_stays_below_48_mb():
     assert peak < 48e6
 
 
+@pytest.mark.bigru
 def test_a_second_refine_batch_call_reuses_the_first_ones_memory(monkeypatch):
     # a long file's refine_batch calls on one thread: the first pages in
     # both workers' arenas, the second allocates little beyond its output
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # the two blocks' forwards take turns, so the peak does not depend on
+    # whether both blocks' per-call temporaries are alive at once
+    turn = threading.Lock()
+    forward = refiner._forward
+
+    def one_at_a_time(*args, **kwargs):
+        with turn:
+            return forward(*args, **kwargs)
+
+    monkeypatch.setattr(refiner, "_forward", one_at_a_time)
     model = RefinerModel.init_random(hidden=16, d_att=8, window=100, seed=2)
     x = make_rng(86).uniform(-1.0, 1.0, size=(256, 100))
 
     def two_calls():
         arenas = refiner._THREAD_ARENAS.by_worker
-        new_bytes = []
+        new_bytes, buffers = [], []
         for call in range(2):
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -453,14 +476,21 @@ def test_a_second_refine_batch_call_reuses_the_first_ones_memory(monkeypatch):
                     mem = arenas.setdefault(worker, _Arena())
                     _forward(x[part], model, np.float32, keep_cache=False, mem=mem)
             new_bytes.append(tracemalloc.get_traced_memory()[1] - before)
-        return new_bytes
+            buffers.append(
+                {(w, role): buf for w, mem in arenas.items() for role, buf in mem._buffers.items()}
+            )
+        return new_bytes, buffers
 
     tracemalloc.start()
     try:
-        first, second = on_a_new_thread(two_calls)
+        (first, second), (paged, reused) = on_a_new_thread(two_calls)
     finally:
         tracemalloc.stop()
     assert second < 0.2 * first
+    # a buffer that grew would be a new object
+    assert {w for w, _ in paged} == {0, 1}
+    assert paged.keys() == reused.keys()
+    assert all(reused[key] is buf for key, buf in paged.items())
 
 
 def test_a_threads_arenas_are_released_when_it_ends(monkeypatch):
@@ -488,6 +518,7 @@ def test_a_threads_arenas_are_released_when_it_ends(monkeypatch):
     assert abs(after - before) < 1e6
 
 
+@pytest.mark.bigru
 def test_float32_forward_computes_in_float32_and_returns_float64():
     # a float64 constant or parameter anywhere in the forward would promote
     # the arrays after it back to float64
@@ -661,6 +692,7 @@ def test_float32_gradients_match_float64():
         assert np.linalg.norm(g - want) <= 1e-4 * np.linalg.norm(want), name
 
 
+@pytest.mark.bigru
 def test_float32_backward_computes_in_float32():
     # a float64 weight or constant anywhere in the backward would promote
     # everything after it to float64
@@ -726,6 +758,7 @@ def gru_direction_backward(seq, cell, dstates):
     return dx, grads
 
 
+@pytest.mark.bigru
 def test_bigru_backward_matches_stepwise_oracle():
     rng = make_rng(81)
     model = small_model(seed=22)
@@ -804,6 +837,7 @@ def head_attention_backward_oracle(dout, h2, model):
     return grads, dh2
 
 
+@pytest.mark.bigru
 def test_attention_and_head_backward_match_the_full_oracle(monkeypatch):
     # d_att = 3 differs from 2H = 8, and B = 5 from L = 12
     rng = make_rng(82)
@@ -840,6 +874,7 @@ def block_sizes(rows) -> list:
     return [p.stop - p.start for p in parts]
 
 
+@pytest.mark.bigru
 def test_blocks_are_the_fewest_even_balanced_blocks():
     # a training batch of 256 is two blocks of 128, a batch of 64 rows or
     # more, such as an epoch's last, short batch, at least two blocks, and
@@ -876,6 +911,7 @@ def blockwise_gradients(noisy, truth, model, dtype):
     return float(np.mean(diff * diff)), grads
 
 
+@pytest.mark.bigru
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batch_gradients_blocks_match_block_by_block_calls(monkeypatch, dtype, workers):
@@ -910,6 +946,7 @@ def test_batch_gradients_blocks_match_block_by_block_calls(monkeypatch, dtype, w
     assert all(blas in (None, 1) for _, blas, _, _ in calls)
 
 
+@pytest.mark.bigru
 def test_batch_gradients_restores_the_blas_thread_count(monkeypatch):
     control = refiner._blas_thread_control()
     if control is None:
@@ -932,6 +969,7 @@ def test_batch_gradients_restores_the_blas_thread_count(monkeypatch):
     assert [(blas, rows) for _, blas, _, rows in calls] == [(1, 128), (1, 128)]
 
 
+@pytest.mark.bigru
 def test_one_block_batch_gradients_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     def refuse():
         raise AssertionError("a one-block call looked up BLAS")
@@ -971,6 +1009,7 @@ def poison(arenas):
             buf.fill(0xFF)
 
 
+@pytest.mark.bigru
 def test_arena_steps_match_calls_in_fresh_memory(monkeypatch):
     # one thread's steps, with the row count going 256 -> 102 -> 256, in
     # float32 and then in float64, each step followed by a validation call
@@ -1086,6 +1125,7 @@ def test_float32_batch_gradients_peak_memory_stays_below_260_mb():
     assert peak < 260e6
 
 
+@pytest.mark.bigru
 def test_training_is_bitwise_repeatable(monkeypatch, tmp_path):
     # 270 training windows: a 256-row batch of two gradient blocks, then
     # 14; the same seed must give the same bits on one and on two CPUs
@@ -1322,6 +1362,7 @@ MALFORMED_MODELS = {
     ),
     "window-1": (None, _set_header(16, 1), "hidden and d_att must be >= 1, window >= 2"),
     "nan": (_set_head_bias(np.nan), None, "tensor 'head.b_o' has non-finite values"),
+    "inf": (_set_head_bias(np.inf), None, "tensor 'head.b_o' has non-finite values"),
     # finite in float64, infinite in the float32 network
     "1e300": (_set_head_bias(1e300), None, "tensor 'head.b_o' has values beyond float32"),
 }
@@ -1341,6 +1382,9 @@ def test_a_malformed_model_file_is_refused(tmp_path, capsys, edit_params, edit_b
     with pytest.raises(ModelFormatError) as exc:
         load_model(path)
     assert str(exc.value) == message
+    # past a good magic and version, the tensor table is what is corrupt
+    wrong_header = message.startswith(("bad magic", "unsupported model version"))
+    assert type(exc.value) is (ModelFormatError if wrong_header else CorruptModelError)
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     write_keypoints(smooth_sequence(make_rng(64), 30), src)
     assert main(["refine", "--input", str(src), "--model", str(path), "--output", str(out)]) == 2
@@ -1399,15 +1443,6 @@ def test_train_config_refuses_unusable_settings(field, value):
         TrainConfig(**{field: value})
 
 
-def test_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "m.jarm"
-    save_model(small_model(), path)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CorruptModelError):
-        load_model(path)
-
-
 def test_load_rejects_every_proper_prefix(tmp_path):
     path = tmp_path / "m.jarm"
     save_model(RefinerModel.init_random(hidden=2, d_att=1, window=4, seed=0), path)
@@ -1425,23 +1460,4 @@ def test_load_rejects_undecodable_tensor_name(tmp_path):
     data[26] = 0xFF  # first byte of the first tensor's name
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptModelError, match="parameter names mismatch"):
-        load_model(path)
-
-
-def test_load_rejects_trailing_bytes(tmp_path):
-    path = tmp_path / "m.jarm"
-    save_model(small_model(), path)
-    with open(path, "ab") as fh:
-        fh.write(b"\x00\x01")
-    with pytest.raises(CorruptModelError):
-        load_model(path)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_load_rejects_non_finite_weights(tmp_path, value):
-    model = RefinerModel.identity(hidden=4, d_att=3, window=20)
-    model.params["head.b_o"][0] = value
-    path = tmp_path / "m.jarm"
-    save_model(model, path)
-    with pytest.raises(CorruptModelError, match="'head.b_o' has non-finite values"):
         load_model(path)

@@ -306,6 +306,37 @@ def test_refined_lengths_are_one_vector_in_every_frame():
     assert np.array_equal(motion.lengths, np.broadcast_to(motion.lengths[0], (1000, N_LIMBS)))
 
 
+# (rotation in rad, scale, shift in px) of the input keypoints
+SIMILARITIES = {
+    "rotate": (0.7, 1.0, (0.0, 0.0)),
+    "shift": (0.0, 1.0, (123.25, -77.5)),
+    "scale": (0.0, 1.7, (0.0, 0.0)),
+}
+EQUIVARIANCE_MODELS = {
+    "h4-window32": RefinerModel.init_random(hidden=4, d_att=3, window=32, seed=12),
+    "h64-window100": RefinerModel.init_random(hidden=64, d_att=32, window=100, seed=13),
+}
+
+
+@pytest.mark.parametrize("n_frames", [15, 68, 600])
+@pytest.mark.parametrize("model", EQUIVARIANCE_MODELS.values(), ids=EQUIVARIANCE_MODELS.keys())
+@pytest.mark.parametrize("similarity", SIMILARITIES.values(), ids=SIMILARITIES.keys())
+def test_refine_pose_sequence_moves_with_a_similarity_of_its_input(similarity, model, n_frames):
+    # a rotation adds a constant to every angle, which the refiner's mean
+    # normalisation carries through; the root smoother is linear, and a
+    # scale leaves the length ratios alone.  Clips are shorter and longer
+    # than each model's window.  The rebuilt keypoints agree to 1e-9 px
+    phi, scale, shift = similarity
+    turn = scale * np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    rng = make_rng(78)
+    seq = smooth_sequence(rng, n_frames)
+    noisy = PoseSequence(xy=seq.xy + rng.normal(0.0, 2.0, size=seq.xy.shape), fps=seq.fps)
+    moved = PoseSequence(xy=noisy.xy @ turn.T + shift, fps=seq.fps)
+    want = refine_pose_sequence(noisy, model).positions().xy @ turn.T + shift
+    got = refine_pose_sequence(moved, model).positions().xy
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

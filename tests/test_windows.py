@@ -230,6 +230,7 @@ def per_joint_reference(theta, model) -> np.ndarray:
     return out
 
 
+@pytest.mark.bigru
 def test_joint_batched_float32_matches_float64_per_joint_reference():
     rng = make_rng(67)
     model = RefinerModel.init_random(hidden=8, d_att=4, window=10, seed=3)
@@ -243,6 +244,7 @@ def test_joint_batched_float32_matches_float64_per_joint_reference():
     assert not np.array_equal(out, want)
 
 
+@pytest.mark.bigru
 def test_identity_model_is_exact_across_forward_chunks():
     rng = make_rng(68)
     model = RefinerModel.identity(hidden=4, d_att=3, window=10)
